@@ -32,7 +32,6 @@ from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
 from .sharefile import (
     ShareFile,
-    field_kind_codes,
     file_to_stripes,
     read_share_file,
     stripes_to_file,
@@ -119,15 +118,7 @@ def cmd_params(args) -> int:
 def _read_matching_shares(paths) -> tuple[list[ShareFile], ShareFile]:
     files = [read_share_file(p) for p in paths]
     ref = files[0]
-    key = lambda sf: (
-        field_kind_codes(sf.field),
-        sf.n,
-        sf.k,
-        sf.d,
-        sf.r,
-        sf.stripe_count,
-        sf.original_length,
-    )
+    key = lambda sf: (sf.params, sf.stripe_count, sf.original_length)
     for sf in files[1:]:
         if key(sf) != key(ref):
             raise ShareFormatError("share files carry mismatched parameters")
@@ -153,11 +144,7 @@ def cmd_encode(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(1, p.n + 1):
         sf = ShareFile(
-            field=field,
-            n=p.n,
-            k=p.k,
-            d=p.d,
-            r=p.r,
+            params=p,
             node_id=i,
             stripe_count=len(stripes),
             original_length=len(data),
@@ -174,8 +161,7 @@ def cmd_encode(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     files, ref = _read_matching_shares(args.shares)
-    field = ref.field
-    p = validate_params(ref.n, ref.k, ref.d, ref.r, field)
+    p = ref.params
     if len(files) < p.k:
         raise CodecError(f"need at least k = {p.k} share files, got {len(files)}")
     files = files[: p.k]
@@ -196,7 +182,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_repair(args) -> int:
     files, ref = _read_matching_shares(args.shares)
-    p = validate_params(ref.n, ref.k, ref.d, ref.r, ref.field)
+    p = ref.params
     points = derive_points(p)
     failed = _parse_failed(args.failed)
     if set(failed) & {sf.node_id for sf in files}:
@@ -218,11 +204,7 @@ def cmd_repair(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):
         sf = ShareFile(
-            field=ref.field,
-            n=p.n,
-            k=p.k,
-            d=p.d,
-            r=p.r,
+            params=p,
             node_id=i,
             stripe_count=ref.stripe_count,
             original_length=ref.original_length,

@@ -94,8 +94,8 @@ def derive_points(params: CodeParams) -> EvalPoints:
     Node i gets element i; when n equals the field order, node n wraps
     to element 0 (still injective). Never serialized, always recomputed.
     """
-    field = params.field
-    vals = tuple(field.element_at(i % field.order) for i in range(1, params.n + 1))
+    order = params.field.order
+    vals = tuple(i % order for i in range(1, params.n + 1))
     return EvalPoints(x=vals, y=vals)
 
 
@@ -128,6 +128,7 @@ def encode(
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
     field = params.field
+    field.check_elements(data)
     F = BiPoly.from_coeffs(tuple(data), params.k, params.d, params.r)
     shares = []
     for i in range(1, params.n + 1):
@@ -146,7 +147,9 @@ def share_polys(
 
     f_i(Y) = F(x_i, Y) has degree < d+r and is interpolated from the
     first d+r evaluations; g_i(X) = F(X, y_i) has degree < d and is
-    interpolated from evals[0] plus the last d-1 evaluations.
+    interpolated from evals[0] plus the last d-1 evaluations. This is
+    where every share enters reconstruct and repair, so its symbols are
+    checked here.
     """
     i, n = share.node_id, params.n
     d, r = params.d, params.r
@@ -155,6 +158,7 @@ def share_polys(
             f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
         )
     field = params.field
+    field.check_elements(share.evals)
     f_pts = [
         (points.y_of(shift_node(i, t, n)), share.evals[t]) for t in range(d + r)
     ]
@@ -164,11 +168,6 @@ def share_polys(
         for s in range(1, d)
     ]
     g = interpolate(field, g_pts, d)
-    if (
-        eval_poly(field, f, points.y_of(i)) != share.evals[0]
-        or eval_poly(field, g, points.x_of(i)) != share.evals[0]
-    ):
-        raise CorruptShareError(f"share {i} failed the f/g cross-check")
     return f, g
 
 

@@ -10,6 +10,9 @@ file format.
 
 from __future__ import annotations
 
+import operator
+from typing import Iterable
+
 from .errors import FieldMismatchError
 
 GF256_REDUCTION_POLY = 0x11D
@@ -39,28 +42,33 @@ def smallest_prime_at_least(n: int) -> int:
 class Field:
     """Immutable finite field, either GF(p) or GF(256).
 
-    All operations are pure; instances are safe to share across threads.
+    The arithmetic is bound once, at construction, and trusts its
+    operands: add, sub, neg, mul, inv and pow take ints in [0, order)
+    and do not check them. Symbols from outside the library are checked
+    where they enter it, with check_elements. All operations are pure;
+    instances are safe to share across threads.
     """
 
-    __slots__ = ("kind", "order", "modulus", "_exp", "_log")
+    __slots__ = ("kind", "order", "modulus", "add", "sub", "neg", "mul", "inv", "pow")
 
     def __init__(self, kind: str, modulus: int):
         if kind == "prime":
             if not (2 <= modulus <= _MAX_PRIME) or not is_prime(modulus):
                 raise ValueError(f"modulus {modulus} is not a prime in [2, 2^16]")
             self.order = modulus
-            self._exp = self._log = None
+            ops = _prime_ops(modulus)
         elif kind == "binary":
             if modulus != GF256_REDUCTION_POLY:
                 raise ValueError(
                     f"GF(256) reduction polynomial must be {GF256_REDUCTION_POLY:#x}"
                 )
             self.order = 256
-            self._init_tables()
+            ops = _gf256_ops()
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.modulus = modulus
+        self.add, self.sub, self.neg, self.mul, self.inv, self.pow = ops
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -70,20 +78,9 @@ class Field:
     def gf256(cls) -> "Field":
         return cls("binary", GF256_REDUCTION_POLY)
 
-    def _init_tables(self):
-        exp = [0] * 510
-        log = [0] * 256
-        x = 1
-        for i in range(255):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & 0x100:
-                x ^= GF256_REDUCTION_POLY
-        for i in range(255, 510):
-            exp[i] = exp[i - 255]
-        self._exp = exp
-        self._log = log
+    def __reduce__(self):
+        # The bound closures do not pickle; rebuild the field from its data.
+        return (Field, (self.kind, self.modulus))
 
     def __eq__(self, other):
         return (
@@ -98,65 +95,71 @@ class Field:
     def __repr__(self):
         return f"GF({self.order})"
 
-    def _check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise FieldMismatchError(f"{a!r} is not an element of {self}")
-        return a
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.kind == "prime":
-            return (a + b) % self.order
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.kind == "prime":
-            return (a - b) % self.order
-        return a ^ b
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.kind == "prime":
-            return (-a) % self.order
-        return a
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.kind == "prime":
-            return (a * b) % self.order
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"no inverse of 0 in {self}")
-        if self.kind == "prime":
-            return pow(a, self.order - 2, self.order)
-        return self._exp[255 - self._log[a]]
-
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
+    def check_elements(self, symbols: Iterable[int]) -> None:
+        """Raise FieldMismatchError unless every symbol is a field element."""
+        order = self.order
+        for a in symbols:
+            if not isinstance(a, int) or not 0 <= a < order:
+                raise FieldMismatchError(f"{a!r} is not an element of {self}")
+
+
+def _prime_ops(p: int):
+    """(add, sub, neg, mul, inv, pow) of GF(p)."""
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"no inverse of 0 in GF({p})")
+        return pow(a, p - 2, p)
+
+    def power(a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent")
-        if self.kind == "prime":
-            return pow(a, e, self.order)
+        return pow(a, e, p)
+
+    return (
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a - b) % p,
+        lambda a: -a % p,
+        lambda a, b: a * b % p,
+        inv,
+        power,
+    )
+
+
+def _gf256_ops():
+    """(add, sub, neg, mul, inv, pow) of GF(256), from log/exp tables."""
+    exp = [0] * 510
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x & 0x100:
+            x ^= GF256_REDUCTION_POLY
+    for i in range(255, 510):
+        exp[i] = exp[i - 255]
+
+    def mul(a: int, b: int) -> int:
+        if a and b:
+            return exp[log[a] + log[b]]
+        return 0
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("no inverse of 0 in GF(256)")
+        return exp[255 - log[a]]
+
+    def power(a: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative exponent")
         if e == 0:
             return 1
         if a == 0:
             return 0
-        return self._exp[(self._log[a] * e) % 255]
+        return exp[(log[a] * e) % 255]
 
-    def element_at(self, index: int) -> int:
-        """Canonical enumeration of field elements; element_at(0) == 0."""
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} out of range for {self}")
-        return index
+    return operator.xor, operator.xor, lambda a: a, mul, inv, power

@@ -145,7 +145,3 @@ class BiPoly:
     def eval(self, field: Field, x: int, y: int) -> int:
         cols = [eval_poly(field, self.x_column(j), x) for j in range(self.d + self.r)]
         return eval_poly(field, cols, y)
-
-
-def eval_bi(field: Field, p: BiPoly, x: int, y: int) -> int:
-    return p.eval(field, x, y)

@@ -18,7 +18,8 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
-from .errors import ShareFormatError
+from .codec import CodeParams, validate_params
+from .errors import ParameterError, ShareFormatError
 from .gf import GF256_REDUCTION_POLY, Field
 
 MAGIC = b"MBCR"
@@ -38,7 +39,10 @@ def field_kind_codes(field: Field) -> tuple[int, int]:
 
 def field_from_codes(kind: int, modulus: int) -> Field:
     if kind == FIELD_KIND_PRIME:
-        return Field.prime(modulus)
+        try:
+            return Field.prime(modulus)
+        except ValueError as exc:
+            raise ShareFormatError(str(exc)) from None
     if kind == FIELD_KIND_GF256:
         if modulus != GF256_REDUCTION_POLY:
             raise ShareFormatError(f"unexpected GF(256) modulus {modulus:#x}")
@@ -48,22 +52,14 @@ def field_from_codes(kind: int, modulus: int) -> Field:
 
 @dataclass(frozen=True)
 class ShareFile:
-    field: Field
-    n: int
-    k: int
-    d: int
-    r: int
+    params: CodeParams
     node_id: int
     stripe_count: int
     original_length: int
     payload: bytes  # stripe_count * share_size symbols, one per byte
 
-    @property
-    def share_size(self) -> int:
-        return 2 * self.d + self.r - 1
-
     def stripes(self) -> list[tuple[int, ...]]:
-        a = self.share_size
+        a = self.params.share_size
         return [
             tuple(self.payload[s * a : (s + 1) * a])
             for s in range(self.stripe_count)
@@ -71,8 +67,9 @@ class ShareFile:
 
 
 def pack_share_file(sf: ShareFile) -> bytes:
-    kind, modulus = field_kind_codes(sf.field)
-    expected = sf.stripe_count * sf.share_size
+    p = sf.params
+    kind, modulus = field_kind_codes(p.field)
+    expected = sf.stripe_count * p.share_size
     if len(sf.payload) != expected:
         raise ShareFormatError(
             f"payload has {len(sf.payload)} symbols, expected {expected}"
@@ -82,10 +79,10 @@ def pack_share_file(sf: ShareFile) -> bytes:
         VERSION,
         kind,
         modulus,
-        sf.n,
-        sf.k,
-        sf.d,
-        sf.r,
+        p.n,
+        p.k,
+        p.d,
+        p.r,
         sf.node_id,
         sf.stripe_count,
         sf.original_length,
@@ -94,6 +91,8 @@ def pack_share_file(sf: ShareFile) -> bytes:
 
 
 def parse_share_file(data: bytes) -> ShareFile:
+    """Parse and validate a share file: header parameters, node id,
+    payload length, and every payload symbol."""
     if len(data) < HEADER_SIZE:
         raise ShareFormatError("file too short for a share header")
     (
@@ -113,25 +112,26 @@ def parse_share_file(data: bytes) -> ShareFile:
         raise ShareFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ShareFormatError(f"unsupported version {version}")
-    field = field_from_codes(kind, modulus)
+    try:
+        params = validate_params(n, k, d, r, field_from_codes(kind, modulus))
+    except ParameterError as exc:
+        raise ShareFormatError(f"invalid code parameters in header: {exc}") from None
+    if not 1 <= node_id <= n:
+        raise ShareFormatError(f"node id {node_id} is outside [1, {n}]")
     payload = data[HEADER_SIZE:]
-    sf = ShareFile(
-        field=field,
-        n=n,
-        k=k,
-        d=d,
-        r=r,
+    if len(payload) != stripe_count * params.share_size:
+        raise ShareFormatError(
+            f"payload length {len(payload)} does not match "
+            f"{stripe_count} stripes of {params.share_size} symbols"
+        )
+    params.field.check_elements(payload)
+    return ShareFile(
+        params=params,
         node_id=node_id,
         stripe_count=stripe_count,
         original_length=original_length,
         payload=payload,
     )
-    if len(payload) != stripe_count * sf.share_size:
-        raise ShareFormatError(
-            f"payload length {len(payload)} does not match "
-            f"{stripe_count} stripes of {sf.share_size} symbols"
-        )
-    return sf
 
 
 def write_share_file(path: str, sf: ShareFile) -> None:

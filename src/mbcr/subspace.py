@@ -311,6 +311,37 @@ def check_property3(
     return out
 
 
+def _node_sum_ranks(spaces: dict[int, Subspace]):
+    """Rank of the sum of the given node spaces, memoized by node set."""
+    cache: dict[frozenset[int], int] = {}
+
+    def sum_rank(nodes: frozenset[int]) -> int:
+        if nodes not in cache:
+            cache[nodes] = rank(space_sum(*[spaces[i] for i in nodes]))
+        return cache[nodes]
+
+    return sum_rank
+
+
+def _lemma1_holds(params: CodeParams, I, J, sum_rank) -> bool:
+    """dim(sum_I) - dim(sum_I cap sum_J) <= |I|((d-|J|)beta1 + (r-|I|)beta2).
+
+    By the modular law the left side is dim(sum_{I+J}) - dim(sum_J), so
+    two rank computations suffice.
+    """
+    a, b = len(I), len(J)
+    bound = a * (
+        (params.d - b) * params.helper_symbols
+        + (params.r - a) * params.exchange_symbols
+    )
+    if not I:
+        return 0 <= bound
+    lhs = sum_rank(frozenset(I) | frozenset(J))
+    if J:
+        lhs -= sum_rank(frozenset(J))
+    return lhs <= bound
+
+
 def check_lemma1(
     params: CodeParams,
     points: EvalPoints,
@@ -326,22 +357,10 @@ def check_lemma1(
     for j in J:
         if any(j not in plan.helpers[i] for i in I):
             raise MbcrError(f"J = {J} is not common to all helper sets of I")
-    a, b = len(I), len(J)
-    bound = a * (
-        (params.d - b) * params.helper_symbols
-        + (params.r - a) * params.exchange_symbols
-    )
-    if not I:
-        return 0 <= bound
     W = node_spaces or {
         i: node_space(i, params, points) for i in set(I) | set(J)
     }
-    # dim(sum_I) - dim(sum_I cap sum_J) = dim(sum_I + sum_J) - dim(sum_J)
-    # by the modular law, so two rank computations suffice.
-    lhs = rank(space_sum(*[W[i] for i in set(I) | set(J)]))
-    if J:
-        lhs -= rank(space_sum(*[W[j] for j in J]))
-    return lhs <= bound
+    return _lemma1_holds(params, I, J, _node_sum_ranks(W))
 
 
 def lemma1_results(
@@ -356,13 +375,7 @@ def lemma1_results(
     W = node_spaces or {i: node_space(i, params, points) for i in ids}
     # Ranks of node-set sums recur across (I, J) pairs; reduce each node
     # basis once and memoize by node set.
-    reduced = {i: reduced_basis(W[i]) for i in ids}
-    rank_cache: dict[frozenset[int], int] = {}
-
-    def sum_rank(nodes: frozenset[int]) -> int:
-        if nodes not in rank_cache:
-            rank_cache[nodes] = rank(space_sum(*[reduced[i] for i in nodes]))
-        return rank_cache[nodes]
+    sum_rank = _node_sum_ranks({i: reduced_basis(W[i]) for i in ids})
 
     out = []
     failed = sorted(plan.failed)
@@ -376,22 +389,11 @@ def lemma1_results(
                 common = set()
             for bsize in range(len(common) + 1):
                 for J in combinations(sorted(common), bsize):
-                    a, b = len(I), len(J)
-                    bound = a * (
-                        (params.d - b) * params.helper_symbols
-                        + (params.r - a) * params.exchange_symbols
-                    )
-                    if I:
-                        lhs = sum_rank(frozenset(I) | frozenset(J))
-                        if J:
-                            lhs -= sum_rank(frozenset(J))
-                    else:
-                        lhs = 0
                     out.append(
                         CheckResult(
                             "lemma1",
                             f"I={{{','.join(map(str, I))}}},J={{{','.join(map(str, J))}}}",
-                            lhs <= bound,
+                            _lemma1_holds(params, I, J, sum_rank),
                         )
                     )
     return out

@@ -1,9 +1,13 @@
 import os
 import random
+import shlex
+import struct
+from pathlib import Path
 
 import pytest
 
 from mbcr.cli import main
+from mbcr.codec import derive_points, encode, validate_params
 from mbcr.errors import ShareFormatError
 from mbcr.gf import Field
 from mbcr.sharefile import (
@@ -21,11 +25,7 @@ from mbcr.sharefile import (
 def make_share_file(node_id=1, stripes=2, alpha=7):
     rng = random.Random(node_id)
     return ShareFile(
-        field=Field.gf256(),
-        n=5,
-        k=2,
-        d=3,
-        r=2,
+        params=validate_params(5, 2, 3, 2, Field.gf256()),
         node_id=node_id,
         stripe_count=stripes,
         original_length=17,
@@ -143,6 +143,57 @@ class TestCli:
         )
         assert rc == 2
         assert "mismatched" in capsys.readouterr().err
+
+    # (byte offset, struct format, values) patched into a (5,2,3,2) header.
+    @pytest.mark.parametrize(
+        "offset, fmt, values, message",
+        [
+            (16, "<H", (0,), "node id 0 is outside [1, 5]"),
+            (16, "<H", (9,), "node id 9 is outside [1, 5]"),
+            (10, "<H", (4,), "invalid code parameters in header: k = 4 > d = 3"),
+            (5, "<BH", (0, 6), "modulus 6 is not a prime"),
+        ],
+    )
+    def test_reconstruct_rejects_a_bad_header(
+        self, tmp_path, capsys, offset, fmt, values, message
+    ):
+        out = self.encode(tmp_path, b"hello world")
+        path = out / "share_001.mbcr"
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, *values)
+        path.write_bytes(bytes(blob))
+        rc = main(["reconstruct", str(path), str(out / "share_002.mbcr"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_reconstruct_rejects_a_payload_symbol_outside_the_field(
+        self, tmp_path, capsys
+    ):
+        p = validate_params(5, 2, 3, 2, Field.prime(11))
+        shares = encode(tuple(i % 11 for i in range(p.block_size)), p, derive_points(p))
+        paths = []
+        for share in shares[:2]:
+            payload = bytes(share.evals)
+            if share.node_id == 1:
+                payload = payload[:-1] + bytes([11])
+            path = str(tmp_path / f"share_{share.node_id}.mbcr")
+            write_share_file(path, ShareFile(p, share.node_id, 1, p.block_size, payload))
+            paths.append(path)
+        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "11 is not an element of GF(11)" in capsys.readouterr().err
+
+    def test_readme_cli_block_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "input.bin").write_bytes(bytes(range(200)))
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "mbcr"
+            assert main(argv[1:]) == 0, line
 
     def test_repair_regenerates_identical_files(self, tmp_path, capsys):
         out = self.encode(tmp_path, bytes(range(30)))

@@ -14,7 +14,12 @@ from mbcr.codec import (
     shift_node,
     validate_params,
 )
-from mbcr.errors import CodecError, CorruptShareError, ParameterError
+from mbcr.errors import (
+    CodecError,
+    CorruptShareError,
+    FieldMismatchError,
+    ParameterError,
+)
 from mbcr.gf import Field
 from mbcr.poly import eval_poly
 
@@ -89,6 +94,12 @@ def test_encode_length_mismatch():
         encode((1, 1, 1), p, derive_points(p))
 
 
+def test_encode_rejects_a_symbol_outside_the_field():
+    p = validate_params(3, 1, 1, 1, GF7)
+    with pytest.raises(FieldMismatchError):
+        encode((1, 7), p, derive_points(p))
+
+
 def test_first_eval_is_the_diagonal_point():
     p = validate_params(5, 2, 3, 2, GF7)
     pts = derive_points(p)
@@ -159,6 +170,15 @@ def test_reconstruct_input_errors():
         reconstruct(shares[:3], p, pts)
     with pytest.raises(CodecError, match="duplicate"):
         reconstruct([shares[0], shares[0]], p, pts)
+
+
+def test_reconstruct_rejects_a_share_symbol_outside_the_field():
+    p = validate_params(5, 2, 3, 2, GF7)
+    pts = derive_points(p)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    bad = Share(node_id=1, evals=shares[0].evals[:-1] + (7,))
+    with pytest.raises(FieldMismatchError):
+        reconstruct([bad, shares[2]], p, pts)
 
 
 def test_reconstruct_detects_corruption():

@@ -4,7 +4,7 @@ import pytest
 
 from mbcr.errors import InterpolationError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly, coeff_cells, eval_bi, eval_poly, interpolate
+from mbcr.poly import BiPoly, coeff_cells, eval_poly, interpolate
 
 GF7 = Field.prime(7)
 
@@ -66,7 +66,7 @@ def test_bipoly_layout_and_eval():
     assert F.a == ((1,),)
     assert F.b == ((1,),)
     assert F.c == ()
-    assert eval_bi(GF7, F, 1, 2) == 3
+    assert F.eval(GF7, 1, 2) == 3
     assert F.coeffs() == (1, 1)
 
 
@@ -76,7 +76,7 @@ def test_bipoly_zero_and_count():
     F = BiPoly.from_coeffs((0,) * total, k, d, r)
     for x in range(7):
         for y in range(7):
-            assert eval_bi(GF7, F, x, y) == 0
+            assert F.eval(GF7, x, y) == 0
     with pytest.raises(ValueError):
         BiPoly.from_coeffs((0,) * (total - 1), k, d, r)
 
@@ -100,13 +100,13 @@ def test_bipoly_restrictions_match_direct_eval():
     for x0 in range(7):
         fy = [eval_poly(GF7, F.x_column(j), x0) for j in range(d + r)]
         for y in range(7):
-            assert eval_poly(GF7, fy, y) == eval_bi(GF7, F, x0, y)
+            assert eval_poly(GF7, fy, y) == F.eval(GF7, x0, y)
     for y0 in range(7):
         gx = [0] * d
         for (i, j), c in zip(coeff_cells(k, d, r), F.coeffs()):
             gx[i] = GF7.add(gx[i], GF7.mul(c, GF7.pow(y0, j)))
         for x in range(7):
-            assert eval_poly(GF7, gx, x) == eval_bi(GF7, F, x, y0)
+            assert eval_poly(GF7, gx, x) == F.eval(GF7, x, y0)
 
 
 def test_brute_force_eval_oracle():
@@ -123,4 +123,4 @@ def test_brute_force_eval_oracle():
                 expect = GF7.add(
                     expect, GF7.mul(c, GF7.mul(GF7.pow(x, i), GF7.pow(y, j)))
                 )
-            assert eval_bi(GF7, F, x, y) == expect
+            assert F.eval(GF7, x, y) == expect

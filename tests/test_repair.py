@@ -4,8 +4,14 @@ from itertools import combinations
 import pytest
 
 from conftest import parameter_grid, prime_for
-from mbcr.codec import derive_points, encode, share_point_nodes, validate_params
-from mbcr.errors import ProtocolError
+from mbcr.codec import (
+    Share,
+    derive_points,
+    encode,
+    share_point_nodes,
+    validate_params,
+)
+from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
 from mbcr.repair import (
     NewcomerState,
@@ -177,6 +183,14 @@ def test_run_repair_missing_survivor():
     plan = make_plan(p, {1, 2}, seed=0)
     with pytest.raises(ProtocolError, match="missing"):
         run_repair(shares[3:], plan, p, pts)
+
+
+def test_run_repair_rejects_a_helper_symbol_outside_the_field():
+    p, pts, _, shares = make_code(5, 2, 3, 2, GF7, seed=8)
+    plan = make_plan(p, {1, 2}, seed=0)
+    bad = Share(node_id=3, evals=shares[2].evals[:-1] + (9,))
+    with pytest.raises(FieldMismatchError):
+        run_repair([bad, shares[3], shares[4]], plan, p, pts)
 
 
 def test_exact_repair_across_grid_sampled():
