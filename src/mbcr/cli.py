@@ -27,7 +27,7 @@ from .codec import (
     reconstruct,
     validate_params,
 )
-from .errors import CodecError, CorruptShareError, MbcrError, ShareFormatError
+from .errors import CodecError, CorruptShareError, MbcrError, ParameterError, ShareFormatError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
 from .sharefile import (
@@ -57,9 +57,12 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _field_from_args(args, n: int, default: str) -> Field:
-    if getattr(args, "q", None):
-        return Field.prime(args.q)
-    if getattr(args, "gf256", False) or default == "gf256":
+    if args.q is not None:
+        try:
+            return Field.prime(args.q)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
+    if args.gf256 or default == "gf256":
         return Field.gf256()
     return Field.prime(smallest_prime_at_least(n))
 

@@ -1,16 +1,16 @@
 """Parameter validation, encoding, and data reconstruction.
 
-A data block of block_size symbols is identified with the coefficients
-of the bivariate polynomial F (canonical order, see poly.BiPoly). Node i
-stores the share_size evaluations
+A data block of block_size symbols is the coefficient sequence of the
+bivariate polynomial F (see poly.BiPoly). Encoding restricts F to
+f_i(Y) = F(x_i, Y) and g_i(X) = F(X, y_i), then samples them: node i
+stores the share_size evaluations (layout: share_point_nodes)
 
     F(x_i, y_i), F(x_i, y_{i(+)1}), ..., F(x_i, y_{i(+)(d+r-1)}),
     F(x_{i(+)1}, y_i), ..., F(x_{i(+)(d-1)}, y_i),
 
 where (+) is node-index addition modulo n mapped back into [1, n].
-Reconstruction from any k shares proceeds by staged univariate
-interpolation on the coefficient columns of the per-node restriction
-polynomials f_i(Y) = F(x_i, Y) and g_i(X) = F(X, y_i).
+Reconstruction from any k shares is staged univariate interpolation on
+the coefficients of the f_i and g_i.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, ParameterError
 from .gf import Field
-from .poly import BiPoly, eval_poly, interpolate
+from .poly import BiPoly, coeff_cells, eval_poly, interpolate
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,13 @@ def shift_node(i: int, t: int, n: int) -> int:
 
 
 def share_point_nodes(node_id: int, params: CodeParams) -> list[tuple[int, int]]:
-    """Evaluation points of a share as (x-node, y-node) id pairs, canonical order."""
+    """Evaluation points of a share as (x-node, y-node) id pairs, canonical order.
+
+    Points with x-node i sample f_i, points with y-node i sample g_i.
+    """
     i, n = node_id, params.n
+    if not 1 <= i <= n:
+        raise CodecError(f"node id {i} is outside [1, {n}]")
     pts = [(i, shift_node(i, t, n)) for t in range(params.d + params.r)]
     pts += [(shift_node(i, s, n), i) for s in range(1, params.d)]
     return pts
@@ -120,24 +125,44 @@ class Share:
     evals: tuple[int, ...]
 
 
+def share_from_polys(
+    node_id: int,
+    f: Sequence[int],
+    g: Sequence[int],
+    params: CodeParams,
+    points: EvalPoints,
+) -> Share:
+    """Sample f_i at the share's y-points and g_i at its x-points."""
+    field = params.field
+    return Share(
+        node_id=node_id,
+        evals=tuple(
+            eval_poly(field, f, points.y_of(yn))
+            if xn == node_id
+            else eval_poly(field, g, points.x_of(xn))
+            for xn, yn in share_point_nodes(node_id, params)
+        ),
+    )
+
+
 def encode(
     data: Sequence[int], params: CodeParams, points: EvalPoints
 ) -> list[Share]:
+    """Restrict F to (f_i, g_i) for each node, then sample."""
     if len(data) != params.block_size:
         raise CodecError(
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
     field = params.field
     field.check_elements(data)
-    F = BiPoly.from_coeffs(tuple(data), params.k, params.d, params.r)
-    shares = []
-    for i in range(1, params.n + 1):
-        evals = tuple(
-            F.eval(field, points.x_of(xi), points.y_of(yi))
-            for xi, yi in share_point_nodes(i, params)
+    F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
+    return [
+        share_from_polys(
+            i, F.f_at(field, points.x_of(i)), F.g_at(field, points.y_of(i)),
+            params, points,
         )
-        shares.append(Share(node_id=i, evals=evals))
-    return shares
+        for i in range(1, params.n + 1)
+    ]
 
 
 def share_polys(
@@ -145,30 +170,23 @@ def share_polys(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover the restriction polynomials (f_i, g_i) from a share.
 
-    f_i(Y) = F(x_i, Y) has degree < d+r and is interpolated from the
-    first d+r evaluations; g_i(X) = F(X, y_i) has degree < d and is
-    interpolated from evals[0] plus the last d-1 evaluations. This is
-    where every share enters reconstruct and repair, so its symbols are
-    checked here.
+    f_i(Y) = F(x_i, Y) has degree < d+r and g_i(X) = F(X, y_i) degree
+    < d; each is interpolated from its samples in share_point_nodes.
+    This is where every share enters reconstruct and repair, so its node
+    id and symbols are checked here.
     """
-    i, n = share.node_id, params.n
-    d, r = params.d, params.r
+    i = share.node_id
+    samples = list(zip(share_point_nodes(i, params), share.evals))
     if len(share.evals) != params.share_size:
         raise CorruptShareError(
             f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
         )
     field = params.field
     field.check_elements(share.evals)
-    f_pts = [
-        (points.y_of(shift_node(i, t, n)), share.evals[t]) for t in range(d + r)
-    ]
-    f = interpolate(field, f_pts, d + r)
-    g_pts = [(points.x_of(i), share.evals[0])] + [
-        (points.x_of(shift_node(i, s, n)), share.evals[d + r + s - 1])
-        for s in range(1, d)
-    ]
-    g = interpolate(field, g_pts, d)
-    return f, g
+    f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
+    g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
+    f = interpolate(field, f_pts, params.d + params.r)
+    return f, interpolate(field, g_pts, params.d)
 
 
 def reconstruct(
@@ -186,56 +204,39 @@ def reconstruct(
     fg = [share_polys(s, params, points) for s in shares]
     xs = [points.x_of(i) for i in ids]
     ys = [points.y_of(i) for i in ids]
+    coeff: dict[tuple[int, int], int] = {}
 
-    # Stage 1: Y^j columns for j >= k come only from the b grid; each is
-    # a degree-<k polynomial in X sampled at the k share x-points.
-    b = [[0] * (d + r - k) for _ in range(k)]
+    # Stage 1: only cells with i < k carry Y^j for j >= k, so the Y^j
+    # coefficient of f_l is a degree-<k polynomial in X sampled at x_l.
     for j in range(k, d + r):
         col = interpolate(field, [(xs[l], fg[l][0][j]) for l in range(k)], k)
-        for i in range(k):
-            b[i][j - k] = col[i]
+        coeff.update(((i, j), c) for i, c in enumerate(col))
 
-    # Stage 2: symmetrically, X^i rows for i >= k come only from the c
-    # grid, sampled at the share y-points via g.
-    c = [[0] * k for _ in range(d - k)]
+    # Stage 2: symmetrically, the X^i coefficient of g_l for i >= k is a
+    # degree-<k polynomial in Y sampled at y_l.
     for i in range(k, d):
         row = interpolate(field, [(ys[l], fg[l][1][i]) for l in range(k)], k)
-        for j in range(k):
-            c[i - k][j] = row[j]
+        coeff.update(((i, j), c) for j, c in enumerate(row))
 
-    # Stage 3: subtract the recovered c contribution from the low Y^j
-    # coefficients of each f, leaving samples of the degree-<k a columns.
-    a = [[0] * k for _ in range(k)]
+    # Stage 3: subtract the recovered i >= k terms from the low Y^j
+    # coefficients of each f_l, leaving samples of the i, j < k cells.
     for j in range(k):
         pts = []
         for l in range(k):
             resid = fg[l][0][j]
             for i in range(k, d):
-                resid = field.sub(resid, field.mul(c[i - k][j], field.pow(xs[l], i)))
+                resid = field.sub(resid, field.mul(coeff[i, j], field.pow(xs[l], i)))
             pts.append((xs[l], resid))
         col = interpolate(field, pts, k)
-        for i in range(k):
-            a[i][j] = col[i]
+        coeff.update(((i, j), c) for i, c in enumerate(col))
 
-    F = BiPoly(
-        k,
-        d,
-        r,
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in b),
-        tuple(tuple(row) for row in c),
-    )
+    F = BiPoly.from_coeffs([coeff[cell] for cell in coeff_cells(k, d, r)], k, d, r)
 
-    # Cross-check against the redundant low-degree g coefficients.
+    # Cross-check: stage 2 fits the high g coefficients, so only the k
+    # low ones can disagree.
     for l in range(k):
-        for i in range(k):
-            expect = eval_poly(field, [F.a[i][j] for j in range(k)], ys[l])
-            for j in range(k, d + r):
-                expect = field.add(
-                    expect, field.mul(F.b[i][j - k], field.pow(ys[l], j))
-                )
-            if expect != fg[l][1][i]:
-                raise CorruptShareError(
-                    f"share {ids[l]} is inconsistent with the recovered polynomial"
-                )
-    return F.coeffs()
+        if F.g_at(field, ys[l]) != fg[l][1]:
+            raise CorruptShareError(
+                f"share {ids[l]} is inconsistent with the recovered polynomial"
+            )
+    return F.coeffs

@@ -1,9 +1,9 @@
 """Polynomials over GF(q): evaluation and Lagrange interpolation.
 
 Univariate polynomials are coefficient sequences in ascending degree.
-The bivariate polynomial used by the code keeps its coefficients in
-three grids (see BiPoly); the canonical flat order is a-grid row-major,
-then b-grid row-major, then c-grid row-major.
+The code's bivariate polynomial F (BiPoly) is a flat coefficient
+sequence in coeff_cells order, used through its restrictions F(x, Y)
+and F(X, y).
 """
 
 from __future__ import annotations
@@ -84,7 +84,10 @@ def interpolate(
 
 
 def coeff_cells(k: int, d: int, r: int) -> Iterator[tuple[int, int]]:
-    """(X-exponent, Y-exponent) pairs in the canonical flat order."""
+    """(X-exponent, Y-exponent) pairs in the canonical flat order.
+
+    i < d, j < d+r, no cell with both i, j >= k: k(2d+r-k) cells.
+    """
     for i in range(k):
         for j in range(k):
             yield (i, j)
@@ -98,50 +101,41 @@ def coeff_cells(k: int, d: int, r: int) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Bivariate polynomial with the code's coefficient support.
+    """F(X, Y) = sum of c X^i Y^j over coeff_cells(k, d, r).
 
-    Grid a is k x k (X^i Y^j, i,j < k); grid b is k x (d+r-k)
-    (i < k, k <= j < d+r); grid c is (d-k) x k (k <= i < d, j < k).
-    X-degree < d, Y-degree < d+r; the quadrant i >= k, j >= k is absent.
-    Total coefficient count is k(2d+r-k).
+    coeffs holds the k(2d+r-k) coefficients in coeff_cells order. Node i
+    stores samples of the restrictions f_at(x_i) and g_at(y_i).
     """
 
     k: int
     d: int
     r: int
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[tuple[int, ...], ...]
-    c: tuple[tuple[int, ...], ...]
+    coeffs: tuple[int, ...]
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int], k: int, d: int, r: int) -> "BiPoly":
         total = k * (2 * d + r - k)
         if len(coeffs) != total:
             raise ValueError(f"expected {total} coefficients, got {len(coeffs)}")
-        it = iter(coeffs)
-        a = tuple(tuple(next(it) for _ in range(k)) for _ in range(k))
-        b = tuple(tuple(next(it) for _ in range(d + r - k)) for _ in range(k))
-        c = tuple(tuple(next(it) for _ in range(k)) for _ in range(d - k))
-        return cls(k, d, r, a, b, c)
+        return cls(k, d, r, tuple(coeffs))
 
-    def coeffs(self) -> tuple[int, ...]:
-        flat = []
-        for row in self.a:
-            flat.extend(row)
-        for row in self.b:
-            flat.extend(row)
-        for row in self.c:
-            flat.extend(row)
-        return tuple(flat)
+    def f_at(self, field: Field, x: int) -> tuple[int, ...]:
+        """Ascending Y-coefficients of F(x, Y), degree < d+r."""
+        add, mul = field.add, field.mul
+        xpow = [field.pow(x, i) for i in range(self.d)]
+        out = [0] * (self.d + self.r)
+        for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
+            out[j] = add(out[j], mul(c, xpow[i]))
+        return tuple(out)
 
-    def x_column(self, j: int) -> tuple[int, ...]:
-        """Ascending-degree coefficients in X of the Y^j column."""
-        if j < self.k:
-            return tuple(self.a[i][j] for i in range(self.k)) + tuple(
-                self.c[i][j] for i in range(self.d - self.k)
-            )
-        return tuple(self.b[i][j - self.k] for i in range(self.k))
+    def g_at(self, field: Field, y: int) -> tuple[int, ...]:
+        """Ascending X-coefficients of F(X, y), degree < d."""
+        add, mul = field.add, field.mul
+        ypow = [field.pow(y, j) for j in range(self.d + self.r)]
+        out = [0] * self.d
+        for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
+            out[i] = add(out[i], mul(c, ypow[j]))
+        return tuple(out)
 
     def eval(self, field: Field, x: int, y: int) -> int:
-        cols = [eval_poly(field, self.x_column(j), x) for j in range(self.d + self.r)]
-        return eval_poly(field, cols, y)
+        return eval_poly(field, self.f_at(field, x), y)

@@ -23,9 +23,9 @@ from .codec import (
     CodeParams,
     EvalPoints,
     Share,
+    share_from_polys,
     share_point_nodes,
     share_polys,
-    shift_node,
 )
 from .errors import ProtocolError
 from .poly import eval_poly, interpolate
@@ -170,8 +170,7 @@ def regenerate(
     params: CodeParams,
     points: EvalPoints,
 ) -> Share:
-    i, n = state.node_id, params.n
-    d, r = params.d, params.r
+    i, r = state.node_id, params.r
     fld = params.field
     if state.g is None:
         raise ProtocolError(f"newcomer {i} has not completed phase 1")
@@ -195,14 +194,8 @@ def regenerate(
         raise ProtocolError(
             f"colliding interpolation points while regenerating node {i}"
         )
-    f = interpolate(fld, f_pts, d + r)
-
-    evals = [eval_poly(fld, f, points.y_of(shift_node(i, t, n))) for t in range(d + r)]
-    evals += [
-        eval_poly(fld, state.g, points.x_of(shift_node(i, s, n)))
-        for s in range(1, d)
-    ]
-    return Share(node_id=i, evals=tuple(evals))
+    f = interpolate(fld, f_pts, params.d + r)
+    return share_from_polys(i, f, state.g, params, points)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ def parse_share_file(data: bytes) -> ShareFile:
         raise ShareFormatError(f"invalid code parameters in header: {exc}") from None
     if not 1 <= node_id <= n:
         raise ShareFormatError(f"node id {node_id} is outside [1, {n}]")
+    if stripe_count == 0:
+        raise ShareFormatError("stripe count is 0; an encoded file has at least one")
     payload = data[HEADER_SIZE:]
     if len(payload) != stripe_count * params.share_size:
         raise ShareFormatError(

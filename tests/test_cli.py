@@ -185,6 +185,23 @@ class TestCli:
         assert rc == 2
         assert "11 is not an element of GF(11)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "repair"])
+    def test_zero_stripe_share_files_are_rejected(self, tmp_path, capsys, command):
+        # encode writes at least one stripe, so a file with none is malformed.
+        paths = []
+        for i in range(1, 6):
+            sf = ShareFile(make_share_file().params, i, 0, 0, b"")
+            paths.append(str(tmp_path / f"share_{i:03d}.mbcr"))
+            write_share_file(paths[-1], sf)
+        if command == "reconstruct":
+            argv = ["reconstruct", *paths[:2], "--out", str(tmp_path / "x")]
+        else:
+            argv = ["repair", *paths[2:], "--failed", "1,2", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "stripe count is 0" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists() and not (tmp_path / "r").exists()
+
     def test_readme_cli_block_runs(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
@@ -255,6 +272,16 @@ class TestCli:
                    "--inject-fault"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", [0, 1, 4])
+    def test_a_bad_modulus_is_a_usage_error(self, capsys, q):
+        # 0 must not fall through to the default field.
+        for command in ("params", "verify", "bound", "simulate"):
+            argv = [command, "-n", "3", "-k", "1", "-d", "1", "-r", "1", "-q", str(q)]
+            assert main(argv) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"modulus {q} is not a prime" in captured.err, command
 
     def test_bound_command(self, capsys):
         assert main(["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2"]) == 0

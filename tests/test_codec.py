@@ -9,6 +9,7 @@ from mbcr.codec import (
     derive_points,
     encode,
     reconstruct,
+    share_from_polys,
     share_point_nodes,
     share_polys,
     shift_node,
@@ -21,7 +22,7 @@ from mbcr.errors import (
     ParameterError,
 )
 from mbcr.gf import Field
-from mbcr.poly import eval_poly
+from mbcr.poly import coeff_cells, eval_poly
 
 GF7 = Field.prime(7)
 
@@ -140,6 +141,39 @@ def test_share_polys_round_trip_reproduces_evals():
             for s in range(1, p.d)
         ]
         assert tuple(expect) == share.evals
+        assert share_from_polys(share.node_id, f, g, p, pts) == share
+
+
+def test_encode_matches_the_direct_monomial_sum():
+    # Independent of the restrictions: each symbol is sum c * x^i * y^j
+    # over the coefficient cells, at the share's layout point.
+    rng = random.Random(11)
+    for n, k, d, r in parameter_grid(5):
+        for field in (prime_for(n), Field.gf256()):
+            p = validate_params(n, k, d, r, field)
+            pts = derive_points(p)
+            data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
+            for share in encode(data, p, pts):
+                for (xn, yn), v in zip(share_point_nodes(share.node_id, p), share.evals):
+                    x, y = pts.x_of(xn), pts.y_of(yn)
+                    expect = 0
+                    for (i, j), c in zip(coeff_cells(k, d, r), data):
+                        term = field.mul(c, field.mul(field.pow(x, i), field.pow(y, j)))
+                        expect = field.add(expect, term)
+                    assert v == expect
+
+
+@pytest.mark.parametrize("node_id", [0, 6])
+def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
+    # x_of(0) would silently read x[-1], node n's point.
+    p = validate_params(5, 2, 3, 2, GF7)
+    pts = derive_points(p)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    stray = Share(node_id=node_id, evals=shares[4].evals)
+    with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
+        share_polys(stray, p, pts)
+    with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
+        reconstruct([stray, shares[1]], p, pts)
 
 
 def test_share_polys_rejects_wrong_length():

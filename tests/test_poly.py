@@ -61,13 +61,12 @@ def test_interpolate_errors():
 
 
 def test_bipoly_layout_and_eval():
-    # k=1, d=1, r=1: F = a00 + b01*Y
+    # k=1, d=1, r=1: F = c00 + c01*Y
     F = BiPoly.from_coeffs((1, 1), 1, 1, 1)
-    assert F.a == ((1,),)
-    assert F.b == ((1,),)
-    assert F.c == ()
+    assert F.coeffs == (1, 1)
+    assert F.f_at(GF7, 5) == (1, 1)  # F(5, Y) = 1 + Y
+    assert F.g_at(GF7, 2) == (3,)  # F(X, 2) = 3
     assert F.eval(GF7, 1, 2) == 3
-    assert F.coeffs() == (1, 1)
 
 
 def test_bipoly_zero_and_count():
@@ -82,31 +81,51 @@ def test_bipoly_zero_and_count():
 
 
 def test_bipoly_coeffs_round_trip():
+    # Coefficient t of the flat sequence is the X^i Y^j term of cell t:
+    # it adds x^i at Y^j of f_at(x) and y^j at X^i of g_at(y).
     rng = random.Random(5)
     for k, d, r in [(1, 1, 1), (2, 3, 2), (3, 3, 1), (1, 2, 3)]:
         total = k * (2 * d + r - k)
         coeffs = tuple(rng.randrange(7) for _ in range(total))
-        F = BiPoly.from_coeffs(coeffs, k, d, r)
-        assert F.coeffs() == coeffs
-        assert len(list(coeff_cells(k, d, r))) == total
+        assert BiPoly.from_coeffs(coeffs, k, d, r).coeffs == coeffs
+        cells = list(coeff_cells(k, d, r))
+        assert len(cells) == len(set(cells)) == total
+        for t, (i, j) in enumerate(cells):
+            unit = BiPoly.from_coeffs(
+                tuple(int(u == t) for u in range(total)), k, d, r
+            )
+            x, y = rng.randrange(1, 7), rng.randrange(1, 7)
+            f, g = [0] * (d + r), [0] * d
+            f[j], g[i] = GF7.pow(x, i), GF7.pow(y, j)
+            assert unit.f_at(GF7, x) == tuple(f)
+            assert unit.g_at(GF7, y) == tuple(g)
+
+
+def direct_eval(field, F, x, y):
+    """Sum of c * x^i * y^j over the coefficient cells."""
+    acc = 0
+    for (i, j), c in zip(coeff_cells(F.k, F.d, F.r), F.coeffs):
+        acc = field.add(acc, field.mul(c, field.mul(field.pow(x, i), field.pow(y, j))))
+    return acc
 
 
 def test_bipoly_restrictions_match_direct_eval():
-    # F(x0, Y) as a univariate in Y, and F(X, y0) in X, agree with eval.
+    # F(x0, Y) as a univariate in Y, and F(X, y0) in X, agree with the
+    # direct monomial sum.
     rng = random.Random(6)
     k, d, r = 2, 3, 2
     total = k * (2 * d + r - k)
     F = BiPoly.from_coeffs(tuple(rng.randrange(7) for _ in range(total)), k, d, r)
     for x0 in range(7):
-        fy = [eval_poly(GF7, F.x_column(j), x0) for j in range(d + r)]
+        fy = F.f_at(GF7, x0)
+        assert len(fy) == d + r
         for y in range(7):
-            assert eval_poly(GF7, fy, y) == F.eval(GF7, x0, y)
+            assert eval_poly(GF7, fy, y) == direct_eval(GF7, F, x0, y)
     for y0 in range(7):
-        gx = [0] * d
-        for (i, j), c in zip(coeff_cells(k, d, r), F.coeffs()):
-            gx[i] = GF7.add(gx[i], GF7.mul(c, GF7.pow(y0, j)))
+        gx = F.g_at(GF7, y0)
+        assert len(gx) == d
         for x in range(7):
-            assert eval_poly(GF7, gx, x) == F.eval(GF7, x, y0)
+            assert eval_poly(GF7, gx, x) == direct_eval(GF7, F, x, y0)
 
 
 def test_brute_force_eval_oracle():
