@@ -10,6 +10,7 @@ from .codec import (
     CodeParams,
     EvalPoints,
     Share,
+    check_shares,
     derive_points,
     encode,
     reconstruct,
@@ -32,6 +33,7 @@ __all__ = [
     "Field",
     "RepairPlan",
     "Share",
+    "check_shares",
     "derive_points",
     "encode",
     "find_forwarding_witness",

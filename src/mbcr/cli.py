@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: params | encode | reconstruct | repair | verify | bound |
-simulate. File commands use GF(256) (one byte per symbol) and apply the
-scalar code independently per stripe of block_size bytes; verification
+simulate. File commands use GF(256) (one byte per symbol) and split a
+file into stripes of block_size bytes; each makes one library call per
+file, on the columns of all its stripes (see sharefile). Verification
 commands default to the smallest prime field that fits n. All
 randomness flows from --seed.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import bounds, subspace
 from .codec import (
-    Share,
+    check_shares,
     derive_points,
     encode,
     reconstruct,
@@ -32,9 +33,10 @@ from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
 from .sharefile import (
     ShareFile,
-    file_to_stripes,
+    from_columns,
     read_share_file,
-    stripes_to_file,
+    stripe_count,
+    to_columns,
     write_share_file,
 )
 
@@ -139,24 +141,15 @@ def cmd_encode(args) -> int:
     points = derive_points(p)
     with open(args.input, "rb") as fh:
         data = fh.read()
-    stripes = file_to_stripes(data, p.block_size)
-    payloads = {i: bytearray() for i in range(1, p.n + 1)}
-    for stripe in stripes:
-        for share in encode(stripe, p, points):
-            payloads[share.node_id].extend(share.evals)
+    stripes = stripe_count(len(data), p.block_size)
+    shares = encode(to_columns(data, p.block_size), p, points, stripes)
     os.makedirs(args.out, exist_ok=True)
-    for i in range(1, p.n + 1):
-        sf = ShareFile(
-            params=p,
-            node_id=i,
-            stripe_count=len(stripes),
-            original_length=len(data),
-            payload=bytes(payloads[i]),
-        )
-        write_share_file(_share_path(args.out, i), sf)
+    for share in shares:
+        sf = ShareFile.of_share(share, p, stripes, len(data))
+        write_share_file(_share_path(args.out, share.node_id), sf)
     print(
         f"encoded {len(data)} bytes into {p.n} shares "
-        f"({len(stripes)} stripes of {p.block_size} symbols, "
+        f"({stripes} stripes of {p.block_size} symbols, "
         f"{p.share_size} symbols per share per stripe)"
     )
     return EXIT_OK
@@ -167,19 +160,15 @@ def cmd_reconstruct(args) -> int:
     p = ref.params
     if len(files) < p.k:
         raise CodecError(f"need at least k = {p.k} share files, got {len(files)}")
-    files = files[: p.k]
     points = derive_points(p)
-    per_node_stripes = {sf.node_id: sf.stripes() for sf in files}
-    out_stripes = []
-    for s in range(ref.stripe_count):
-        shares = [
-            Share(node_id=i, evals=per_node_stripes[i][s])
-            for i in per_node_stripes
-        ]
-        out_stripes.append(reconstruct(shares, p, points))
-    data = stripes_to_file(out_stripes, ref.original_length)
+    stripes = ref.stripe_count
+    shares = [sf.share() for sf in files]
+    columns = reconstruct(shares[: p.k], p, points, stripes)
+    # Shares past the k decoded from must be the encoding of the result.
+    check_shares(columns, shares[p.k :], p, points, stripes)
+    data = from_columns(columns, stripes)[: ref.original_length]
     _atomic_write(args.out, data)
-    print(f"reconstructed {len(data)} bytes from {p.k} shares into {args.out}")
+    print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
     return EXIT_OK
 
 
@@ -193,29 +182,15 @@ def cmd_repair(args) -> int:
     helpers = _parse_helpers(args.helpers) if args.helpers else None
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed)
 
-    per_node_stripes = {sf.node_id: sf.stripes() for sf in files}
-    payloads = {i: bytearray() for i in plan.failed}
-    ledger = None
-    for s in range(ref.stripe_count):
-        survivors = [
-            Share(node_id=i, evals=per_node_stripes[i][s]) for i in per_node_stripes
-        ]
-        regenerated, ledger = run_repair(survivors, plan, p, points)
-        for i, share in regenerated.items():
-            payloads[i].extend(share.evals)
+    stripes = ref.stripe_count
+    survivors = [sf.share() for sf in files]
+    regenerated, ledger = run_repair(survivors, plan, p, points, stripes)
 
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):
-        sf = ShareFile(
-            params=p,
-            node_id=i,
-            stripe_count=ref.stripe_count,
-            original_length=ref.original_length,
-            payload=bytes(payloads[i]),
-        )
+        sf = ShareFile.of_share(regenerated[i], p, stripes, ref.original_length)
         write_share_file(_share_path(args.out, i), sf)
 
-    stripes = ref.stripe_count
     for i in sorted(plan.failed):
         print(
             f"newcomer {i}: phase1 {ledger.phase1[i]} + phase2 {ledger.phase2[i]} "
@@ -267,7 +242,9 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     field = _field_from_args(args, args.n, default="prime")
     p = validate_params(args.n, args.k, args.d, args.r, field)
-    B = Fraction(args.file_size) if args.file_size else Fraction(p.block_size)
+    if args.file_size is not None and args.file_size <= 0:
+        raise ParameterError(f"--file-size must be positive, got {args.file_size}")
+    B = Fraction(p.block_size if args.file_size is None else args.file_size)
     mbcr = bounds.mbcr_point(p.n, p.k, p.d, p.r, B)
     mscr = bounds.mscr_point(p.n, p.k, p.d, p.r, B)
     comps = list(bounds.enumerate_compositions(p.k, p.r))
@@ -289,6 +266,8 @@ def cmd_bound(args) -> int:
 def cmd_simulate(args) -> int:
     field = _field_from_args(args, args.n, default="gf256")
     p = validate_params(args.n, args.k, args.d, args.r, field)
+    if args.stages < 0:
+        raise ParameterError(f"--stages must not be negative, got {args.stages}")
     points = derive_points(p)
     rng = random.Random(args.seed)
     data = tuple(rng.randrange(field.order) for _ in range(p.block_size))

@@ -11,6 +11,11 @@ stores the share_size evaluations (layout: share_point_nodes)
 where (+) is node-index addition modulo n mapped back into [1, n].
 Reconstruction from any k shares is staged univariate interpolation on
 the coefficients of the f_i and g_i.
+
+encode, reconstruct, check_shares and share_polys take a stripe count.
+With the default of 1 every data symbol is a field element; with
+stripes = S every one is a GF(256) column of S stripes (see gf), and one
+call encodes or decodes all S stripes of a file.
 """
 
 from __future__ import annotations
@@ -145,28 +150,57 @@ def share_from_polys(
     )
 
 
+def _node_share(F: BiPoly, node_id: int, params: CodeParams, points: EvalPoints) -> Share:
+    field = params.field
+    return share_from_polys(
+        node_id,
+        F.f_at(field, points.x_of(node_id)),
+        F.g_at(field, points.y_of(node_id)),
+        params,
+        points,
+    )
+
+
 def encode(
-    data: Sequence[int], params: CodeParams, points: EvalPoints
+    data: Sequence[int], params: CodeParams, points: EvalPoints, stripes: int = 1
 ) -> list[Share]:
     """Restrict F to (f_i, g_i) for each node, then sample."""
     if len(data) != params.block_size:
         raise CodecError(
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
-    field = params.field
-    field.check_elements(data)
+    params.field.check_elements(data, stripes)
     F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
-    return [
-        share_from_polys(
-            i, F.f_at(field, points.x_of(i)), F.g_at(field, points.y_of(i)),
-            params, points,
+    return [_node_share(F, i, params, points) for i in range(1, params.n + 1)]
+
+
+def _check_consistent(
+    node_id: int, got: Sequence[int], want: Sequence[int], stripes: int
+) -> None:
+    """Raise CorruptShareError naming the share and its first bad stripe
+    unless got equals want."""
+    diff = 0
+    for u, v in zip(got, want):
+        diff |= u ^ v
+    if diff:
+        # Stripe s of a column is its byte s: the XOR's lowest non-zero byte.
+        stripe = ((diff & -diff).bit_length() - 1) >> 3 if stripes > 1 else 0
+        raise CorruptShareError(
+            f"share {node_id} is inconsistent with the recovered polynomial "
+            f"(first bad stripe: {stripe})"
         )
-        for i in range(1, params.n + 1)
-    ]
+
+
+def _check_length(share: Share, params: CodeParams) -> None:
+    if len(share.evals) != params.share_size:
+        raise CorruptShareError(
+            f"share {share.node_id} has {len(share.evals)} symbols, "
+            f"expected {params.share_size}"
+        )
 
 
 def share_polys(
-    share: Share, params: CodeParams, points: EvalPoints
+    share: Share, params: CodeParams, points: EvalPoints, stripes: int = 1
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover the restriction polynomials (f_i, g_i) from a share.
 
@@ -177,12 +211,9 @@ def share_polys(
     """
     i = share.node_id
     samples = list(zip(share_point_nodes(i, params), share.evals))
-    if len(share.evals) != params.share_size:
-        raise CorruptShareError(
-            f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
-        )
+    _check_length(share, params)
     field = params.field
-    field.check_elements(share.evals)
+    field.check_elements(share.evals, stripes)
     f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
     g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
     f = interpolate(field, f_pts, params.d + params.r)
@@ -190,7 +221,7 @@ def share_polys(
 
 
 def reconstruct(
-    shares: Sequence[Share], params: CodeParams, points: EvalPoints
+    shares: Sequence[Share], params: CodeParams, points: EvalPoints, stripes: int = 1
 ) -> tuple[int, ...]:
     """Recover the data block from exactly k shares with distinct node ids."""
     k, d, r = params.k, params.d, params.r
@@ -201,7 +232,7 @@ def reconstruct(
     if len(set(ids)) != k:
         raise CodecError(f"duplicate node ids in {ids}")
 
-    fg = [share_polys(s, params, points) for s in shares]
+    fg = [share_polys(s, params, points, stripes) for s in shares]
     xs = [points.x_of(i) for i in ids]
     ys = [points.y_of(i) for i in ids]
     coeff: dict[tuple[int, int], int] = {}
@@ -225,7 +256,7 @@ def reconstruct(
         for l in range(k):
             resid = fg[l][0][j]
             for i in range(k, d):
-                resid = field.sub(resid, field.mul(coeff[i, j], field.pow(xs[l], i)))
+                resid = field.sub(resid, field.scale(coeff[i, j], field.pow(xs[l], i)))
             pts.append((xs[l], resid))
         col = interpolate(field, pts, k)
         coeff.update(((i, j), c) for i, c in enumerate(col))
@@ -233,10 +264,27 @@ def reconstruct(
     F = BiPoly.from_coeffs([coeff[cell] for cell in coeff_cells(k, d, r)], k, d, r)
 
     # Cross-check: stage 2 fits the high g coefficients, so only the k
-    # low ones can disagree.
+    # low ones can disagree. In each stripe g_l and its samples determine
+    # each other, so g_l differs in exactly the stripes where a sample does.
     for l in range(k):
-        if F.g_at(field, ys[l]) != fg[l][1]:
-            raise CorruptShareError(
-                f"share {ids[l]} is inconsistent with the recovered polynomial"
-            )
+        _check_consistent(ids[l], F.g_at(field, ys[l]), fg[l][1], stripes)
     return F.coeffs
+
+
+def check_shares(
+    data: Sequence[int],
+    shares: Sequence[Share],
+    params: CodeParams,
+    points: EvalPoints,
+    stripes: int = 1,
+) -> None:
+    """Raise CorruptShareError unless each share is the encoding of data.
+
+    Checks shares beyond the k that reconstruct decoded from, against
+    the shares re-encoded from its output.
+    """
+    F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
+    for share in shares:
+        _check_length(share, params)
+        want = _node_share(F, share.node_id, params, points).evals
+        _check_consistent(share.node_id, share.evals, want, stripes)

@@ -4,6 +4,12 @@ Univariate polynomials are coefficient sequences in ascending degree.
 The code's bivariate polynomial F (BiPoly) is a flat coefficient
 sequence in coeff_cells order, used through its restrictions F(x, Y)
 and F(X, y).
+
+Points are field elements; coefficients and sample values are data,
+either elements or GF(256) columns (see gf). Data is only ever added to
+data or scaled by a constant built from the points, so every function
+here runs once per file on columns as it does once per stripe on
+elements.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from .gf import Field
 
 def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
     """Horner evaluation of an ascending-degree coefficient sequence."""
+    add, scale = field.add, field.scale
     acc = 0
     for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
+        acc = add(scale(acc, x), c)
     return acc
 
 
@@ -74,12 +81,12 @@ def interpolate(
 
     m = degree_bound
     basis = lagrange_basis(field, xs)
-    add, mul = field.add, field.mul
+    add, scale = field.add, field.scale
     result = [0] * m
     for (_, y), row in zip(points, basis):
         if y:
             for i in range(m):
-                result[i] = add(result[i], mul(y, row[i]))
+                result[i] = add(result[i], scale(y, row[i]))
     return tuple(result)
 
 
@@ -121,20 +128,20 @@ class BiPoly:
 
     def f_at(self, field: Field, x: int) -> tuple[int, ...]:
         """Ascending Y-coefficients of F(x, Y), degree < d+r."""
-        add, mul = field.add, field.mul
+        add, scale = field.add, field.scale
         xpow = [field.pow(x, i) for i in range(self.d)]
         out = [0] * (self.d + self.r)
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
-            out[j] = add(out[j], mul(c, xpow[i]))
+            out[j] = add(out[j], scale(c, xpow[i]))
         return tuple(out)
 
     def g_at(self, field: Field, y: int) -> tuple[int, ...]:
         """Ascending X-coefficients of F(X, y), degree < d."""
-        add, mul = field.add, field.mul
+        add, scale = field.add, field.scale
         ypow = [field.pow(y, j) for j in range(self.d + self.r)]
         out = [0] * self.d
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
-            out[i] = add(out[i], mul(c, ypow[j]))
+            out[i] = add(out[i], scale(c, ypow[j]))
         return tuple(out)
 
     def eval(self, field: Field, x: int, y: int) -> int:

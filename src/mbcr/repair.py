@@ -7,7 +7,10 @@ newcomer computes F(x_i, y_i) = g_i(x_i) itself (never downloaded, never
 counted). With d helper samples, r-1 peer samples, and its own value,
 the newcomer interpolates f_i(Y) and re-emits its original share exactly.
 
-Messages are in-memory values; the ledger counts transmitted symbols.
+Messages are in-memory values; the ledger counts transmitted symbols
+per stripe. With stripes = S every share symbol is a GF(256) column of
+S stripes (see gf), so every message payload is a column too and one run
+repairs all S stripes of a file; messages keep the same shape and count.
 All phase-1 assemblies are independent, as are all phase-2 exchanges;
 sequential and concurrent schedules give identical results.
 """
@@ -226,6 +229,7 @@ def run_repair(
     plan: RepairPlan,
     params: CodeParams,
     points: EvalPoints,
+    stripes: int = 1,
 ) -> tuple[dict[int, Share], BandwidthLedger]:
     """Run both phases for all newcomers; returns shares and the ledger."""
     by_id = {s.node_id: s for s in survivor_shares}
@@ -234,7 +238,7 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    helper_polys = {j: share_polys(by_id[j], params, points) for j in needed}
+    helper_polys = {j: share_polys(by_id[j], params, points, stripes) for j in needed}
     phase1_count: dict[int, int] = {}
     states: dict[int, NewcomerState] = {}
     for i in sorted(plan.failed):

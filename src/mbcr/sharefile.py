@@ -1,4 +1,4 @@
-"""Share file serialization and input-file striping.
+"""Share file serialization and the stripe/column transpose.
 
 Layout (little-endian, bit-exact):
   magic "MBCR" (4 bytes), version u8 = 1, field kind u8 (0 prime,
@@ -9,6 +9,11 @@ Layout (little-endian, bit-exact):
 
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
+
+The codec runs once per file on columns (see gf). The transpose lives
+here, in to_columns and from_columns: column t of stripe-major bytes with
+w symbols per stripe is the slice data[t::w], packed little-endian, and
+is written back through the same slice.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from typing import Sequence
 
-from .codec import CodeParams, validate_params
+from .codec import CodeParams, Share, validate_params
 from .errors import ParameterError, ShareFormatError
 from .gf import GF256_REDUCTION_POLY, Field
 
@@ -65,6 +71,18 @@ class ShareFile:
             for s in range(self.stripe_count)
         ]
 
+    def share(self) -> Share:
+        """The node's share, one column per share position."""
+        columns = to_columns(self.payload, self.params.share_size)
+        return Share(self.node_id, tuple(columns))
+
+    @classmethod
+    def of_share(
+        cls, share: Share, params: CodeParams, stripe_count: int, original_length: int
+    ) -> "ShareFile":
+        payload = from_columns(share.evals, stripe_count)
+        return cls(params, share.node_id, stripe_count, original_length, payload)
+
 
 def pack_share_file(sf: ShareFile) -> bytes:
     p = sf.params
@@ -92,7 +110,8 @@ def pack_share_file(sf: ShareFile) -> bytes:
 
 def parse_share_file(data: bytes) -> ShareFile:
     """Parse and validate a share file: header parameters, node id,
-    payload length, and every payload symbol."""
+    stripe count, recorded length, payload length, and every payload
+    symbol of a prime field (any byte is a GF(256) symbol)."""
     if len(data) < HEADER_SIZE:
         raise ShareFormatError("file too short for a share header")
     (
@@ -120,13 +139,20 @@ def parse_share_file(data: bytes) -> ShareFile:
         raise ShareFormatError(f"node id {node_id} is outside [1, {n}]")
     if stripe_count == 0:
         raise ShareFormatError("stripe count is 0; an encoded file has at least one")
+    capacity = stripe_count * params.block_size
+    if original_length > capacity:
+        raise ShareFormatError(
+            f"recorded length {original_length} exceeds the {capacity} "
+            f"data symbols its stripes hold"
+        )
     payload = data[HEADER_SIZE:]
     if len(payload) != stripe_count * params.share_size:
         raise ShareFormatError(
             f"payload length {len(payload)} does not match "
             f"{stripe_count} stripes of {params.share_size} symbols"
         )
-    params.field.check_elements(payload)
+    if params.field.kind == "prime":
+        params.field.check_elements(payload)
     return ShareFile(
         params=params,
         node_id=node_id,
@@ -156,9 +182,32 @@ def read_share_file(path: str) -> ShareFile:
         return parse_share_file(fh.read())
 
 
+def stripe_count(length: int, block_size: int) -> int:
+    """Stripes of a file of length bytes; an empty file has one."""
+    return max(1, -(-length // block_size))
+
+
+def to_columns(data: bytes, width: int) -> list[int]:
+    """The width columns of stripe-major bytes, zero-padded to whole stripes.
+
+    Column t packs symbol t of every stripe, stripe s in byte s.
+    """
+    data = data.ljust(stripe_count(len(data), width) * width, b"\x00")
+    return [int.from_bytes(data[t::width], "little") for t in range(width)]
+
+
+def from_columns(columns: Sequence[int], count: int) -> bytes:
+    """The stripe-major bytes of count stripes, from their columns."""
+    width = len(columns)
+    out = bytearray(width * count)
+    for t, column in enumerate(columns):
+        out[t::width] = column.to_bytes(count, "little")
+    return bytes(out)
+
+
 def file_to_stripes(data: bytes, block_size: int) -> list[tuple[int, ...]]:
     """Split bytes into zero-padded stripes; an empty file is one zero stripe."""
-    count = max(1, -(-len(data) // block_size))
+    count = stripe_count(len(data), block_size)
     padded = data.ljust(count * block_size, b"\x00")
     return [
         tuple(padded[s * block_size : (s + 1) * block_size]) for s in range(count)

@@ -29,3 +29,16 @@ def fig_code():
 
 def prime_for(n):
     return Field.prime(smallest_prime_at_least(n))
+
+
+def to_columns(stripes):
+    """GF(256) columns of equal-length symbol tuples, one tuple per stripe:
+    column t packs symbol t of stripe s into byte s. A one-stripe column
+    is the symbol itself, which also holds for a prime field below 256."""
+    return tuple(int.from_bytes(bytes(col), "little") for col in zip(*stripes))
+
+
+def from_columns(columns, count):
+    """The per-stripe symbol tuples of count-stripe columns."""
+    unpacked = [c.to_bytes(count, "little") for c in columns]
+    return [tuple(col[s] for col in unpacked) for s in range(count)]

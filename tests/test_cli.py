@@ -124,6 +124,46 @@ class TestCli:
         assert rc == 0
         assert dest.read_bytes() == data
 
+    @pytest.mark.parametrize("size", [0, 1, 11, 13, 41])
+    def test_share_files_hold_the_per_stripe_scalar_encoding(self, tmp_path, size):
+        # Sizes 0, 1, B-1, B+1 and 3B+5 at (5,2,3,2), where B = 12.
+        data = random.Random(size).randbytes(size)
+        out = self.encode(tmp_path, data)
+        p = validate_params(5, 2, 3, 2, Field.gf256())
+        points = derive_points(p)
+        per_stripe = [encode(s, p, points) for s in file_to_stripes(data, p.block_size)]
+        for i in range(1, 6):
+            sf = read_share_file(str(out / f"share_{i:03d}.mbcr"))
+            assert sf.stripe_count == len(per_stripe)
+            assert sf.payload == b"".join(bytes(s[i - 1].evals) for s in per_stripe)
+        dest = tmp_path / "rec.bin"
+        readers = [str(out / "share_005.mbcr"), str(out / "share_002.mbcr")]
+        assert main(["reconstruct", *readers, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == data
+        rep = tmp_path / "repaired"
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in (2, 4, 5)]
+        assert main(["repair", *survivors, "--failed", "1,3", "--out", str(rep)]) == 0
+        for name in ("share_001.mbcr", "share_003.mbcr"):
+            assert (rep / name).read_bytes() == (out / name).read_bytes()
+
+    def test_reconstruct_checks_every_share_past_k(self, tmp_path, capsys):
+        data = random.Random(1).randbytes(100)  # 9 stripes
+        out = self.encode(tmp_path, data)
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in (1, 2, 3)]
+        dest = tmp_path / "rec.bin"
+        assert main(["reconstruct", *paths, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == data
+        dest.unlink()
+        # Flip symbol 3 of stripe 2 of the third share (share size 7).
+        blob = bytearray((out / "share_003.mbcr").read_bytes())
+        blob[HEADER_SIZE + 2 * 7 + 3] ^= 0x40
+        (out / "share_003.mbcr").write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["reconstruct", *paths, "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert "share 3 is inconsistent" in err and "first bad stripe: 2" in err
+        assert not dest.exists()
+
     def test_reconstruct_with_too_few_shares(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"hello world")
         rc = main(
@@ -152,6 +192,7 @@ class TestCli:
             (16, "<H", (9,), "node id 9 is outside [1, 5]"),
             (10, "<H", (4,), "invalid code parameters in header: k = 4 > d = 3"),
             (5, "<BH", (0, 6), "modulus 6 is not a prime"),
+            (22, "<Q", (13,), "recorded length 13 exceeds the 12 data symbols"),
         ],
     )
     def test_reconstruct_rejects_a_bad_header(
@@ -184,6 +225,19 @@ class TestCli:
         rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "11 is not an element of GF(11)" in capsys.readouterr().err
+
+    def test_prime_field_files_hold_one_stripe(self, tmp_path, capsys):
+        # Prime-field symbols do not pack into columns; encode never
+        # writes such files, and a hand-made one is refused.
+        p = validate_params(5, 2, 3, 2, Field.prime(11))
+        paths = []
+        for i in (1, 2):
+            path = str(tmp_path / f"share_{i}.mbcr")
+            write_share_file(path, ShareFile(p, i, 2, 24, bytes(2 * p.share_size)))
+            paths.append(path)
+        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "GF(11) symbols do not pack into columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["reconstruct", "repair"])
     def test_zero_stripe_share_files_are_rejected(self, tmp_path, capsys, command):
@@ -288,6 +342,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cut-set max file size at MBCR point: 12" in out
         assert "bound met with equality: True" in out
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_bound_rejects_a_file_size_below_one(self, capsys, size):
+        argv = ["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--file-size", size]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--file-size must be positive, got {size}" in captured.err
+
+    def test_simulate_rejects_a_negative_stage_count(self, capsys):
+        argv = ["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--stages must not be negative, got -1" in captured.err
 
     def test_simulate_twenty_stages(self, capsys):
         rc = main(["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2",

@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import parameter_grid, prime_for
+from conftest import from_columns, parameter_grid, prime_for, to_columns
 from mbcr.codec import (
     Share,
+    check_shares,
     derive_points,
     encode,
     reconstruct,
@@ -247,3 +248,73 @@ def test_every_k_subset_reconstructs_small_code():
     shares = encode(data, p, pts)
     for subset in combinations(shares, p.k):
         assert reconstruct(list(subset), p, pts) == data
+
+
+GF256 = Field.gf256()
+
+
+def test_columns_encode_and_reconstruct_every_stripe_as_scalar_runs_do():
+    # One call on columns of S stripes equals S scalar calls, stripe by
+    # stripe. Prime-field data is one stripe at a time.
+    rng = random.Random(13)
+    for n, k, d, r in parameter_grid(5):
+        for field, counts in ((prime_for(n), (1,)), (GF256, (1, 2, 7))):
+            p = validate_params(n, k, d, r, field)
+            pts = derive_points(p)
+            for count in counts:
+                blocks = [
+                    tuple(rng.randrange(field.order) for _ in range(p.block_size))
+                    for _ in range(count)
+                ]
+                shares = encode(to_columns(blocks), p, pts, count)
+                scalar = [encode(block, p, pts) for block in blocks]
+                for i, share in enumerate(shares):
+                    expect = [stripe[i].evals for stripe in scalar]
+                    assert from_columns(share.evals, count) == expect
+                subset = rng.sample(shares, k)
+                got = reconstruct(subset, p, pts, count)
+                assert from_columns(got, count) == blocks
+                check_shares(got, shares, p, pts, count)
+
+
+def test_prime_field_data_does_not_pack_into_columns():
+    p = validate_params(5, 2, 3, 2, GF7)
+    with pytest.raises(FieldMismatchError, match="do not pack into columns"):
+        encode((1,) * p.block_size, p, derive_points(p), stripes=2)
+
+
+def test_encode_rejects_a_column_wider_than_its_stripes():
+    p = validate_params(5, 2, 3, 2, GF256)
+    with pytest.raises(FieldMismatchError, match="2-stripe column"):
+        encode((256**2,) + (0,) * (p.block_size - 1), p, derive_points(p), stripes=2)
+
+
+def _flip(share, position, stripes, delta):
+    """The share with delta XORed into symbol position of each given stripe."""
+    evals = list(share.evals)
+    for s in stripes:
+        evals[position] ^= delta << (8 * s)
+    return Share(share.node_id, tuple(evals))
+
+
+def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
+    rng = random.Random(14)
+    p = validate_params(5, 2, 3, 2, GF256)
+    pts = derive_points(p)
+    blocks = [tuple(rng.randrange(256) for _ in range(p.block_size)) for _ in range(7)]
+    shares = encode(to_columns(blocks), p, pts, 7)
+    # Position 6 samples g_1 away from the diagonal. With exactly k shares
+    # only some errors can be detected, so first check on one stripe that
+    # this one is.
+    scalar = encode(blocks[0], p, pts)
+    with pytest.raises(CorruptShareError, match="share 1 "):
+        reconstruct([_flip(scalar[0], 6, [0], 0x21), scalar[2]], p, pts)
+    bad = _flip(shares[0], 6, [3, 5], 0x21)
+    with pytest.raises(CorruptShareError, match="share 1 .*first bad stripe: 3"):
+        reconstruct([bad, shares[2]], p, pts, 7)
+    # A share past the k decoded from is compared in full.
+    data = reconstruct(shares[1:3], p, pts, 7)
+    check_shares(data, shares, p, pts, 7)
+    bad = _flip(shares[3], 0, [6], 0x01)
+    with pytest.raises(CorruptShareError, match="share 4 .*first bad stripe: 6"):
+        check_shares(data, [shares[0], bad], p, pts, 7)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from mbcr.errors import FieldMismatchError
 from mbcr.gf import (
     GF256_REDUCTION_POLY,
     Field,
@@ -73,6 +74,47 @@ def test_gf256_mul_against_clmul_oracle():
     for _ in range(500):
         a, b = rng.randrange(256), rng.randrange(256)
         assert f.mul(a, b) == poly_mod(clmul(a, b), GF256_REDUCTION_POLY)
+
+
+def test_gf256_scale_equals_mul_on_every_pair():
+    f = Field.gf256()
+    for c in range(256):
+        assert [f.scale(a, c) for a in range(256)] == [f.mul(a, c) for a in range(256)]
+
+
+def test_gf256_scale_maps_every_stripe_of_a_column():
+    # Columns pack stripe s into byte s; high stripes that are zero are
+    # leading zero bytes, which the packed int does not hold.
+    f = Field.gf256()
+    rng = random.Random(5)
+    for stripes in (1, 2, 7, 300):
+        for zero_tail in (0, 1, stripes - 1):
+            symbols = [rng.randrange(1, 256) for _ in range(stripes - zero_tail)]
+            symbols += [0] * zero_tail
+            column = int.from_bytes(bytes(symbols), "little")
+            for c in (0, 1, 2, rng.randrange(256)):
+                got = f.scale(column, c).to_bytes(stripes, "little")
+                assert list(got) == [f.mul(a, c) for a in symbols]
+    # A top byte of 1 is the shortest byte of its bit length.
+    assert f.scale(0x01_07, 3).to_bytes(2, "little") == bytes([f.mul(7, 3), 3])
+
+
+def test_prime_scale_is_mul():
+    f = Field.prime(13)
+    for a, c in product(range(13), repeat=2):
+        assert f.scale(a, c) == f.mul(a, c)
+
+
+def test_check_elements_bounds_columns_by_their_stripe_count():
+    f = Field.gf256()
+    f.check_elements([0, 255])
+    with pytest.raises(FieldMismatchError, match="256 is not an element of GF"):
+        f.check_elements([256])
+    f.check_elements([256, 256**3 - 1], stripes=3)
+    with pytest.raises(FieldMismatchError, match="3-stripe column"):
+        f.check_elements([256**3], stripes=3)
+    with pytest.raises(FieldMismatchError, match="do not pack into columns"):
+        Field.prime(7).check_elements([1], stripes=2)
 
 
 def test_prime_inverse():

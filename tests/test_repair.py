@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import parameter_grid, prime_for
+from conftest import from_columns, parameter_grid, prime_for, to_columns
 from mbcr.codec import (
     Share,
     derive_points,
@@ -208,6 +208,35 @@ def test_exact_repair_across_grid_sampled():
             assert regen[i] == shares[i - 1]
             assert ledger.total_for(i) == p.repair_bandwidth
         assert ledger.total == r * p.repair_bandwidth
+
+
+def test_column_repair_matches_per_stripe_scalar_repairs():
+    # One run on columns of S stripes equals S scalar runs, stripe by
+    # stripe, with the same per-stripe ledger. Prime-field data is one
+    # stripe at a time.
+    rng = random.Random(15)
+    for n, k, d, r in parameter_grid(5):
+        for field, counts in ((prime_for(n), (1,)), (Field.gf256(), (1, 2, 7))):
+            p = validate_params(n, k, d, r, field)
+            pts = derive_points(p)
+            failed = set(rng.sample(range(1, n + 1), r))
+            plan = make_plan(p, failed, seed=rng.randrange(1000))
+            for count in counts:
+                blocks = [
+                    tuple(rng.randrange(field.order) for _ in range(p.block_size))
+                    for _ in range(count)
+                ]
+                shares = encode(to_columns(blocks), p, pts, count)
+                survivors = [s for s in shares if s.node_id not in failed]
+                regen, ledger = run_repair(survivors, plan, p, pts, count)
+                per_stripe = []
+                for block in blocks:
+                    scalar = [s for s in encode(block, p, pts) if s.node_id not in failed]
+                    per_stripe.append(run_repair(scalar, plan, p, pts))
+                for i in failed:
+                    expect = [stripe[0][i].evals for stripe in per_stripe]
+                    assert from_columns(regen[i].evals, count) == expect
+                assert all(stripe[1] == ledger for stripe in per_stripe)
 
 
 def test_multi_stage_stability():
