@@ -19,6 +19,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bounds, subspace
 from .codec import (
@@ -165,7 +166,8 @@ def cmd_reconstruct(args) -> int:
     shares = [sf.share() for sf in files]
     columns = reconstruct(shares[: p.k], p, points, stripes)
     # Shares past the k decoded from must be the encoding of the result.
-    check_shares(columns, shares[p.k :], p, points, stripes)
+    decoded_from = [s.node_id for s in shares[: p.k]]
+    check_shares(columns, shares[p.k :], decoded_from, p, points, stripes)
     data = from_columns(columns, stripes)[: ref.original_length]
     _atomic_write(args.out, data)
     print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
@@ -309,7 +311,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if cumulative == theoretical else EXIT_FAILURE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The mbcr argument parser, built once per process; each parse_args
+    call fills a fresh namespace, so no parsed state carries over."""
     ap = argparse.ArgumentParser(
         prog="mbcr",
         description="Exact cooperative regenerating code at the "

@@ -175,10 +175,18 @@ def encode(
 
 
 def _check_consistent(
-    node_id: int, got: Sequence[int], want: Sequence[int], stripes: int
+    node_id: int,
+    got: Sequence[int],
+    want: Sequence[int],
+    stripes: int,
+    decoded_from: Sequence[int],
 ) -> None:
-    """Raise CorruptShareError naming the share and its first bad stripe
-    unless got equals want."""
+    """Raise CorruptShareError unless got equals want.
+
+    A mismatch shows only that share node_id and the shares the data was
+    decoded from do not all agree, not which of them is bad, so the
+    message names both sides and the first bad stripe.
+    """
     diff = 0
     for u, v in zip(got, want):
         diff |= u ^ v
@@ -186,8 +194,8 @@ def _check_consistent(
         # Stripe s of a column is its byte s: the XOR's lowest non-zero byte.
         stripe = ((diff & -diff).bit_length() - 1) >> 3 if stripes > 1 else 0
         raise CorruptShareError(
-            f"share {node_id} is inconsistent with the recovered polynomial "
-            f"(first bad stripe: {stripe})"
+            f"share {node_id} is inconsistent with the data decoded from shares "
+            f"{', '.join(map(str, decoded_from))} (first bad stripe: {stripe})"
         )
 
 
@@ -267,13 +275,14 @@ def reconstruct(
     # low ones can disagree. In each stripe g_l and its samples determine
     # each other, so g_l differs in exactly the stripes where a sample does.
     for l in range(k):
-        _check_consistent(ids[l], F.g_at(field, ys[l]), fg[l][1], stripes)
+        _check_consistent(ids[l], F.g_at(field, ys[l]), fg[l][1], stripes, ids)
     return F.coeffs
 
 
 def check_shares(
     data: Sequence[int],
     shares: Sequence[Share],
+    decoded_from: Sequence[int],
     params: CodeParams,
     points: EvalPoints,
     stripes: int = 1,
@@ -281,10 +290,11 @@ def check_shares(
     """Raise CorruptShareError unless each share is the encoding of data.
 
     Checks shares beyond the k that reconstruct decoded from, against
-    the shares re-encoded from its output.
+    the shares re-encoded from its output; decoded_from holds the node
+    ids of those k shares, for the error message.
     """
     F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
     for share in shares:
         _check_length(share, params)
         want = _node_share(F, share.node_id, params, points).evals
-        _check_consistent(share.node_id, share.evals, want, stripes)
+        _check_consistent(share.node_id, share.evals, want, stripes, decoded_from)

@@ -9,6 +9,23 @@ be checked numerically: per-node dimension, pairwise intersections,
 direct-sum decomposition under a repair plan, and the helper-set
 dimension inequality.
 
+All elimination goes through one kernel, _Basis: a row-echelon basis
+grown one row at a time. Reducing a row subtracts multiples of the pivot
+rows, each over the columns from its pivot on only, with the row
+operation chosen once per field ((a - f*b) % q inlined for GF(p),
+a ^ f*b for GF(256)); a row that reduces to zero is in the span. rank is
+the basis length, reduced_basis back-substitutes it into RREF, and
+containment reduces the smaller space's rows against the larger one's
+basis. intersect is Zassenhaus's algorithm on the same kernel: eliminate
+the rows [a | a] and [b | 0]; the echelon rows whose pivot falls in the
+right half span a cap b.
+
+The checks avoid intersecting at all. The sum of a set of node spaces is
+kept as one basis per node set, each extending the basis of its longest
+prefix, and an intersection is sized by the modular law
+dim(A cap B) = dim A + dim B - dim(A + B); S lies in W_i cap W_j iff it
+lies in W_i and in W_j.
+
 Two node spaces intersect in pair_intersection_dim = 2*alpha -
 min(B, 2*alpha - beta) dimensions. For k >= 2 this is beta, and the
 phase-1 and phase-2 transfer spaces equal the pairwise intersections;
@@ -19,9 +36,10 @@ alpha - beta. The checks assert the general form.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .codec import CodeParams, EvalPoints, share_point_nodes
 from .errors import MbcrError
@@ -48,94 +66,150 @@ def zero_space(field: Field, width: int) -> Subspace:
     return Subspace(field, width, ())
 
 
-def _echelon(field: Field, rows: Sequence[Sequence[int]], pivot_width: int):
-    """Forward elimination with pivot search limited to the first
-    pivot_width columns; row operations span the full row width.
-    Returns (matrix, number of pivots)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pr = 0
-    for col in range(pivot_width):
-        found = -1
-        for row in range(pr, nrows):
-            if m[row][col]:
-                found = row
-                break
-        if found < 0:
-            continue
-        m[pr], m[found] = m[found], m[pr]
-        inv = field.inv(m[pr][col])
+def _row_operation(field: Field):
+    """sub(tail, pivot_tail, f): the entries of tail - f * pivot_tail."""
+    if field.kind == "prime":
+        q = field.order
+
+        def sub(tail, pivot_tail, f):
+            return [(a - f * b) % q for a, b in zip(tail, pivot_tail)]
+
+    else:
+        mul = field.mul
+
+        def sub(tail, pivot_tail, f):
+            return [a ^ mul(f, b) for a, b in zip(tail, pivot_tail)]
+
+    return sub
+
+
+class _Basis:
+    """Row-echelon basis of a subspace of GF(q)^width, grown row by row.
+
+    Pivots increase; row t is kept from its pivot column on, as
+    tails[t], which starts with 1. Every entry left of a pivot is zero,
+    so a row operation only touches the columns from the pivot on. Tails
+    are tuples, so copies share them.
+    """
+
+    __slots__ = ("field", "width", "pivots", "tails", "_sub")
+
+    def __init__(self, field: Field, width: int, rows: Iterable[Sequence[int]] = ()):
+        self.field, self.width = field, width
+        self.pivots: list[int] = []
+        self.tails: list[tuple[int, ...]] = []
+        self._sub = _row_operation(field)
+        self.extend(rows)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def full(self) -> bool:
+        return len(self.pivots) == self.width
+
+    def copy(self) -> "_Basis":
+        other = _Basis(self.field, self.width)
+        other.pivots, other.tails = list(self.pivots), list(self.tails)
+        return other
+
+    def reduce(self, row: Sequence[int]) -> list[int]:
+        """row less a combination of the basis; zero iff row is in the span."""
+        row = list(row)
+        sub = self._sub
+        for c, tail in zip(self.pivots, self.tails):
+            f = row[c]
+            if f:
+                row[c:] = sub(row[c:], tail, f)
+        return row
+
+    def contains(self, row: Sequence[int]) -> bool:
+        return self.full or not any(self.reduce(row))
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Absorb row; return whether it was independent of the basis."""
+        row = self.reduce(row)
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is None:
+            return False
+        tail = row[c:]
+        inv = self.field.inv(tail[0])
         if inv != 1:
-            m[pr] = [field.mul(inv, v) for v in m[pr]]
-        for row in range(nrows):
-            if row != pr and m[row][col]:
-                factor = m[row][col]
-                piv = m[pr]
-                m[row] = [
-                    field.sub(v, field.mul(factor, p)) for v, p in zip(m[row], piv)
-                ]
-        pr += 1
-        if pr == nrows:
-            break
-    return m, pr
+            tail = [self.field.mul(inv, v) for v in tail]
+        t = bisect(self.pivots, c)
+        self.pivots.insert(t, c)
+        self.tails.insert(t, tuple(tail))
+        return True
+
+    def extend(self, rows: Iterable[Sequence[int]]) -> "_Basis":
+        """Absorb rows until the basis spans the whole space."""
+        for row in rows:
+            if self.full:
+                break
+            self.add(row)
+        return self
+
+    def reduced_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The RREF rows of the span, by back-substitution."""
+        pivots, tails, sub = self.pivots, list(self.tails), self._sub
+        for t in range(len(tails) - 1, 0, -1):
+            c, tail = pivots[t], tails[t]
+            for s in range(t):
+                off = c - pivots[s]
+                f = tails[s][off]
+                if f:
+                    tails[s] = tails[s][:off] + tuple(sub(tails[s][off:], tail, f))
+        return tuple((0,) * c + tail for c, tail in zip(pivots, tails))
+
+
+def _span_basis(space: Subspace) -> _Basis:
+    return _Basis(space.field, space.width, space.rows)
+
+
+def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
+    if a.width != b.width or a.field != b.field:
+        raise MbcrError(f"subspace {what} across mismatched ambient spaces")
 
 
 def rank(space: Subspace) -> int:
-    _, r = _echelon(space.field, space.rows, space.width)
-    return r
+    return len(_span_basis(space))
 
 
 def reduced_basis(space: Subspace) -> Subspace:
     """Canonical RREF basis; equal spans reduce to equal bases."""
-    m, r = _echelon(space.field, space.rows, space.width)
-    return Subspace(space.field, space.width, tuple(tuple(row) for row in m[:r]))
+    return Subspace(space.field, space.width, _span_basis(space).reduced_rows())
 
 
 def space_sum(*spaces: Subspace) -> Subspace:
     if not spaces:
         raise ValueError("space_sum needs at least one subspace")
-    field, width = spaces[0].field, spaces[0].width
     rows: list[tuple[int, ...]] = []
     for s in spaces:
-        if s.width != width or s.field != field:
-            raise MbcrError("subspace sum across mismatched ambient spaces")
+        _check_ambient(s, spaces[0], "sum")
         rows.extend(s.rows)
-    return Subspace(field, width, tuple(rows))
+    return Subspace(spaces[0].field, spaces[0].width, tuple(rows))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Basis of the intersection via the stacked-kernel method.
+    """RREF basis of a cap b, by Zassenhaus's algorithm.
 
-    Left-null combinations of [rows(a); -rows(b)] have the form
-    (lam, mu) with lam*A = mu*B; each lam*A is an intersection vector.
+    A combination of the rows [a_s | a_s] and [b_t | 0] with left half
+    zero has sum(lam_s a_s) = -sum(mu_t b_t) as its right half, a vector
+    of a cap b, and every such vector arises. In an echelon basis of the
+    stack, the rows whose pivot lies in the right half span exactly the
+    vectors with left half zero.
     """
-    if a.width != b.width or a.field != b.field:
-        raise MbcrError("subspace intersection across mismatched ambient spaces")
+    _check_ambient(a, b, "intersection")
     field, width = a.field, a.width
-    p, q = len(a.rows), len(b.rows)
-    if p == 0 or q == 0:
-        return zero_space(field, width)
-    aug = p + q
-    stacked = []
-    for idx, row in enumerate(a.rows):
-        stacked.append(list(row) + [1 if t == idx else 0 for t in range(aug)])
-    for idx, row in enumerate(b.rows):
-        stacked.append(
-            [field.neg(v) for v in row]
-            + [1 if t == p + idx else 0 for t in range(aug)]
-        )
-    m, r = _echelon(field, stacked, width)
-    vectors = []
-    for row in m[r:]:
-        lam = row[width : width + p]
-        vec = [0] * width
-        for t, coef in enumerate(lam):
-            if coef:
-                arow = a.rows[t]
-                vec = [field.add(v, field.mul(coef, w)) for v, w in zip(vec, arow)]
-        if any(vec):
-            vectors.append(tuple(vec))
-    return reduced_basis(Subspace(field, width, tuple(vectors)))
+    zeros = (0,) * width
+    stacked = _Basis(field, 2 * width, [tuple(row) + zeros for row in b.rows])
+    stacked.extend(tuple(row) * 2 for row in a.rows)
+    right = [
+        (0,) * (c - width) + tail
+        for c, tail in zip(stacked.pivots, stacked.tails)
+        if c >= width
+    ]
+    return Subspace(field, width, _Basis(field, width, right).reduced_rows())
 
 
 def is_direct_sum(parts: Iterable[Subspace]) -> bool:
@@ -152,8 +226,9 @@ def spaces_equal(a: Subspace, b: Subspace) -> bool:
 
 def contained_with_codim(a: Subspace, b: Subspace, codim: int) -> bool:
     """a is a subspace of b and dim b - dim a == codim."""
-    ra, rb = rank(a), rank(b)
-    return rb - ra == codim and rank(space_sum(a, b)) == rb
+    _check_ambient(a, b, "containment")
+    basis = _span_basis(b)
+    return len(basis) - rank(a) == codim and all(basis.contains(v) for v in a.rows)
 
 
 def monomial_row(
@@ -250,14 +325,18 @@ def check_property1(
     W = node_spaces or {
         i: node_space(i, params, points) for i in range(1, params.n + 1)
     }
+    sum_rank = _node_sum_ranks(W)
     out = []
     for i in range(1, params.n + 1):
         out.append(
-            CheckResult("property1_node_dim", f"i={i}", rank(W[i]) == params.share_size)
+            CheckResult(
+                "property1_node_dim", f"i={i}", sum_rank((i,)) == params.share_size
+            )
         )
     pair_dim = pair_intersection_dim(params)
     for i, j in combinations(range(1, params.n + 1), 2):
-        dim = rank(intersect(W[i], W[j]))
+        # Modular law: dim(W_i cap W_j) = dim W_i + dim W_j - dim(W_i + W_j).
+        dim = sum_rank((i,)) + sum_rank((j,)) - sum_rank((i, j))
         out.append(
             CheckResult("property1_pair_intersection", f"i={i},j={j}", dim == pair_dim)
         )
@@ -324,34 +403,73 @@ def check_property3(
     W = node_spaces or {i: node_space(i, params, points) for i in ids}
     ts = transfer_spaces(plan, params, points)
     codim = pair_intersection_dim(params) - params.helper_symbols
+    basis_of = _node_bases(W)
+
+    def in_intersection(sp: Subspace, i: int, j: int) -> bool:
+        """contained_with_codim(sp, W_i cap W_j, codim), with the
+        intersection sized by the modular law and never formed."""
+        wi, wj = basis_of((i,)), basis_of((j,))
+        dim = len(wi) + len(wj) - len(basis_of((i, j)))
+        return dim - rank(sp) == codim and all(
+            wi.contains(v) and wj.contains(v) for v in sp.rows
+        )
+
     out = []
     for (j, i), sp in sorted(ts.s.items()):
         out.append(
             CheckResult(
                 "property3_helper_eq_intersection",
                 f"j={j},i={i}",
-                contained_with_codim(sp, intersect(W[i], W[j]), codim),
+                in_intersection(sp, i, j),
             )
         )
     for i, i2 in combinations(sorted(plan.failed), 2):
         both = space_sum(ts.t[(i, i2)], ts.t[(i2, i)])
-        ok = is_direct_sum([ts.t[(i, i2)], ts.t[(i2, i)]]) and contained_with_codim(
-            both, intersect(W[i], W[i2]), codim
+        ok = is_direct_sum([ts.t[(i, i2)], ts.t[(i2, i)]]) and in_intersection(
+            both, i, i2
         )
         out.append(CheckResult("property3_exchange_sum", f"i={i},i'={i2}", ok))
     return out
 
 
-def _node_sum_ranks(spaces: dict[int, Subspace]):
-    """Rank of the sum of the given node spaces, memoized by node set."""
-    cache: dict[frozenset[int], int] = {}
+def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis]:
+    """basis_of(nodes): the echelon basis of the sum of a non-empty set of
+    node spaces, memoized by sorted node tuple.
 
-    def sum_rank(nodes: frozenset[int]) -> int:
-        if nodes not in cache:
-            cache[nodes] = rank(space_sum(*[spaces[i] for i in nodes]))
-        return cache[nodes]
+    A set's basis extends the memoized basis of its longest prefix by the
+    remaining nodes' rows, one node at a time, memoizing every prefix on
+    the way. Every sum that spans the whole space shares one basis: a
+    full basis is never copied, and the first one found stands for all.
+    """
+    memo: dict[tuple[int, ...], _Basis] = {}
+    whole: Optional[_Basis] = None
 
-    return sum_rank
+    def basis_of(nodes: Iterable[int]) -> _Basis:
+        nonlocal whole
+        key = tuple(sorted(nodes))
+        known = len(key)
+        while known and key[:known] not in memo:
+            known -= 1
+        basis = memo[key[:known]] if known else None
+        for m in range(known, len(key)):
+            space = spaces[key[m]]
+            if basis is None:
+                basis = _span_basis(space)
+            elif not basis.full:
+                basis = basis.copy().extend(space.rows)
+            if basis.full:
+                whole = basis = whole or basis
+            memo[key[: m + 1]] = basis
+        return basis
+
+    return basis_of
+
+
+def _node_sum_ranks(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], int]:
+    """Rank of the sum of a non-empty set of node spaces, memoized by
+    node set (see _node_bases)."""
+    basis_of = _node_bases(spaces)
+    return lambda nodes: len(basis_of(nodes))
 
 
 def _lemma1_holds(params: CodeParams, I, J, sum_rank) -> bool:
@@ -367,9 +485,9 @@ def _lemma1_holds(params: CodeParams, I, J, sum_rank) -> bool:
     )
     if not I:
         return 0 <= bound
-    lhs = sum_rank(frozenset(I) | frozenset(J))
+    lhs = sum_rank(set(I) | set(J))
     if J:
-        lhs -= sum_rank(frozenset(J))
+        lhs -= sum_rank(J)
     return lhs <= bound
 
 
@@ -404,9 +522,8 @@ def lemma1_results(
     subset J of the helpers common to I."""
     ids = set().union(plan.failed, *plan.helpers.values())
     W = node_spaces or {i: node_space(i, params, points) for i in ids}
-    # Ranks of node-set sums recur across (I, J) pairs; reduce each node
-    # basis once and memoize by node set.
-    sum_rank = _node_sum_ranks({i: reduced_basis(W[i]) for i in ids})
+    # Ranks of node-set sums recur across (I, J) pairs; memoize by node set.
+    sum_rank = _node_sum_ranks(W)
 
     out = []
     failed = sorted(plan.failed)

@@ -42,3 +42,43 @@ def from_columns(columns, count):
     """The per-stripe symbol tuples of count-stripe columns."""
     unpacked = [c.to_bytes(count, "little") for c in columns]
     return [tuple(col[s] for col in unpacked) for s in range(count)]
+
+
+def reference_echelon(field, rows, pivot_width):
+    """Gauss-Jordan elimination, the reference for mbcr.subspace's kernel.
+
+    Pivot search is limited to the first pivot_width columns; row
+    operations span the full row width and clear each pivot column in
+    every other row, so the first `rank` rows are the RREF basis.
+    Returns (matrix, rank).
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pr = 0
+    for col in range(pivot_width):
+        found = -1
+        for row in range(pr, nrows):
+            if m[row][col]:
+                found = row
+                break
+        if found < 0:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        inv = field.inv(m[pr][col])
+        if inv != 1:
+            m[pr] = [field.mul(inv, v) for v in m[pr]]
+        for row in range(nrows):
+            if row != pr and m[row][col]:
+                factor = m[row][col]
+                piv = m[pr]
+                m[row] = [
+                    field.sub(v, field.mul(factor, p)) for v, p in zip(m[row], piv)
+                ]
+        pr += 1
+        if pr == nrows:
+            break
+    return m, pr
+
+
+def reference_rank(space):
+    return reference_echelon(space.field, space.rows, space.width)[1]

@@ -164,6 +164,24 @@ class TestCli:
         assert "share 3 is inconsistent" in err and "first bad stripe: 2" in err
         assert not dest.exists()
 
+    def test_a_mismatch_names_the_shares_decoded_from(self, tmp_path, capsys):
+        # With shares 1 and 3 decoded first, a bad byte in share 1 makes the
+        # decode disagree with the good share 4: all that is known is that
+        # share 4 and shares 1, 3 do not agree, and the error says so.
+        data = random.Random(1).randbytes(100)
+        out = self.encode(tmp_path, data)
+        blob = bytearray((out / "share_001.mbcr").read_bytes())
+        blob[HEADER_SIZE] ^= 0x01
+        (out / "share_001.mbcr").write_bytes(bytes(blob))
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in (1, 3, 4)]
+        capsys.readouterr()
+        dest = tmp_path / "rec.bin"
+        assert main(["reconstruct", *paths, "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert "share 4 is inconsistent with the data decoded from shares 1, 3" in err
+        assert "first bad stripe: 0" in err
+        assert not dest.exists()
+
     def test_reconstruct_with_too_few_shares(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"hello world")
         rc = main(
@@ -326,6 +344,18 @@ class TestCli:
                    "--inject-fault"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_consecutive_calls_share_no_parsed_state(self, capsys):
+        # The parser is built once per process; a flag given to one call
+        # must not carry over to the next.
+        argv = ["verify", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "-q", "7"]
+        assert main([*argv, "--inject-fault"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-n", "5"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("q", [0, 1, 4])
     def test_a_bad_modulus_is_a_usage_error(self, capsys, q):

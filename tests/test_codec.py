@@ -274,7 +274,7 @@ def test_columns_encode_and_reconstruct_every_stripe_as_scalar_runs_do():
                 subset = rng.sample(shares, k)
                 got = reconstruct(subset, p, pts, count)
                 assert from_columns(got, count) == blocks
-                check_shares(got, shares, p, pts, count)
+                check_shares(got, shares, [s.node_id for s in subset], p, pts, count)
 
 
 def test_prime_field_data_does_not_pack_into_columns():
@@ -314,7 +314,8 @@ def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
         reconstruct([bad, shares[2]], p, pts, 7)
     # A share past the k decoded from is compared in full.
     data = reconstruct(shares[1:3], p, pts, 7)
-    check_shares(data, shares, p, pts, 7)
+    check_shares(data, shares, (2, 3), p, pts, 7)
     bad = _flip(shares[3], 0, [6], 0x01)
-    with pytest.raises(CorruptShareError, match="share 4 .*first bad stripe: 6"):
-        check_shares(data, [shares[0], bad], p, pts, 7)
+    match = "share 4 .* decoded from shares 2, 3 .*first bad stripe: 6"
+    with pytest.raises(CorruptShareError, match=match):
+        check_shares(data, [shares[0], bad], (2, 3), p, pts, 7)

@@ -9,6 +9,7 @@ and `reconstruct` on one seeded input.
 import hashlib
 import random
 
+from conftest import parameter_grid
 from mbcr.cli import main
 
 CODE = ["-n", "10", "-k", "4", "-d", "6", "-r", "3"]
@@ -57,3 +58,25 @@ def test_file_commands_match_recorded_digests(tmp_path):
     readers = [str(share(shares, i)) for i in (1, 4, 6, 10)]
     assert main(["reconstruct", *readers, "--out", str(out)]) == 0
     assert sha256(out) == RECONSTRUCTED_SHA256
+
+
+# SHA-256 over (arguments, exit code, stdout) of every `mbcr verify` run
+# in test_verify_report_digest, recorded before the subspace kernel
+# became an incremental echelon basis.
+VERIFY_REPORT_SHA256 = "6f16282f220e44b1a50bfb709deda4198fdf99e8af84c69f2dd16f86c4b54be0"
+
+
+def test_verify_report_digest(capsys):
+    """Pins every CHECK name, index and verdict of `mbcr verify`, passing
+    and fault-injected, on the n <= 5 grid over both field families."""
+    digest = hashlib.sha256()
+    for n, k, d, r in parameter_grid(5):
+        for field in ([], ["--gf256"]):
+            for seed in (0, 1):
+                for fault in ([], ["--inject-fault"]):
+                    argv = ["verify", "-n", str(n), "-k", str(k), "-d", str(d),
+                            "-r", str(r), *field, "--seed", str(seed), *fault]
+                    rc = main(argv)
+                    out = capsys.readouterr().out
+                    digest.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
+    assert digest.hexdigest() == VERIFY_REPORT_SHA256

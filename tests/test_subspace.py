@@ -3,18 +3,20 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import parameter_grid, prime_for
+from conftest import parameter_grid, prime_for, reference_echelon, reference_rank
 from mbcr.codec import derive_points, validate_params
 from mbcr.errors import MbcrError
 from mbcr.gf import Field
 from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
+    _node_sum_ranks,
     check_corollary1,
     check_lemma1,
     check_property1,
     check_property2,
     check_property3,
+    contained_with_codim,
     format_report,
     intersect,
     is_direct_sum,
@@ -23,6 +25,7 @@ from mbcr.subspace import (
     node_space,
     pair_intersection_dim,
     rank,
+    reduced_basis,
     run_all_checks,
     space_sum,
     spaces_equal,
@@ -288,3 +291,118 @@ def test_property_checks_individual_entry_points():
     assert all(c.passed for c in check_property2(plan, p, pts))
     assert all(c.passed for c in check_corollary1(plan, p, pts))
     assert all(c.passed for c in check_property3(plan, p, pts))
+
+
+# The echelon-basis kernel against the Gauss-Jordan reference
+# (conftest.reference_echelon) on seeded random stacks.
+
+ORACLE_FIELDS = [Field.prime(5), Field.prime(11), Field.prime(65521), Field.gf256()]
+
+
+def random_combination(rng, space):
+    """A random vector of the span of space's rows."""
+    field = space.field
+    row = [0] * space.width
+    for g in space.rows:
+        c = rng.randrange(field.order)
+        row = [field.add(a, field.mul(c, b)) for a, b in zip(row, g)]
+    return tuple(row)
+
+
+def random_stack(rng, field, nrows, width, max_rank):
+    """nrows rows in a random space of dimension at most max_rank, with a
+    zero row and a duplicate row mixed in when there is room."""
+    gens = Subspace(
+        field,
+        width,
+        tuple(
+            tuple(rng.randrange(field.order) for _ in range(width))
+            for _ in range(max_rank)
+        ),
+    )
+    rows = [random_combination(rng, gens) for _ in range(nrows)]
+    if nrows >= 3:
+        rows[rng.randrange(nrows)] = (0,) * width
+        rows[rng.randrange(nrows)] = rows[rng.randrange(nrows)]
+    return Subspace(field, width, tuple(rows))
+
+
+def oracle_spaces(seed):
+    """(a, b) pairs of every shape the kernel must handle: wide and tall
+    stacks, rank-deficient and full ones, width 1 and the empty space."""
+    rng = random.Random(seed)
+    for field in ORACLE_FIELDS:
+        for width in (1, 2, 5, 9):
+            for _ in range(6):
+                shapes = []
+                for _ in range(2):
+                    nrows = rng.choice([0, 1, 2, width, width + 3, 2 * width + 1])
+                    max_rank = rng.randrange(0, min(nrows, width) + 1)
+                    shapes.append(random_stack(rng, field, nrows, width, max_rank))
+                yield tuple(shapes)
+
+
+def test_rank_and_reduced_basis_match_the_reference():
+    for a, b in oracle_spaces(31):
+        for space in (a, b, space_sum(a, b)):
+            m, r = reference_echelon(space.field, space.rows, space.width)
+            assert rank(space) == r
+            assert reduced_basis(space).rows == tuple(tuple(row) for row in m[:r])
+
+
+def test_intersect_matches_the_reference_as_a_span():
+    for a, b in oracle_spaces(32):
+        got = intersect(a, b)
+        ra, rb = reference_rank(a), reference_rank(b)
+        # The span of got lies in a and in b and has the modular-law
+        # dimension, so it is the intersection.
+        assert reference_rank(got) == ra + rb - reference_rank(space_sum(a, b))
+        assert reference_rank(space_sum(a, got)) == ra
+        assert reference_rank(space_sum(b, got)) == rb
+        assert got.rows == reduced_basis(got).rows
+
+
+def test_containment_and_direct_sums_match_the_reference():
+    rng = random.Random(33)
+    for a, b in oracle_spaces(34):
+        # Also a space inside b, from random combinations of b's rows.
+        combos = tuple(random_combination(rng, b) for _ in range(rng.randrange(3)))
+        part = Subspace(b.field, b.width, combos)
+        for x, y in ((a, b), (b, a), (part, b), (b, b)):
+            rx, ry = reference_rank(x), reference_rank(y)
+            inside = reference_rank(space_sum(x, y)) == ry
+            for codim in range(-1, y.width + 1):
+                expect = inside and ry - rx == codim
+                assert contained_with_codim(x, y, codim) == expect
+            assert spaces_equal(x, y) == (inside and rx == ry)
+            expect = reference_rank(space_sum(x, y)) == rx + ry
+            assert is_direct_sum([x, y]) == expect
+
+
+@pytest.mark.parametrize("field", [GF7, Field.gf256()], ids=["GF7", "GF256"])
+def test_node_sum_ranks_match_the_rank_of_every_sum(field):
+    p = validate_params(5, 2, 3, 2, field)
+    pts = derive_points(p)
+    rng = random.Random(35)
+    W = {i: node_space(i, p, pts) for i in range(1, 6)}
+    # Node spaces of the code and random ones of mixed rank, so both the
+    # shared full bases and the partial ones that get extended are met.
+    spaces = {
+        "code": W,
+        "random": {
+            i: random_stack(rng, field, rng.randrange(1, 8), p.block_size, 5)
+            for i in range(1, 6)
+        },
+    }
+    for W in spaces.values():
+        sum_rank = _node_sum_ranks(W)
+        subsets = [
+            nodes for size in range(1, 6) for nodes in combinations(range(1, 6), size)
+        ]
+        # Ask in a shuffled order, with the nodes listed backwards, so the
+        # memo is entered from every prefix.
+        rng.shuffle(subsets)
+        for nodes in subsets:
+            expect = rank(space_sum(*[W[i] for i in nodes]))
+            assert expect == reference_rank(space_sum(*[W[i] for i in nodes]))
+            assert sum_rank(nodes[::-1]) == expect, nodes
