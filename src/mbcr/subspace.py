@@ -10,15 +10,19 @@ direct-sum decomposition under a repair plan, and the helper-set
 dimension inequality.
 
 All elimination goes through one kernel, _Basis: a row-echelon basis
-grown one row at a time. Reducing a row subtracts multiples of the pivot
-rows, each over the columns from its pivot on only, with the row
-operation chosen once per field ((a - f*b) % q inlined for GF(p),
-a ^ f*b for GF(256)); a row that reduces to zero is in the span. rank is
-the basis length, reduced_basis back-substitutes it into RREF, and
-containment reduces the smaller space's rows against the larger one's
-basis. intersect is Zassenhaus's algorithm on the same kernel: eliminate
-the rows [a | a] and [b | 0]; the echelon rows whose pivot falls in the
-right half span a cap b.
+grown one row at a time, each row one int with entry c in fixed-width
+slot c (little-endian), so a row operation is one big-int operation.
+Over GF(256) slots are bytes and the operation is v ^= Field.scale(row,
+f), the data plane's multiply-by-constant. Over GF(p) it is
+v += (q - f) * row with no per-slot reduction: a slot is the narrowest
+struct integer (B, H, I or Q) holding (q-1) + width*(q-1)^2, the most a
+slot reaches from reduced entries in width operations, and each reduced
+row gets one % q pass. Pivot rows stay unnormalized, each kept with its
+pivot's inverse. rank is the basis length, reduced_basis
+back-substitutes into RREF, and containment reduces one space's rows
+against the other's basis. intersect is Zassenhaus's algorithm on the
+same kernel: eliminate the rows [a | a] and [b | 0]; the echelon rows
+whose pivot falls in the right half span a cap b.
 
 The checks avoid intersecting at all. The sum of a set of node spaces is
 kept as one basis per node set, each extending the basis of its longest
@@ -38,8 +42,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from struct import Struct, calcsize
+from typing import Callable, Iterable, Optional
 
 from .codec import CodeParams, EvalPoints, share_point_nodes
 from .errors import MbcrError
@@ -66,104 +72,120 @@ def zero_space(field: Field, width: int) -> Subspace:
     return Subspace(field, width, ())
 
 
-def _row_operation(field: Field):
-    """sub(tail, pivot_tail, f): the entries of tail - f * pivot_tail."""
-    if field.kind == "prime":
-        q = field.order
+@cache
+class _Packing:
+    """Rows of GF(q)^width as ints, entry c in fixed-width slot c; one
+    instance per (field, width).
 
-        def sub(tail, pivot_tail, f):
-            return [(a - f * b) % q for a, b in zip(tail, pivot_tail)]
+    A slot is the narrowest struct integer (B, H, I, Q) holding every
+    value a packed row reaches: over GF(p) a row of reduced entries gains
+    at most (q-1)^2 per slot in each of at most width row operations
+    before its next % q pass; GF(256) rows add by XOR and stay bytes.
 
-    else:
-        mul = field.mul
+    pack(row) packs reduced entries; entries(v, c) is the tuple of the
+    reduced entries of c * v; reduce(v, rows) clears v at the pivot of
+    each echelon row (c, row, inv) in turn with one row operation, then
+    reduces every slot mod q, so the result is 0 iff v lies in their span.
+    """
 
-        def sub(tail, pivot_tail, f):
-            return [a ^ mul(f, b) for a, b in zip(tail, pivot_tail)]
+    def __init__(self, field: Field, width: int):
+        q, mul, scale = field.order, field.mul, field.scale
+        bound = (q - 1) + width * (q - 1) ** 2 if field.kind == "prime" else q - 1
+        slot = next(t for t in "BHIQ" if bound < 1 << 8 * calcsize("<" + t))
+        layout = Struct(f"<{width}{slot}")
+        bits = self.bits = 8 * layout.size // width
+        mask = self.mask = (1 << bits) - 1
 
-    return sub
+        def pack(row):
+            return int.from_bytes(layout.pack(*row), "little")
+
+        def slots(v):
+            return layout.unpack(v.to_bytes(layout.size, "little"))
+
+        if field.kind == "prime":
+
+            def reduce(v, rows):
+                for c, row, inv in rows:
+                    f = (v >> c * bits & mask) * inv % q
+                    if f:
+                        v += (q - f) * row
+                return pack([e % q for e in slots(v)])
+
+        else:
+
+            def reduce(v, rows):
+                for c, row, inv in rows:
+                    f = v >> c * bits & mask
+                    if f:
+                        v ^= scale(row, mul(f, inv))
+                return v
+
+        self.pack, self.reduce = pack, reduce
+        self.entries = lambda v, c: tuple(mul(e, c) for e in slots(v))
 
 
 class _Basis:
     """Row-echelon basis of a subspace of GF(q)^width, grown row by row.
 
-    Pivots increase; row t is kept from its pivot column on, as
-    tails[t], which starts with 1. Every entry left of a pivot is zero,
-    so a row operation only touches the columns from the pivot on. Tails
-    are tuples, so copies share them.
+    rows holds (pivot column, packed row, inverse of the pivot entry) by
+    increasing pivot; a row is reduced but not normalized. Methods take
+    rows packed by self.packing.
     """
 
-    __slots__ = ("field", "width", "pivots", "tails", "_sub")
+    __slots__ = ("field", "width", "packing", "rows")
 
-    def __init__(self, field: Field, width: int, rows: Iterable[Sequence[int]] = ()):
+    def __init__(self, field: Field, width: int):
         self.field, self.width = field, width
-        self.pivots: list[int] = []
-        self.tails: list[tuple[int, ...]] = []
-        self._sub = _row_operation(field)
-        self.extend(rows)
+        self.packing = _Packing(field, width)
+        self.rows: list[tuple[int, int, int]] = []
 
     def __len__(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     @property
     def full(self) -> bool:
-        return len(self.pivots) == self.width
+        return len(self.rows) == self.width
 
     def copy(self) -> "_Basis":
         other = _Basis(self.field, self.width)
-        other.pivots, other.tails = list(self.pivots), list(self.tails)
+        other.rows = self.rows[:]
         return other
 
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        """row less a combination of the basis; zero iff row is in the span."""
-        row = list(row)
-        sub = self._sub
-        for c, tail in zip(self.pivots, self.tails):
-            f = row[c]
-            if f:
-                row[c:] = sub(row[c:], tail, f)
-        return row
+    def contains(self, v: int) -> bool:
+        return self.full or not self.packing.reduce(v, self.rows)
 
-    def contains(self, row: Sequence[int]) -> bool:
-        return self.full or not any(self.reduce(row))
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Absorb row; return whether it was independent of the basis."""
-        row = self.reduce(row)
-        c = next((c for c, v in enumerate(row) if v), None)
-        if c is None:
+    def add(self, v: int) -> bool:
+        """Absorb v; return whether it was independent of the basis."""
+        p = self.packing
+        v = p.reduce(v, self.rows)
+        if not v:
             return False
-        tail = row[c:]
-        inv = self.field.inv(tail[0])
-        if inv != 1:
-            tail = [self.field.mul(inv, v) for v in tail]
-        t = bisect(self.pivots, c)
-        self.pivots.insert(t, c)
-        self.tails.insert(t, tuple(tail))
+        c = ((v & -v).bit_length() - 1) // p.bits
+        inv = self.field.inv(v >> c * p.bits & p.mask)
+        self.rows.insert(bisect(self.rows, (c,)), (c, v, inv))
         return True
 
-    def extend(self, rows: Iterable[Sequence[int]]) -> "_Basis":
+    def extend(self, rows: Iterable[int]) -> "_Basis":
         """Absorb rows until the basis spans the whole space."""
-        for row in rows:
+        for v in rows:
             if self.full:
                 break
-            self.add(row)
+            self.add(v)
         return self
 
     def reduced_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The RREF rows of the span, by back-substitution."""
-        pivots, tails, sub = self.pivots, list(self.tails), self._sub
-        for t in range(len(tails) - 1, 0, -1):
-            c, tail = pivots[t], tails[t]
-            for s in range(t):
-                off = c - pivots[s]
-                f = tails[s][off]
-                if f:
-                    tails[s] = tails[s][:off] + tuple(sub(tails[s][off:], tail, f))
-        return tuple((0,) * c + tail for c, tail in zip(pivots, tails))
+        """The RREF rows of the span: each row reduced against the rows
+        after it, then scaled by its pivot's inverse."""
+        p, rows = self.packing, self.rows
+        return tuple(
+            p.entries(p.reduce(v, rows[t + 1 :]), inv)
+            for t, (_, v, inv) in enumerate(rows)
+        )
 
 
 def _span_basis(space: Subspace) -> _Basis:
-    return _Basis(space.field, space.width, space.rows)
+    basis = _Basis(space.field, space.width)
+    return basis.extend(map(basis.packing.pack, space.rows))
 
 
 def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
@@ -201,15 +223,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """
     _check_ambient(a, b, "intersection")
     field, width = a.field, a.width
-    zeros = (0,) * width
-    stacked = _Basis(field, 2 * width, [tuple(row) + zeros for row in b.rows])
-    stacked.extend(tuple(row) * 2 for row in a.rows)
-    right = [
-        (0,) * (c - width) + tail
-        for c, tail in zip(stacked.pivots, stacked.tails)
-        if c >= width
-    ]
-    return Subspace(field, width, _Basis(field, width, right).reduced_rows())
+    stacked = _Basis(field, 2 * width)
+    pack, zeros = stacked.packing.pack, (0,) * width
+    stacked.extend(pack(tuple(row) + zeros) for row in b.rows)
+    stacked.extend(pack(tuple(row) * 2) for row in a.rows)
+    # The RREF rows with pivot in the right half, cut to it, are in RREF.
+    right = zip(stacked.rows, stacked.reduced_rows())
+    rows = tuple(row[width:] for (c, _, _), row in right if c >= width)
+    return Subspace(field, width, rows)
 
 
 def is_direct_sum(parts: Iterable[Subspace]) -> bool:
@@ -228,7 +249,8 @@ def contained_with_codim(a: Subspace, b: Subspace, codim: int) -> bool:
     """a is a subspace of b and dim b - dim a == codim."""
     _check_ambient(a, b, "containment")
     basis = _span_basis(b)
-    return len(basis) - rank(a) == codim and all(basis.contains(v) for v in a.rows)
+    rows = map(basis.packing.pack, a.rows)
+    return len(basis) - rank(a) == codim and all(map(basis.contains, rows))
 
 
 def monomial_row(
@@ -268,23 +290,15 @@ class TransferSpaces:
 def transfer_spaces(
     plan: RepairPlan, params: CodeParams, points: EvalPoints
 ) -> TransferSpaces:
-    width = params.block_size
-    s: dict[tuple[int, int], Subspace] = {}
-    t: dict[tuple[int, int], Subspace] = {}
-    for i in plan.failed:
-        for j in plan.helpers[i]:
-            rows = (
-                monomial_row(params, points, j, i),
-                monomial_row(params, points, i, j),
-            )
-            s[(j, i)] = Subspace(params.field, width, rows)
-        for j in plan.failed:
-            if j == i:
-                continue
-            # Newcomer j sends g_j(x_i) = F(x_i, y_j).
-            t[(j, i)] = Subspace(
-                params.field, width, (monomial_row(params, points, i, j),)
-            )
+    def span(*rows):
+        return Subspace(params.field, params.block_size, rows)
+
+    row = partial(monomial_row, params, points)
+    s = {
+        (j, i): span(row(j, i), row(i, j)) for i in plan.failed for j in plan.helpers[i]
+    }
+    # Newcomer j sends g_j(x_i) = F(x_i, y_j).
+    t = {(j, i): span(row(i, j)) for i in plan.failed for j in plan.failed if j != i}
     return TransferSpaces(s=s, t=t)
 
 
@@ -319,27 +333,25 @@ def check_property1(
     params: CodeParams,
     points: EvalPoints,
     node_spaces: Optional[dict[int, Subspace]] = None,
+    *,
+    _bases=None,
 ) -> list[CheckResult]:
     """dim W_i = share_size for all i; pairwise intersections have
     dim pair_intersection_dim (beta = 2 when k >= 2, alpha when k = 1)."""
-    W = node_spaces or {
-        i: node_space(i, params, points) for i in range(1, params.n + 1)
-    }
-    sum_rank = _node_sum_ranks(W)
-    out = []
-    for i in range(1, params.n + 1):
-        out.append(
-            CheckResult(
-                "property1_node_dim", f"i={i}", sum_rank((i,)) == params.share_size
-            )
-        )
+    nodes = range(1, params.n + 1)
+    basis_of = _bases or _node_bases(
+        node_spaces or {i: node_space(i, params, points) for i in nodes}
+    )
+    dim = {i: len(basis_of((i,))) for i in nodes}
+    out = [
+        CheckResult("property1_node_dim", f"i={i}", dim[i] == params.share_size)
+        for i in dim
+    ]
     pair_dim = pair_intersection_dim(params)
-    for i, j in combinations(range(1, params.n + 1), 2):
+    for i, j in combinations(dim, 2):
         # Modular law: dim(W_i cap W_j) = dim W_i + dim W_j - dim(W_i + W_j).
-        dim = sum_rank((i,)) + sum_rank((j,)) - sum_rank((i, j))
-        out.append(
-            CheckResult("property1_pair_intersection", f"i={i},j={j}", dim == pair_dim)
-        )
+        ok = dim[i] + dim[j] - len(basis_of((i, j))) == pair_dim
+        out.append(CheckResult("property1_pair_intersection", f"i={i},j={j}", ok))
     return out
 
 
@@ -348,10 +360,12 @@ def check_property2(
     params: CodeParams,
     points: EvalPoints,
     node_spaces: Optional[dict[int, Subspace]] = None,
+    *,
+    _transfers=None,
 ) -> list[CheckResult]:
     """Each newcomer's space is the direct sum of what it receives."""
     W = node_spaces or {i: node_space(i, params, points) for i in plan.failed}
-    ts = transfer_spaces(plan, params, points)
+    ts = _transfers or transfer_spaces(plan, params, points)
     out = []
     for i in sorted(plan.failed):
         parts = [ts.s[(j, i)] for j in plan.helpers[i]]
@@ -362,27 +376,21 @@ def check_property2(
 
 
 def check_corollary1(
-    plan: RepairPlan, params: CodeParams, points: EvalPoints
+    plan: RepairPlan,
+    params: CodeParams,
+    points: EvalPoints,
+    *,
+    _transfers=None,
 ) -> list[CheckResult]:
-    ts = transfer_spaces(plan, params, points)
-    out = []
-    for (j, i), sp in sorted(ts.s.items()):
-        out.append(
-            CheckResult(
-                "corollary1_dim_helper_transfer",
-                f"j={j},i={i}",
-                rank(sp) == params.helper_symbols,
-            )
+    ts = _transfers or transfer_spaces(plan, params, points)
+    return [
+        CheckResult(name, f"j={j},i={i}", rank(sp) == dim)
+        for name, spaces, dim in (
+            ("corollary1_dim_helper_transfer", ts.s, params.helper_symbols),
+            ("corollary1_dim_exchange", ts.t, params.exchange_symbols),
         )
-    for (j, i), sp in sorted(ts.t.items()):
-        out.append(
-            CheckResult(
-                "corollary1_dim_exchange",
-                f"j={j},i={i}",
-                rank(sp) == params.exchange_symbols,
-            )
-        )
-    return out
+        for (j, i), sp in sorted(spaces.items())
+    ]
 
 
 def check_property3(
@@ -390,6 +398,9 @@ def check_property3(
     params: CodeParams,
     points: EvalPoints,
     node_spaces: Optional[dict[int, Subspace]] = None,
+    *,
+    _bases=None,
+    _transfers=None,
 ) -> list[CheckResult]:
     """Helper transfer S_{j,i} and the exchange sum T_{i,i'} (+) T_{i',i}
     lie in the pairwise intersection with codimension
@@ -400,29 +411,27 @@ def check_property3(
     subspaces of the alpha-dimensional intersection.
     """
     ids = set().union(plan.failed, *plan.helpers.values())
-    W = node_spaces or {i: node_space(i, params, points) for i in ids}
-    ts = transfer_spaces(plan, params, points)
+    basis_of = _bases or _node_bases(
+        node_spaces or {i: node_space(i, params, points) for i in ids}
+    )
+    ts = _transfers or transfer_spaces(plan, params, points)
     codim = pair_intersection_dim(params) - params.helper_symbols
-    basis_of = _node_bases(W)
 
     def in_intersection(sp: Subspace, i: int, j: int) -> bool:
         """contained_with_codim(sp, W_i cap W_j, codim), with the
         intersection sized by the modular law and never formed."""
         wi, wj = basis_of((i,)), basis_of((j,))
         dim = len(wi) + len(wj) - len(basis_of((i, j)))
+        rows = map(wi.packing.pack, sp.rows)
         return dim - rank(sp) == codim and all(
-            wi.contains(v) and wj.contains(v) for v in sp.rows
+            wi.contains(v) and wj.contains(v) for v in rows
         )
 
-    out = []
-    for (j, i), sp in sorted(ts.s.items()):
-        out.append(
-            CheckResult(
-                "property3_helper_eq_intersection",
-                f"j={j},i={i}",
-                in_intersection(sp, i, j),
-            )
-        )
+    name = "property3_helper_eq_intersection"
+    out = [
+        CheckResult(name, f"j={j},i={i}", in_intersection(sp, i, j))
+        for (j, i), sp in sorted(ts.s.items())
+    ]
     for i, i2 in combinations(sorted(plan.failed), 2):
         both = space_sum(ts.t[(i, i2)], ts.t[(i2, i)])
         ok = is_direct_sum([ts.t[(i, i2)], ts.t[(i2, i)]]) and in_intersection(
@@ -436,11 +445,15 @@ def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis
     """basis_of(nodes): the echelon basis of the sum of a non-empty set of
     node spaces, memoized by sorted node tuple.
 
-    A set's basis extends the memoized basis of its longest prefix by the
-    remaining nodes' rows, one node at a time, memoizing every prefix on
-    the way. Every sum that spans the whole space shares one basis: a
-    full basis is never copied, and the first one found stands for all.
+    Each node's rows are packed once. A set's basis extends the memoized
+    basis of its longest prefix by the remaining nodes' rows, one node at
+    a time, memoizing every prefix on the way. Every sum that spans the
+    whole space shares one basis: a full basis is never copied, and the
+    first one found stands for all.
     """
+    rows = {
+        i: list(map(_Packing(w.field, w.width).pack, w.rows)) for i, w in spaces.items()
+    }
     memo: dict[tuple[int, ...], _Basis] = {}
     whole: Optional[_Basis] = None
 
@@ -450,13 +463,11 @@ def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis
         known = len(key)
         while known and key[:known] not in memo:
             known -= 1
-        basis = memo[key[:known]] if known else None
+        first = spaces[key[0]]
+        basis = memo[key[:known]] if known else _Basis(first.field, first.width)
         for m in range(known, len(key)):
-            space = spaces[key[m]]
-            if basis is None:
-                basis = _span_basis(space)
-            elif not basis.full:
-                basis = basis.copy().extend(space.rows)
+            if not basis.full:
+                basis = basis.copy().extend(rows[key[m]])
             if basis.full:
                 whole = basis = whole or basis
             memo[key[: m + 1]] = basis
@@ -465,18 +476,11 @@ def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis
     return basis_of
 
 
-def _node_sum_ranks(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], int]:
-    """Rank of the sum of a non-empty set of node spaces, memoized by
-    node set (see _node_bases)."""
-    basis_of = _node_bases(spaces)
-    return lambda nodes: len(basis_of(nodes))
-
-
-def _lemma1_holds(params: CodeParams, I, J, sum_rank) -> bool:
+def _lemma1_holds(params: CodeParams, I, J, basis_of) -> bool:
     """dim(sum_I) - dim(sum_I cap sum_J) <= |I|((d-|J|)beta1 + (r-|I|)beta2).
 
     By the modular law the left side is dim(sum_{I+J}) - dim(sum_J), so
-    two rank computations suffice.
+    two node-set bases suffice.
     """
     a, b = len(I), len(J)
     bound = a * (
@@ -485,9 +489,9 @@ def _lemma1_holds(params: CodeParams, I, J, sum_rank) -> bool:
     )
     if not I:
         return 0 <= bound
-    lhs = sum_rank(set(I) | set(J))
+    lhs = len(basis_of(set(I) | set(J)))
     if J:
-        lhs -= sum_rank(J)
+        lhs -= len(basis_of(J))
     return lhs <= bound
 
 
@@ -509,7 +513,7 @@ def check_lemma1(
     W = node_spaces or {
         i: node_space(i, params, points) for i in set(I) | set(J)
     }
-    return _lemma1_holds(params, I, J, _node_sum_ranks(W))
+    return _lemma1_holds(params, I, J, _node_bases(W))
 
 
 def lemma1_results(
@@ -517,31 +521,29 @@ def lemma1_results(
     points: EvalPoints,
     plan: RepairPlan,
     node_spaces: Optional[dict[int, Subspace]] = None,
+    *,
+    _bases=None,
 ) -> list[CheckResult]:
     """check_lemma1 over every subset I of the failed set and every
     subset J of the helpers common to I."""
     ids = set().union(plan.failed, *plan.helpers.values())
-    W = node_spaces or {i: node_space(i, params, points) for i in ids}
     # Ranks of node-set sums recur across (I, J) pairs; memoize by node set.
-    sum_rank = _node_sum_ranks(W)
+    basis_of = _bases or _node_bases(
+        node_spaces or {i: node_space(i, params, points) for i in ids}
+    )
 
     out = []
     failed = sorted(plan.failed)
     for asize in range(len(failed) + 1):
         for I in combinations(failed, asize):
-            if I:
-                common = set(plan.helpers[I[0]])
-                for i in I[1:]:
-                    common &= set(plan.helpers[i])
-            else:
-                common = set()
+            common = set.intersection(*(set(plan.helpers[i]) for i in I)) if I else ()
             for bsize in range(len(common) + 1):
                 for J in combinations(sorted(common), bsize):
                     out.append(
                         CheckResult(
                             "lemma1",
                             f"I={{{','.join(map(str, I))}}},J={{{','.join(map(str, J))}}}",
-                            _lemma1_holds(params, I, J, sum_rank),
+                            _lemma1_holds(params, I, J, basis_of),
                         )
                     )
     return out
@@ -553,13 +555,19 @@ def run_all_checks(
     plan: RepairPlan,
     node_spaces: Optional[dict[int, Subspace]] = None,
 ) -> list[CheckResult]:
-    """All subspace checks for one code instance and repair plan."""
+    """All subspace checks for one code instance and repair plan.
+
+    The checks share one node-set memo, passed as _bases (the basis_of
+    of _node_bases), and one TransferSpaces, passed as _transfers; called
+    alone, each check builds its own.
+    """
     W = node_spaces or {
         i: node_space(i, params, points) for i in range(1, params.n + 1)
     }
-    out = check_property1(params, points, W)
-    out += check_property2(plan, params, points, W)
-    out += check_corollary1(plan, params, points)
-    out += check_property3(plan, params, points, W)
-    out += lemma1_results(params, points, plan, W)
+    bases, ts = _node_bases(W), transfer_spaces(plan, params, points)
+    out = check_property1(params, points, W, _bases=bases)
+    out += check_property2(plan, params, points, W, _transfers=ts)
+    out += check_corollary1(plan, params, points, _transfers=ts)
+    out += check_property3(plan, params, points, W, _bases=bases, _transfers=ts)
+    out += lemma1_results(params, points, plan, W, _bases=bases)
     return out

@@ -80,3 +80,25 @@ def test_verify_report_digest(capsys):
                     out = capsys.readouterr().out
                     digest.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
     assert digest.hexdigest() == VERIFY_REPORT_SHA256
+
+
+# SHA-256 over (arguments, exit code, stdout) of every `mbcr verify` run
+# in test_verify_report_digest_wide_slots, recorded before the subspace
+# kernel packed each row into one int.
+VERIFY_WIDE_SLOTS_SHA256 = "3b5647d0a9e8451f88ef2e380e4dc971831d209b38514d516f2837886f2eb272"
+
+
+def test_verify_report_digest_wide_slots(capsys):
+    """Pins `mbcr verify`, passing and fault-injected, on two larger codes
+    over GF(65521), whose packed rows take the widest (64-bit) slots, and
+    over GF(256), whose rows are byte columns reduced by Field.scale."""
+    digest = hashlib.sha256()
+    for n, k, d, r in ((8, 3, 5, 2), (10, 4, 6, 3)):
+        for field in (["-q", "65521"], ["--gf256"]):
+            for fault in ([], ["--inject-fault"]):
+                argv = ["verify", "-n", str(n), "-k", str(k), "-d", str(d),
+                        "-r", str(r), *field, "--seed", "0", *fault]
+                rc = main(argv)
+                out = capsys.readouterr().out
+                digest.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
+    assert digest.hexdigest() == VERIFY_WIDE_SLOTS_SHA256

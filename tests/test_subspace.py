@@ -10,7 +10,7 @@ from mbcr.gf import Field
 from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
-    _node_sum_ranks,
+    _node_bases,
     check_corollary1,
     check_lemma1,
     check_property1,
@@ -395,7 +395,7 @@ def test_node_sum_ranks_match_the_rank_of_every_sum(field):
         },
     }
     for W in spaces.values():
-        sum_rank = _node_sum_ranks(W)
+        basis_of = _node_bases(W)
         subsets = [
             nodes for size in range(1, 6) for nodes in combinations(range(1, 6), size)
         ]
@@ -405,4 +405,38 @@ def test_node_sum_ranks_match_the_rank_of_every_sum(field):
         for nodes in subsets:
             expect = rank(space_sum(*[W[i] for i in nodes]))
             assert expect == reference_rank(space_sum(*[W[i] for i in nodes]))
-            assert sum_rank(nodes[::-1]) == expect, nodes
+            assert len(basis_of(nodes[::-1])) == expect, nodes
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), Field.prime(65521)], ids=["GF2", "GF65521"])
+@pytest.mark.parametrize("width", [27, 60])
+def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
+    """A packed GF(p) row gains up to (q-1)^2 per slot in each row
+    operation before its next % q pass, so its slot is sized for width
+    operations. Dense stacks twice as tall as wide make rows meet nearly
+    every pivot, at q = 2 and at the largest prime Field accepts; the
+    rank-deficient one leaves a free column, so a wrong entry shows in
+    its RREF and a dependent row that fails to reduce to zero shows in
+    its rank."""
+    rng = random.Random(width)
+    # Independent generators: row t starts with a 1 at column t.
+    gens = [
+        (0,) * t + (1,) + tuple(rng.randrange(field.order) for _ in range(width - t - 1))
+        for t in range(width)
+    ]
+
+    def stack(generators):
+        span = Subspace(field, width, tuple(generators))
+        rows = tuple(random_combination(rng, span) for _ in range(2 * width))
+        return Subspace(field, width, rows)
+
+    # short lacks the generator of the last column, which stays free.
+    full, short = stack(gens), stack(gens[:-1])
+    for space in (full, short):
+        m, r = reference_echelon(field, space.rows, width)
+        assert rank(space) == r
+        assert reduced_basis(space).rows == tuple(tuple(row) for row in m[:r])
+    assert reference_rank(full) == width
+    assert reference_rank(short) == width - 1
+    assert intersect(short, full).rows == reduced_basis(short).rows
+    assert contained_with_codim(short, full, 1)
