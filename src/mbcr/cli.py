@@ -67,6 +67,8 @@ def _field_from_args(args, n: int, default: str) -> Field:
             raise ParameterError(str(exc)) from None
     if args.gf256 or default == "gf256":
         return Field.gf256()
+    if n > 65521:  # the largest prime Field accepts
+        raise ParameterError(f"n = {n} needs a prime field larger than GF(65521)")
     return Field.prime(smallest_prime_at_least(n))
 
 

@@ -24,6 +24,10 @@ against the other's basis. intersect is Zassenhaus's algorithm on the
 same kernel: eliminate the rows [a | a] and [b | 0]; the echelon rows
 whose pivot falls in the right half span a cap b.
 
+run_all_checks is the one entry point to the checks. It builds the node
+spaces, one node-set memo (_node_bases) and one TransferSpaces, and each
+check takes only what it reads of them.
+
 The checks avoid intersecting at all. The sum of a set of node spaces is
 kept as one basis per node set, each extending the basis of its longest
 prefix, and an intersection is sized by the modular law
@@ -183,6 +187,10 @@ class _Basis:
         )
 
 
+# basis_of(nodes) of _node_bases: the basis of a sum of node spaces.
+_BasisOf = Callable[[Iterable[int]], _Basis]
+
+
 def _span_basis(space: Subspace) -> _Basis:
     basis = _Basis(space.field, space.width)
     return basis.extend(map(basis.packing.pack, space.rows))
@@ -329,20 +337,10 @@ def pair_intersection_dim(params: CodeParams) -> int:
     return 2 * alpha - min(params.block_size, 2 * alpha - params.helper_symbols)
 
 
-def check_property1(
-    params: CodeParams,
-    points: EvalPoints,
-    node_spaces: Optional[dict[int, Subspace]] = None,
-    *,
-    _bases=None,
-) -> list[CheckResult]:
+def check_property1(params: CodeParams, basis_of: _BasisOf) -> list[CheckResult]:
     """dim W_i = share_size for all i; pairwise intersections have
     dim pair_intersection_dim (beta = 2 when k >= 2, alpha when k = 1)."""
-    nodes = range(1, params.n + 1)
-    basis_of = _bases or _node_bases(
-        node_spaces or {i: node_space(i, params, points) for i in nodes}
-    )
-    dim = {i: len(basis_of((i,))) for i in nodes}
+    dim = {i: len(basis_of((i,))) for i in range(1, params.n + 1)}
     out = [
         CheckResult("property1_node_dim", f"i={i}", dim[i] == params.share_size)
         for i in dim
@@ -356,16 +354,9 @@ def check_property1(
 
 
 def check_property2(
-    plan: RepairPlan,
-    params: CodeParams,
-    points: EvalPoints,
-    node_spaces: Optional[dict[int, Subspace]] = None,
-    *,
-    _transfers=None,
+    plan: RepairPlan, W: dict[int, Subspace], ts: TransferSpaces
 ) -> list[CheckResult]:
     """Each newcomer's space is the direct sum of what it receives."""
-    W = node_spaces or {i: node_space(i, params, points) for i in plan.failed}
-    ts = _transfers or transfer_spaces(plan, params, points)
     out = []
     for i in sorted(plan.failed):
         parts = [ts.s[(j, i)] for j in plan.helpers[i]]
@@ -375,14 +366,7 @@ def check_property2(
     return out
 
 
-def check_corollary1(
-    plan: RepairPlan,
-    params: CodeParams,
-    points: EvalPoints,
-    *,
-    _transfers=None,
-) -> list[CheckResult]:
-    ts = _transfers or transfer_spaces(plan, params, points)
+def check_corollary1(params: CodeParams, ts: TransferSpaces) -> list[CheckResult]:
     return [
         CheckResult(name, f"j={j},i={i}", rank(sp) == dim)
         for name, spaces, dim in (
@@ -396,11 +380,8 @@ def check_corollary1(
 def check_property3(
     plan: RepairPlan,
     params: CodeParams,
-    points: EvalPoints,
-    node_spaces: Optional[dict[int, Subspace]] = None,
-    *,
-    _bases=None,
-    _transfers=None,
+    basis_of: _BasisOf,
+    ts: TransferSpaces,
 ) -> list[CheckResult]:
     """Helper transfer S_{j,i} and the exchange sum T_{i,i'} (+) T_{i',i}
     lie in the pairwise intersection with codimension
@@ -410,11 +391,6 @@ def check_property3(
     exchanges split W_i cap W_i'. At k = 1 both are beta-dimensional
     subspaces of the alpha-dimensional intersection.
     """
-    ids = set().union(plan.failed, *plan.helpers.values())
-    basis_of = _bases or _node_bases(
-        node_spaces or {i: node_space(i, params, points) for i in ids}
-    )
-    ts = _transfers or transfer_spaces(plan, params, points)
     codim = pair_intersection_dim(params) - params.helper_symbols
 
     def in_intersection(sp: Subspace, i: int, j: int) -> bool:
@@ -433,17 +409,15 @@ def check_property3(
         for (j, i), sp in sorted(ts.s.items())
     ]
     for i, i2 in combinations(sorted(plan.failed), 2):
-        both = space_sum(ts.t[(i, i2)], ts.t[(i2, i)])
-        ok = is_direct_sum([ts.t[(i, i2)], ts.t[(i2, i)]]) and in_intersection(
-            both, i, i2
-        )
+        pair = [ts.t[(i, i2)], ts.t[(i2, i)]]
+        ok = is_direct_sum(pair) and in_intersection(space_sum(*pair), i, i2)
         out.append(CheckResult("property3_exchange_sum", f"i={i},i'={i2}", ok))
     return out
 
 
-def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis]:
-    """basis_of(nodes): the echelon basis of the sum of a non-empty set of
-    node spaces, memoized by sorted node tuple.
+def _node_bases(spaces: dict[int, Subspace]) -> _BasisOf:
+    """basis_of(nodes): the echelon basis of the sum of a set of node
+    spaces, memoized by sorted node tuple; no nodes give the zero space.
 
     Each node's rows are packed once. A set's basis extends the memoized
     basis of its longest prefix by the remaining nodes' rows, one node at
@@ -451,20 +425,19 @@ def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis
     whole space shares one basis: a full basis is never copied, and the
     first one found stands for all.
     """
-    rows = {
-        i: list(map(_Packing(w.field, w.width).pack, w.rows)) for i, w in spaces.items()
-    }
-    memo: dict[tuple[int, ...], _Basis] = {}
+    w = next(iter(spaces.values()))
+    memo: dict[tuple[int, ...], _Basis] = {(): _Basis(w.field, w.width)}
+    pack = memo[()].packing.pack
+    rows = {i: list(map(pack, space.rows)) for i, space in spaces.items()}
     whole: Optional[_Basis] = None
 
     def basis_of(nodes: Iterable[int]) -> _Basis:
         nonlocal whole
         key = tuple(sorted(nodes))
         known = len(key)
-        while known and key[:known] not in memo:
+        while key[:known] not in memo:
             known -= 1
-        first = spaces[key[0]]
-        basis = memo[key[:known]] if known else _Basis(first.field, first.width)
+        basis = memo[key[:known]]
         for m in range(known, len(key)):
             if not basis.full:
                 basis = basis.copy().extend(rows[key[m]])
@@ -476,74 +449,31 @@ def _node_bases(spaces: dict[int, Subspace]) -> Callable[[Iterable[int]], _Basis
     return basis_of
 
 
-def _lemma1_holds(params: CodeParams, I, J, basis_of) -> bool:
-    """dim(sum_I) - dim(sum_I cap sum_J) <= |I|((d-|J|)beta1 + (r-|I|)beta2).
+def lemma1_results(
+    params: CodeParams, plan: RepairPlan, basis_of: _BasisOf
+) -> list[CheckResult]:
+    """Lemma 1 for every subset I of the failed set and every subset J of
+    the helpers common to I:
+    dim(sum_I) - dim(sum_I cap sum_J) <= |I|((d-|J|)beta1 + (r-|I|)beta2).
 
     By the modular law the left side is dim(sum_{I+J}) - dim(sum_J), so
     two node-set bases suffice.
     """
-    a, b = len(I), len(J)
-    bound = a * (
-        (params.d - b) * params.helper_symbols
-        + (params.r - a) * params.exchange_symbols
-    )
-    if not I:
-        return 0 <= bound
-    lhs = len(basis_of(set(I) | set(J)))
-    if J:
-        lhs -= len(basis_of(J))
-    return lhs <= bound
-
-
-def check_lemma1(
-    params: CodeParams,
-    points: EvalPoints,
-    plan: RepairPlan,
-    I: Iterable[int],
-    J: Iterable[int],
-    node_spaces: Optional[dict[int, Subspace]] = None,
-) -> bool:
-    """Dimension inequality for newcomer subset I against common helpers J."""
-    I, J = sorted(set(I)), sorted(set(J))
-    if not set(I) <= plan.failed:
-        raise MbcrError(f"I = {I} is not a subset of the failed set")
-    for j in J:
-        if any(j not in plan.helpers[i] for i in I):
-            raise MbcrError(f"J = {J} is not common to all helper sets of I")
-    W = node_spaces or {
-        i: node_space(i, params, points) for i in set(I) | set(J)
-    }
-    return _lemma1_holds(params, I, J, _node_bases(W))
-
-
-def lemma1_results(
-    params: CodeParams,
-    points: EvalPoints,
-    plan: RepairPlan,
-    node_spaces: Optional[dict[int, Subspace]] = None,
-    *,
-    _bases=None,
-) -> list[CheckResult]:
-    """check_lemma1 over every subset I of the failed set and every
-    subset J of the helpers common to I."""
-    ids = set().union(plan.failed, *plan.helpers.values())
-    # Ranks of node-set sums recur across (I, J) pairs; memoize by node set.
-    basis_of = _bases or _node_bases(
-        node_spaces or {i: node_space(i, params, points) for i in ids}
-    )
-
+    beta1, beta2 = params.helper_symbols, params.exchange_symbols
     out = []
     failed = sorted(plan.failed)
-    for asize in range(len(failed) + 1):
-        for I in combinations(failed, asize):
+    for a in range(len(failed) + 1):
+        for I in combinations(failed, a):
             common = set.intersection(*(set(plan.helpers[i]) for i in I)) if I else ()
-            for bsize in range(len(common) + 1):
-                for J in combinations(sorted(common), bsize):
+            for b in range(len(common) + 1):
+                for J in combinations(sorted(common), b):
+                    lhs = len(basis_of(I + J)) - len(basis_of(J))
+                    bound = a * ((params.d - b) * beta1 + (params.r - a) * beta2)
                     out.append(
                         CheckResult(
                             "lemma1",
                             f"I={{{','.join(map(str, I))}}},J={{{','.join(map(str, J))}}}",
-                            _lemma1_holds(params, I, J, basis_of),
+                            lhs <= bound,
                         )
                     )
     return out
@@ -555,19 +485,17 @@ def run_all_checks(
     plan: RepairPlan,
     node_spaces: Optional[dict[int, Subspace]] = None,
 ) -> list[CheckResult]:
-    """All subspace checks for one code instance and repair plan.
-
-    The checks share one node-set memo, passed as _bases (the basis_of
-    of _node_bases), and one TransferSpaces, passed as _transfers; called
-    alone, each check builds its own.
-    """
+    """All subspace checks for one code instance and repair plan, run on
+    one set of node spaces (built unless given), one node-set memo and one
+    TransferSpaces."""
     W = node_spaces or {
         i: node_space(i, params, points) for i in range(1, params.n + 1)
     }
-    bases, ts = _node_bases(W), transfer_spaces(plan, params, points)
-    out = check_property1(params, points, W, _bases=bases)
-    out += check_property2(plan, params, points, W, _transfers=ts)
-    out += check_corollary1(plan, params, points, _transfers=ts)
-    out += check_property3(plan, params, points, W, _bases=bases, _transfers=ts)
-    out += lemma1_results(params, points, plan, W, _bases=bases)
-    return out
+    basis_of, ts = _node_bases(W), transfer_spaces(plan, params, points)
+    return [
+        *check_property1(params, basis_of),
+        *check_property2(plan, W, ts),
+        *check_corollary1(params, ts),
+        *check_property3(plan, params, basis_of, ts),
+        *lemma1_results(params, plan, basis_of),
+    ]

@@ -367,6 +367,20 @@ class TestCli:
             assert captured.out == ""
             assert f"modulus {q} is not a prime" in captured.err, command
 
+    @pytest.mark.parametrize("n", [65522, 70000, 10**18])
+    def test_a_node_count_above_the_largest_prime_field_is_a_usage_error(
+        self, capsys, n
+    ):
+        # The default prime field is the smallest prime >= n, and Field
+        # accepts none above 65521 (the next prime is 65537); n = 10**18
+        # must be refused before the search for one starts.
+        for command in ("verify", "bound"):
+            argv = [command, "-n", str(n), "-k", "1", "-d", "1", "-r", "1"]
+            assert main(argv) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"n = {n}" in captured.err, command
+
     def test_bound_command(self, capsys):
         assert main(["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2"]) == 0
         out = capsys.readouterr().out

@@ -11,16 +11,10 @@ from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
     _node_bases,
-    check_corollary1,
-    check_lemma1,
-    check_property1,
-    check_property2,
-    check_property3,
     contained_with_codim,
     format_report,
     intersect,
     is_direct_sum,
-    lemma1_results,
     monomial_row,
     node_space,
     pair_intersection_dim,
@@ -48,6 +42,14 @@ def span_vectors(space):
                 vec[t] = field.add(vec[t], field.mul(c, v))
         vectors.add(tuple(vec))
     return vectors
+
+
+def checks_named(results, prefix):
+    """The results of the checks whose name starts with prefix; there must
+    be at least one, so that all() over them is not vacuous."""
+    picked = [c for c in results if c.name.startswith(prefix)]
+    assert picked, prefix
+    return picked
 
 
 def test_rank_simple():
@@ -160,7 +162,9 @@ def test_pairwise_intersection_dim_k1():
     W = {i: node_space(i, p, pts) for i in range(1, 5)}
     for i, j in combinations(range(1, 5), 2):
         assert rank(intersect(W[i], W[j])) == p.share_size
-    assert all(c.passed for c in check_property1(p, pts, W))
+    plan = make_plan(p, {1, 2}, seed=0)
+    results = run_all_checks(p, pts, plan, W)
+    assert all(c.passed for c in checks_named(results, "property1"))
 
 
 def test_transfer_space_dims_and_property3_k1():
@@ -177,7 +181,8 @@ def test_transfer_space_dims_and_property3_k1():
         inter = intersect(W[i], W[j])
         # a proper subspace of the intersection, of codimension alpha - beta
         assert rank(space_sum(sp, inter)) == rank(inter) == rank(sp) + 3
-    assert all(c.passed for c in check_property3(plan, p, pts, W))
+    results = run_all_checks(p, pts, plan, W)
+    assert all(c.passed for c in checks_named(results, "property3"))
 
 
 def test_pair_intersection_dim_matches_measured_rank():
@@ -251,13 +256,13 @@ def test_lemma1_examples():
     p = validate_params(5, 2, 3, 2, GF7)
     pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    assert check_lemma1(p, pts, plan, [], [])
-    assert check_lemma1(p, pts, plan, [1, 2], [])
+    results = run_all_checks(p, pts, plan)
+    lemma1 = {c.indices: c.passed for c in checks_named(results, "lemma1")}
+    assert lemma1["I={},J={}"]
+    assert lemma1["I={1,2},J={}"]
     # LHS for I = R, J = empty is dim(W1 + W2) = 12 <= 2*(3*2 + 0) = 12
     W = space_sum(node_space(1, p, pts), node_space(2, p, pts))
     assert rank(W) == 12
-    with pytest.raises(MbcrError):
-        check_lemma1(p, pts, plan, [3], [])
 
 
 def test_lemma1_exhaustive_small_grid():
@@ -267,7 +272,8 @@ def test_lemma1_exhaustive_small_grid():
         pts = derive_points(p)
         failed = set(rng.sample(range(1, n + 1), r))
         plan = make_plan(p, failed, seed=rng.randrange(1000))
-        assert all(c.passed for c in lemma1_results(p, pts, plan))
+        results = run_all_checks(p, pts, plan)
+        assert all(c.passed for c in checks_named(results, "lemma1"))
 
 
 def test_reconstructability_iff_stacked_rank_full():
@@ -287,10 +293,11 @@ def test_property_checks_individual_entry_points():
     p = validate_params(5, 2, 3, 2, GF7)
     pts = derive_points(p)
     plan = make_plan(p, {3, 4}, seed=5)
-    assert all(c.passed for c in check_property1(p, pts))
-    assert all(c.passed for c in check_property2(plan, p, pts))
-    assert all(c.passed for c in check_corollary1(plan, p, pts))
-    assert all(c.passed for c in check_property3(plan, p, pts))
+    results = run_all_checks(p, pts, plan)
+    assert all(c.passed for c in checks_named(results, "property1"))
+    assert all(c.passed for c in checks_named(results, "property2"))
+    assert all(c.passed for c in checks_named(results, "corollary1"))
+    assert all(c.passed for c in checks_named(results, "property3"))
 
 
 # The echelon-basis kernel against the Gauss-Jordan reference
@@ -396,6 +403,8 @@ def test_node_sum_ranks_match_the_rank_of_every_sum(field):
     }
     for W in spaces.values():
         basis_of = _node_bases(W)
+        # No nodes: the zero space.
+        assert len(basis_of(())) == 0
         subsets = [
             nodes for size in range(1, 6) for nodes in combinations(range(1, 6), size)
         ]
@@ -406,6 +415,8 @@ def test_node_sum_ranks_match_the_rank_of_every_sum(field):
             expect = rank(space_sum(*[W[i] for i in nodes]))
             assert expect == reference_rank(space_sum(*[W[i] for i in nodes]))
             assert len(basis_of(nodes[::-1])) == expect, nodes
+        # Every set was built on the memoized zero space, which stays zero.
+        assert len(basis_of(())) == 0
 
 
 @pytest.mark.parametrize("field", [Field.prime(2), Field.prime(65521)], ids=["GF2", "GF65521"])
