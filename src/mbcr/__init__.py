@@ -8,10 +8,8 @@ subspace structure and the cut-set bound.
 
 from .codec import (
     CodeParams,
-    EvalPoints,
     Share,
     check_shares,
-    derive_points,
     encode,
     reconstruct,
     share_polys,
@@ -29,12 +27,10 @@ from .repair import (
 __all__ = [
     "BandwidthLedger",
     "CodeParams",
-    "EvalPoints",
     "Field",
     "RepairPlan",
     "Share",
     "check_shares",
-    "derive_points",
     "encode",
     "find_forwarding_witness",
     "make_plan",

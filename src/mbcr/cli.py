@@ -22,13 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bounds, subspace
-from .codec import (
-    check_shares,
-    derive_points,
-    encode,
-    reconstruct,
-    validate_params,
-)
+from .codec import check_shares, encode, reconstruct, validate_params
 from .errors import CodecError, CorruptShareError, MbcrError, ParameterError, ShareFormatError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
@@ -141,11 +135,10 @@ def cmd_encode(args) -> int:
     if args.n > 256:
         raise MbcrError("file encoding over GF(256) supports at most n = 256")
     p = validate_params(args.n, args.k, args.d, args.r, field)
-    points = derive_points(p)
     with open(args.input, "rb") as fh:
         data = fh.read()
     stripes = stripe_count(len(data), p.block_size)
-    shares = encode(to_columns(data, p.block_size), p, points, stripes)
+    shares = encode(to_columns(data, p.block_size), p, stripes)
     os.makedirs(args.out, exist_ok=True)
     for share in shares:
         sf = ShareFile.of_share(share, p, stripes, len(data))
@@ -163,13 +156,12 @@ def cmd_reconstruct(args) -> int:
     p = ref.params
     if len(files) < p.k:
         raise CodecError(f"need at least k = {p.k} share files, got {len(files)}")
-    points = derive_points(p)
     stripes = ref.stripe_count
     shares = [sf.share() for sf in files]
-    columns = reconstruct(shares[: p.k], p, points, stripes)
+    columns = reconstruct(shares[: p.k], p, stripes)
     # Shares past the k decoded from must be the encoding of the result.
     decoded_from = [s.node_id for s in shares[: p.k]]
-    check_shares(columns, shares[p.k :], decoded_from, p, points, stripes)
+    check_shares(columns, shares[p.k :], decoded_from, p, stripes)
     data = from_columns(columns, stripes)[: ref.original_length]
     _atomic_write(args.out, data)
     print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
@@ -179,16 +171,16 @@ def cmd_reconstruct(args) -> int:
 def cmd_repair(args) -> int:
     files, ref = _read_matching_shares(args.shares)
     p = ref.params
-    points = derive_points(p)
     failed = _parse_failed(args.failed)
-    if set(failed) & {sf.node_id for sf in files}:
+    supplied = [sf.node_id for sf in files]
+    if set(failed) & set(supplied):
         raise MbcrError("a share file was supplied for a failed node")
     helpers = _parse_helpers(args.helpers) if args.helpers else None
-    plan = make_plan(p, failed, helpers=helpers, seed=args.seed)
+    plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
     stripes = ref.stripe_count
     survivors = [sf.share() for sf in files]
-    regenerated, ledger = run_repair(survivors, plan, p, points, stripes)
+    regenerated, ledger = run_repair(survivors, plan, p, stripes)
 
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):
@@ -211,14 +203,11 @@ def cmd_repair(args) -> int:
 def cmd_verify(args) -> int:
     field = _field_from_args(args, args.n, default="prime")
     p = validate_params(args.n, args.k, args.d, args.r, field)
-    points = derive_points(p)
     rng = random.Random(args.seed)
     failed = rng.sample(range(1, p.n + 1), p.r)
     plan = make_plan(p, failed, seed=rng.randrange(2**32))
 
-    node_spaces = {
-        i: subspace.node_space(i, p, points) for i in range(1, p.n + 1)
-    }
+    node_spaces = {i: subspace.node_space(i, p) for i in range(1, p.n + 1)}
     if args.inject_fault:
         # Negative control: corrupt one generator entry of node 1.
         w1 = node_spaces[1]
@@ -228,7 +217,7 @@ def cmd_verify(args) -> int:
             row[:] = rows[0]
         node_spaces[1] = subspace.Subspace(field, w1.width, tuple(map(tuple, rows)))
 
-    results = subspace.run_all_checks(p, points, plan, node_spaces)
+    results = subspace.run_all_checks(p, plan, node_spaces)
     point = bounds.mbcr_point(p.n, p.k, p.d, p.r, p.block_size)
     results.append(
         subspace.CheckResult(
@@ -272,10 +261,9 @@ def cmd_simulate(args) -> int:
     p = validate_params(args.n, args.k, args.d, args.r, field)
     if args.stages < 0:
         raise ParameterError(f"--stages must not be negative, got {args.stages}")
-    points = derive_points(p)
     rng = random.Random(args.seed)
     data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
-    baseline = {s.node_id: s for s in encode(data, p, points)}
+    baseline = {s.node_id: s for s in encode(data, p)}
     current = dict(baseline)
 
     cumulative = 0
@@ -283,7 +271,7 @@ def cmd_simulate(args) -> int:
         failed = rng.sample(range(1, p.n + 1), p.r)
         plan = make_plan(p, failed, seed=rng.randrange(2**32))
         survivors = [current[i] for i in current if i not in plan.failed]
-        regenerated, ledger = run_repair(survivors, plan, p, points)
+        regenerated, ledger = run_repair(survivors, plan, p)
         cumulative += ledger.total
         current.update(regenerated)
         for i in plan.failed:
@@ -294,7 +282,7 @@ def cmd_simulate(args) -> int:
                 )
                 return EXIT_FAILURE
         subset = rng.sample(sorted(current), p.k)
-        if reconstruct([current[i] for i in subset], p, points) != data:
+        if reconstruct([current[i] for i in subset], p) != data:
             print(
                 f"stage {stage}: reconstruction from nodes {subset} failed",
                 file=sys.stderr,

@@ -21,6 +21,7 @@ call encodes or decodes all S stripes of a file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, ParameterError
@@ -59,6 +60,11 @@ class CodeParams:
     def repair_bandwidth(self) -> int:
         return self.d * self.helper_symbols + (self.r - 1) * self.exchange_symbols
 
+    @cached_property
+    def points(self) -> EvalPoints:
+        """The code's evaluation points, derived once per instance."""
+        return derive_points(self)
+
 
 def validate_params(n: int, k: int, d: int, r: int, field: Field) -> CodeParams:
     for name, v in (("n", n), ("k", k), ("d", d), ("r", r)):
@@ -80,7 +86,8 @@ def validate_params(n: int, k: int, d: int, r: int, field: Field) -> CodeParams:
 class EvalPoints:
     """The n distinct x evaluation points and n distinct y points.
 
-    Index 0 corresponds to node 1. x and y may share values.
+    Index 0 corresponds to node 1. x and y may share values. Every layer
+    reaches them through CodeParams.points.
     """
 
     x: tuple[int, ...]
@@ -97,7 +104,8 @@ def derive_points(params: CodeParams) -> EvalPoints:
     """Deterministic evaluation points from the canonical enumeration.
 
     Node i gets element i; when n equals the field order, node n wraps
-    to element 0 (still injective). Never serialized, always recomputed.
+    to element 0 (still injective). Never serialized, always recomputed;
+    CodeParams.points is the one caller.
     """
     order = params.field.order
     vals = tuple(i % order for i in range(1, params.n + 1))
@@ -131,14 +139,10 @@ class Share:
 
 
 def share_from_polys(
-    node_id: int,
-    f: Sequence[int],
-    g: Sequence[int],
-    params: CodeParams,
-    points: EvalPoints,
+    node_id: int, f: Sequence[int], g: Sequence[int], params: CodeParams
 ) -> Share:
     """Sample f_i at the share's y-points and g_i at its x-points."""
-    field = params.field
+    field, points = params.field, params.points
     return Share(
         node_id=node_id,
         evals=tuple(
@@ -150,20 +154,17 @@ def share_from_polys(
     )
 
 
-def _node_share(F: BiPoly, node_id: int, params: CodeParams, points: EvalPoints) -> Share:
-    field = params.field
+def _node_share(F: BiPoly, node_id: int, params: CodeParams) -> Share:
+    field, points = params.field, params.points
     return share_from_polys(
         node_id,
         F.f_at(field, points.x_of(node_id)),
         F.g_at(field, points.y_of(node_id)),
         params,
-        points,
     )
 
 
-def encode(
-    data: Sequence[int], params: CodeParams, points: EvalPoints, stripes: int = 1
-) -> list[Share]:
+def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Share]:
     """Restrict F to (f_i, g_i) for each node, then sample."""
     if len(data) != params.block_size:
         raise CodecError(
@@ -171,7 +172,7 @@ def encode(
         )
     params.field.check_elements(data, stripes)
     F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
-    return [_node_share(F, i, params, points) for i in range(1, params.n + 1)]
+    return [_node_share(F, i, params) for i in range(1, params.n + 1)]
 
 
 def _check_consistent(
@@ -208,7 +209,7 @@ def _check_length(share: Share, params: CodeParams) -> None:
 
 
 def share_polys(
-    share: Share, params: CodeParams, points: EvalPoints, stripes: int = 1
+    share: Share, params: CodeParams, stripes: int = 1
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover the restriction polynomials (f_i, g_i) from a share.
 
@@ -220,7 +221,7 @@ def share_polys(
     i = share.node_id
     samples = list(zip(share_point_nodes(i, params), share.evals))
     _check_length(share, params)
-    field = params.field
+    field, points = params.field, params.points
     field.check_elements(share.evals, stripes)
     f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
     g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
@@ -229,18 +230,18 @@ def share_polys(
 
 
 def reconstruct(
-    shares: Sequence[Share], params: CodeParams, points: EvalPoints, stripes: int = 1
+    shares: Sequence[Share], params: CodeParams, stripes: int = 1
 ) -> tuple[int, ...]:
     """Recover the data block from exactly k shares with distinct node ids."""
     k, d, r = params.k, params.d, params.r
-    field = params.field
+    field, points = params.field, params.points
     if len(shares) != k:
         raise CodecError(f"reconstruction needs exactly {k} shares, got {len(shares)}")
     ids = [s.node_id for s in shares]
     if len(set(ids)) != k:
         raise CodecError(f"duplicate node ids in {ids}")
 
-    fg = [share_polys(s, params, points, stripes) for s in shares]
+    fg = [share_polys(s, params, stripes) for s in shares]
     xs = [points.x_of(i) for i in ids]
     ys = [points.y_of(i) for i in ids]
     coeff: dict[tuple[int, int], int] = {}
@@ -284,7 +285,6 @@ def check_shares(
     shares: Sequence[Share],
     decoded_from: Sequence[int],
     params: CodeParams,
-    points: EvalPoints,
     stripes: int = 1,
 ) -> None:
     """Raise CorruptShareError unless each share is the encoding of data.
@@ -296,5 +296,5 @@ def check_shares(
     F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
     for share in shares:
         _check_length(share, params)
-        want = _node_share(F, share.node_id, params, points).evals
+        want = _node_share(F, share.node_id, params).evals
         _check_consistent(share.node_id, share.evals, want, stripes, decoded_from)

@@ -105,9 +105,6 @@ class Field:
     def __repr__(self):
         return f"GF({self.order})"
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def check_elements(self, symbols: Iterable[int], stripes: int = 1) -> None:
         """Raise FieldMismatchError unless every symbol is a field element,
         or, for stripes > 1, a GF(256) column of that many stripes."""

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .codec import (
-    CodeParams,
-    EvalPoints,
-    Share,
-    share_from_polys,
-    share_point_nodes,
-    share_polys,
-)
+from .codec import CodeParams, Share, share_from_polys, share_point_nodes, share_polys
 from .errors import ProtocolError
 from .poly import eval_poly, interpolate
 
@@ -47,12 +40,14 @@ def make_plan(
     failed: Iterable[int],
     helpers: Optional[Mapping[int, Sequence[int]]] = None,
     seed: Optional[int] = None,
+    survivors: Optional[Iterable[int]] = None,
 ) -> RepairPlan:
     """Build and validate a repair plan.
 
-    Without an explicit helper map, helpers are drawn per newcomer from
-    the survivors with a seeded RNG, so plans are reproducible.
-    Helper sets may differ between newcomers.
+    Helpers are survivors: the node ids in survivors (by default every
+    node) that did not fail. Without an explicit helper map, helpers are
+    drawn per newcomer from the survivors with a seeded RNG, so plans are
+    reproducible. Helper sets may differ between newcomers.
     """
     failed_set = frozenset(failed)
     if len(failed_set) != params.r:
@@ -61,7 +56,8 @@ def make_plan(
         )
     if not all(1 <= i <= params.n for i in failed_set):
         raise ProtocolError(f"failed ids out of range: {sorted(failed_set)}")
-    survivors = sorted(set(range(1, params.n + 1)) - failed_set)
+    everyone = range(1, params.n + 1)
+    survivors = sorted(set(everyone if survivors is None else survivors) - failed_set)
 
     chosen: dict[int, tuple[int, ...]] = {}
     if helpers is not None:
@@ -79,6 +75,10 @@ def make_plan(
                 )
             chosen[i] = hs
     else:
+        if len(survivors) < params.d:
+            raise ProtocolError(
+                f"need d = {params.d} survivors to draw helpers from, got {survivors}"
+            )
         rng = random.Random(seed)
         for i in sorted(failed_set):
             chosen[i] = tuple(rng.sample(survivors, params.d))
@@ -113,17 +113,15 @@ class NewcomerState:
     f_samples: dict[int, int] = dc_field(default_factory=dict)
 
 
-def phase1_send(
-    helper_share: Share, newcomer_id: int, params: CodeParams, points: EvalPoints
-) -> Phase1Msg:
+def phase1_send(helper_share: Share, newcomer_id: int, params: CodeParams) -> Phase1Msg:
     if helper_share.node_id == newcomer_id:
         raise ProtocolError(f"node {newcomer_id} cannot help repair itself")
-    f, g = share_polys(helper_share, params, points)
-    return _phase1_from_polys(f, g, helper_share.node_id, newcomer_id, params, points)
+    f, g = share_polys(helper_share, params)
+    return _phase1_from_polys(f, g, helper_share.node_id, newcomer_id, params)
 
 
-def _phase1_from_polys(f, g, helper_id, newcomer_id, params, points) -> Phase1Msg:
-    fld = params.field
+def _phase1_from_polys(f, g, helper_id, newcomer_id, params) -> Phase1Msg:
+    fld, points = params.field, params.points
     payload = (
         eval_poly(fld, f, points.y_of(newcomer_id)),
         eval_poly(fld, g, points.x_of(newcomer_id)),
@@ -131,9 +129,7 @@ def _phase1_from_polys(f, g, helper_id, newcomer_id, params, points) -> Phase1Ms
     return Phase1Msg(sender=helper_id, receiver=newcomer_id, payload=payload)
 
 
-def phase1_assemble(
-    msgs: Sequence[Phase1Msg], params: CodeParams, points: EvalPoints
-) -> NewcomerState:
+def phase1_assemble(msgs: Sequence[Phase1Msg], params: CodeParams) -> NewcomerState:
     if len(msgs) != params.d:
         raise ProtocolError(f"expected d = {params.d} phase-1 messages, got {len(msgs)}")
     receivers = {m.receiver for m in msgs}
@@ -145,7 +141,7 @@ def phase1_assemble(
         raise ProtocolError(f"duplicate helpers in phase-1 messages: {senders}")
     g = interpolate(
         params.field,
-        [(points.x_of(m.sender), m.payload[0]) for m in msgs],
+        [(params.points.x_of(m.sender), m.payload[0]) for m in msgs],
         params.d,
     )
     f_samples = {m.sender: m.payload[1] for m in msgs}
@@ -154,27 +150,22 @@ def phase1_assemble(
     )
 
 
-def phase2_send(
-    state: NewcomerState, to_id: int, params: CodeParams, points: EvalPoints
-) -> Phase2Msg:
+def phase2_send(state: NewcomerState, to_id: int, params: CodeParams) -> Phase2Msg:
     if state.g is None:
         raise ProtocolError(
             f"newcomer {state.node_id} has not completed phase 1; cannot send phase 2"
         )
     if to_id == state.node_id:
         raise ProtocolError("phase-2 message to self")
-    payload = eval_poly(params.field, state.g, points.x_of(to_id))
+    payload = eval_poly(params.field, state.g, params.points.x_of(to_id))
     return Phase2Msg(sender=state.node_id, receiver=to_id, payload=payload)
 
 
 def regenerate(
-    state: NewcomerState,
-    phase2_msgs: Sequence[Phase2Msg],
-    params: CodeParams,
-    points: EvalPoints,
+    state: NewcomerState, phase2_msgs: Sequence[Phase2Msg], params: CodeParams
 ) -> Share:
     i, r = state.node_id, params.r
-    fld = params.field
+    fld, points = params.field, params.points
     if state.g is None:
         raise ProtocolError(f"newcomer {i} has not completed phase 1")
     if len(phase2_msgs) != r - 1:
@@ -192,13 +183,8 @@ def regenerate(
     f_pts = [(points.y_of(j), v) for j, v in state.f_samples.items()]
     f_pts += [(points.y_of(m.sender), m.payload) for m in phase2_msgs]
     f_pts.append((points.y_of(i), own))
-    seen = [p[0] for p in f_pts]
-    if len(set(seen)) != len(seen):
-        raise ProtocolError(
-            f"colliding interpolation points while regenerating node {i}"
-        )
     f = interpolate(fld, f_pts, params.d + r)
-    return share_from_polys(i, f, state.g, params, points)
+    return share_from_polys(i, f, state.g, params)
 
 
 @dataclass(frozen=True)
@@ -228,7 +214,6 @@ def run_repair(
     survivor_shares: Iterable[Share],
     plan: RepairPlan,
     params: CodeParams,
-    points: EvalPoints,
     stripes: int = 1,
 ) -> tuple[dict[int, Share], BandwidthLedger]:
     """Run both phases for all newcomers; returns shares and the ledger."""
@@ -238,15 +223,14 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    helper_polys = {j: share_polys(by_id[j], params, points, stripes) for j in needed}
+    helper_polys = {j: share_polys(by_id[j], params, stripes) for j in needed}
     phase1_count: dict[int, int] = {}
     states: dict[int, NewcomerState] = {}
     for i in sorted(plan.failed):
         msgs = [
-            _phase1_from_polys(*helper_polys[j], j, i, params, points)
-            for j in plan.helpers[i]
+            _phase1_from_polys(*helper_polys[j], j, i, params) for j in plan.helpers[i]
         ]
-        states[i] = phase1_assemble(msgs, params, points)
+        states[i] = phase1_assemble(msgs, params)
         phase1_count[i] = sum(len(m.payload) for m in msgs)
 
     # Barrier: every phase-1 assembly completes before any exchange.
@@ -256,13 +240,11 @@ def run_repair(
         for i in sorted(plan.failed):
             if i == j:
                 continue
-            msg = phase2_send(states[j], i, params, points)
+            msg = phase2_send(states[j], i, params)
             inbox[i].append(msg)
             phase2_count[i] += 1
 
-    regenerated = {
-        i: regenerate(states[i], inbox[i], params, points) for i in plan.failed
-    }
+    regenerated = {i: regenerate(states[i], inbox[i], params) for i in plan.failed}
     return regenerated, BandwidthLedger(phase1=phase1_count, phase2=phase2_count)
 
 
@@ -280,9 +262,7 @@ class ForwardingWitness:
     point_nodes: tuple[int, int]
 
 
-def find_forwarding_witness(
-    params: CodeParams, points: EvalPoints
-) -> Optional[ForwardingWitness]:
+def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
     """Search repair scenarios for a transmitted symbol the helper does not store.
 
     Enumerates failed sets, newcomers, and helpers; for each candidate the

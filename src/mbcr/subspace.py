@@ -18,11 +18,10 @@ v += (q - f) * row with no per-slot reduction: a slot is the narrowest
 struct integer (B, H, I or Q) holding (q-1) + width*(q-1)^2, the most a
 slot reaches from reduced entries in width operations, and each reduced
 row gets one % q pass. Pivot rows stay unnormalized, each kept with its
-pivot's inverse. rank is the basis length, reduced_basis
-back-substitutes into RREF, and containment reduces one space's rows
-against the other's basis. intersect is Zassenhaus's algorithm on the
-same kernel: eliminate the rows [a | a] and [b | 0]; the echelon rows
-whose pivot falls in the right half span a cap b.
+pivot's inverse. rank is the basis length, and containment reduces one
+space's rows against the other's basis. intersect is Zassenhaus's
+algorithm on the same kernel: eliminate the rows [a | a] and [b | 0];
+the echelon rows whose pivot falls in the right half span a cap b.
 
 run_all_checks is the one entry point to the checks. It builds the node
 spaces, one node-set memo (_node_bases) and one TransferSpaces, and each
@@ -51,7 +50,7 @@ from itertools import combinations
 from struct import Struct, calcsize
 from typing import Callable, Iterable, Optional
 
-from .codec import CodeParams, EvalPoints, share_point_nodes
+from .codec import CodeParams, share_point_nodes
 from .errors import MbcrError
 from .gf import Field
 from .poly import coeff_cells
@@ -70,10 +69,6 @@ class Subspace:
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError(f"row length {len(row)} != width {self.width}")
-
-
-def zero_space(field: Field, width: int) -> Subspace:
-    return Subspace(field, width, ())
 
 
 @cache
@@ -205,11 +200,6 @@ def rank(space: Subspace) -> int:
     return len(_span_basis(space))
 
 
-def reduced_basis(space: Subspace) -> Subspace:
-    """Canonical RREF basis; equal spans reduce to equal bases."""
-    return Subspace(space.field, space.width, _span_basis(space).reduced_rows())
-
-
 def space_sum(*spaces: Subspace) -> Subspace:
     if not spaces:
         raise ValueError("space_sum needs at least one subspace")
@@ -261,12 +251,10 @@ def contained_with_codim(a: Subspace, b: Subspace, codim: int) -> bool:
     return len(basis) - rank(a) == codim and all(map(basis.contains, rows))
 
 
-def monomial_row(
-    params: CodeParams, points: EvalPoints, x_node: int, y_node: int
-) -> tuple[int, ...]:
+def monomial_row(params: CodeParams, x_node: int, y_node: int) -> tuple[int, ...]:
     """Generator row of the evaluation at (x of x_node, y of y_node)."""
     field = params.field
-    x, y = points.x_of(x_node), points.y_of(y_node)
+    x, y = params.points.x_of(x_node), params.points.y_of(y_node)
     xpow = [field.pow(x, i) for i in range(params.d)]
     ypow = [field.pow(y, j) for j in range(params.d + params.r)]
     return tuple(
@@ -275,10 +263,9 @@ def monomial_row(
     )
 
 
-def node_space(node_id: int, params: CodeParams, points: EvalPoints) -> Subspace:
+def node_space(node_id: int, params: CodeParams) -> Subspace:
     rows = tuple(
-        monomial_row(params, points, xi, yi)
-        for xi, yi in share_point_nodes(node_id, params)
+        monomial_row(params, xi, yi) for xi, yi in share_point_nodes(node_id, params)
     )
     return Subspace(params.field, params.block_size, rows)
 
@@ -295,13 +282,11 @@ class TransferSpaces:
     t: dict[tuple[int, int], Subspace]
 
 
-def transfer_spaces(
-    plan: RepairPlan, params: CodeParams, points: EvalPoints
-) -> TransferSpaces:
+def transfer_spaces(plan: RepairPlan, params: CodeParams) -> TransferSpaces:
     def span(*rows):
         return Subspace(params.field, params.block_size, rows)
 
-    row = partial(monomial_row, params, points)
+    row = partial(monomial_row, params)
     s = {
         (j, i): span(row(j, i), row(i, j)) for i in plan.failed for j in plan.helpers[i]
     }
@@ -481,17 +466,14 @@ def lemma1_results(
 
 def run_all_checks(
     params: CodeParams,
-    points: EvalPoints,
     plan: RepairPlan,
     node_spaces: Optional[dict[int, Subspace]] = None,
 ) -> list[CheckResult]:
     """All subspace checks for one code instance and repair plan, run on
     one set of node spaces (built unless given), one node-set memo and one
     TransferSpaces."""
-    W = node_spaces or {
-        i: node_space(i, params, points) for i in range(1, params.n + 1)
-    }
-    basis_of, ts = _node_bases(W), transfer_spaces(plan, params, points)
+    W = node_spaces or {i: node_space(i, params) for i in range(1, params.n + 1)}
+    basis_of, ts = _node_bases(W), transfer_spaces(plan, params)
     return [
         *check_property1(params, basis_of),
         *check_property2(plan, W, ts),

@@ -1,6 +1,3 @@
-import pytest
-
-from mbcr.codec import derive_points, validate_params
 from mbcr.gf import Field, smallest_prime_at_least
 
 
@@ -11,20 +8,6 @@ def parameter_grid(n_max):
             for r in range(1, n - d + 1):
                 for k in range(1, d + 1):
                     yield (n, k, d, r)
-
-
-@pytest.fixture
-def toy_code():
-    """(n=3, k=1, d=1, r=1) over GF(7): F = 1 + Y with data (1, 1)."""
-    params = validate_params(3, 1, 1, 1, Field.prime(7))
-    return params, derive_points(params)
-
-
-@pytest.fixture
-def fig_code():
-    """(n=5, k=2, d=3, r=2) over GF(7)."""
-    params = validate_params(5, 2, 3, 2, Field.prime(7))
-    return params, derive_points(params)
 
 
 def prime_for(n):
@@ -82,3 +65,9 @@ def reference_echelon(field, rows, pivot_width):
 
 def reference_rank(space):
     return reference_echelon(space.field, space.rows, space.width)[1]
+
+
+def reference_rref(space):
+    """The RREF basis rows of space's span, by reference_echelon."""
+    m, r = reference_echelon(space.field, space.rows, space.width)
+    return tuple(map(tuple, m[:r]))

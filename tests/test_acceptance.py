@@ -11,7 +11,7 @@ from itertools import combinations
 from conftest import parameter_grid, prime_for
 from mbcr import bounds
 from mbcr.cli import main
-from mbcr.codec import derive_points, encode, reconstruct, validate_params
+from mbcr.codec import encode, reconstruct, validate_params
 from mbcr.gf import Field
 from mbcr.repair import find_forwarding_witness, make_plan, run_repair
 from mbcr.subspace import node_space, rank, run_all_checks, space_sum
@@ -46,15 +46,14 @@ def test_criterion_2_reconstruction_exactness():
         for n, k, d, r in parameter_grid(7):
             for field in fields_for(n):
                 p = validate_params(n, k, d, r, field)
-                pts = derive_points(p)
                 subsets = list(combinations(range(n), k))
                 for _ in range(50):
                     data = tuple(
                         rng.randrange(field.order) for _ in range(p.block_size)
                     )
-                    shares = encode(data, p, pts)
+                    shares = encode(data, p)
                     for sub in subsets:
-                        got = reconstruct([shares[i] for i in sub], p, pts)
+                        got = reconstruct([shares[i] for i in sub], p)
                         assert got == data, (n, k, d, r, field, sub)
 
 
@@ -64,14 +63,13 @@ def test_criterion_3_repair_exactness_and_bandwidth():
         for n, k, d, r in parameter_grid(7):
             for field in fields_for(n):
                 p = validate_params(n, k, d, r, field)
-                pts = derive_points(p)
                 data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
-                shares = encode(data, p, pts)
+                shares = encode(data, p)
                 for failed in combinations(range(1, n + 1), r):
                     survivors = [s for s in shares if s.node_id not in failed]
                     for seed in range(5):
                         plan = make_plan(p, failed, seed=seed)
-                        regen, ledger = run_repair(survivors, plan, p, pts)
+                        regen, ledger = run_repair(survivors, plan, p)
                         for i in failed:
                             assert regen[i] == shares[i - 1], (n, k, d, r, failed)
                             assert ledger.total_for(i) == 2 * d + (r - 1)
@@ -91,11 +89,10 @@ def test_criterion_5_subspace_property_suite():
         rng = random.Random(102)
         for n, k, d, r in parameter_grid(6):
             p = validate_params(n, k, d, r, prime_for(n))
-            pts = derive_points(p)
             for _ in range(3):
                 failed = rng.sample(range(1, n + 1), r)
                 plan = make_plan(p, failed, seed=rng.randrange(10**6))
-                results = run_all_checks(p, pts, plan)
+                results = run_all_checks(p, plan)
                 bad = [c for c in results if not c.passed]
                 assert not bad, (n, k, d, r, bad[:3])
 
@@ -106,8 +103,7 @@ def test_criterion_6_repair_by_transfer_witness():
             if n <= d:
                 continue
             p = validate_params(n, k, d, r, prime_for(n))
-            pts = derive_points(p)
-            witness = find_forwarding_witness(p, pts)
+            witness = find_forwarding_witness(p)
             assert witness is not None, (n, k, d, r)
             from mbcr.codec import share_point_nodes
 
@@ -120,22 +116,21 @@ def test_criterion_6_repair_by_transfer_witness():
 def test_criterion_7_multi_stage_stability():
     with criterion(7, "20-stage fail-repair stability on (5,2,3,2)"):
         p = validate_params(5, 2, 3, 2, Field.gf256())
-        pts = derive_points(p)
         rng = random.Random(103)
         data = tuple(rng.randrange(256) for _ in range(p.block_size))
-        baseline = {s.node_id: s for s in encode(data, p, pts)}
+        baseline = {s.node_id: s for s in encode(data, p)}
         current = dict(baseline)
         cumulative = 0
         for _ in range(20):
             failed = rng.sample(range(1, 6), 2)
             plan = make_plan(p, failed, seed=rng.randrange(10**6))
             survivors = [current[i] for i in current if i not in plan.failed]
-            regen, ledger = run_repair(survivors, plan, p, pts)
+            regen, ledger = run_repair(survivors, plan, p)
             cumulative += ledger.total
             current.update(regen)
         assert current == baseline
         subset = rng.sample(sorted(current), p.k)
-        assert reconstruct([current[i] for i in subset], p, pts) == data
+        assert reconstruct([current[i] for i in subset], p) == data
         assert cumulative == 20 * 2 * p.repair_bandwidth
 
 
@@ -145,8 +140,7 @@ def test_criterion_8_underdetermination():
             if k == 1:
                 continue  # zero nodes trivially have rank 0 < B
             p = validate_params(n, k, d, r, prime_for(n))
-            pts = derive_points(p)
-            W = [node_space(i, p, pts) for i in range(1, n + 1)]
+            W = [node_space(i, p) for i in range(1, n + 1)]
             for subset in combinations(W, k - 1):
                 assert rank(space_sum(*subset)) < p.block_size, (n, k, d, r)
 

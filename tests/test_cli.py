@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mbcr.cli import main
-from mbcr.codec import derive_points, encode, validate_params
+from mbcr.codec import encode, validate_params
 from mbcr.errors import ShareFormatError
 from mbcr.gf import Field
 from mbcr.sharefile import (
@@ -130,8 +130,7 @@ class TestCli:
         data = random.Random(size).randbytes(size)
         out = self.encode(tmp_path, data)
         p = validate_params(5, 2, 3, 2, Field.gf256())
-        points = derive_points(p)
-        per_stripe = [encode(s, p, points) for s in file_to_stripes(data, p.block_size)]
+        per_stripe = [encode(s, p) for s in file_to_stripes(data, p.block_size)]
         for i in range(1, 6):
             sf = read_share_file(str(out / f"share_{i:03d}.mbcr"))
             assert sf.stripe_count == len(per_stripe)
@@ -231,7 +230,7 @@ class TestCli:
         self, tmp_path, capsys
     ):
         p = validate_params(5, 2, 3, 2, Field.prime(11))
-        shares = encode(tuple(i % 11 for i in range(p.block_size)), p, derive_points(p))
+        shares = encode(tuple(i % 11 for i in range(p.block_size)), p)
         paths = []
         for share in shares[:2]:
             payload = bytes(share.evals)
@@ -308,6 +307,24 @@ class TestCli:
         assert (rep / "share_001.mbcr").read_bytes() == (
             out / "share_001.mbcr"
         ).read_bytes()
+
+    def test_repair_draws_helpers_from_the_supplied_shares(self, tmp_path, capsys):
+        # Nodes 1-3 of (10,4,6,3) failed; shares 4-9 are d = 6 helpers, and
+        # no file is given for node 10.
+        data = random.Random(10).randbytes(2000)
+        out = self.encode(tmp_path, data, n=10, k=4, d=6, r=3)
+        shares = [str(out / f"share_{i:03d}.mbcr") for i in range(4, 10)]
+        for seed in range(3):
+            rep = tmp_path / f"repaired{seed}"
+            rc = main(["repair", *shares, "--failed", "1,2,3", "--seed", str(seed),
+                       "--out", str(rep)])
+            assert rc == 0
+            for i in (1, 2, 3):
+                name = f"share_{i:03d}.mbcr"
+                assert (rep / name).read_bytes() == (out / name).read_bytes()
+        rc = main(["repair", *shares[1:], "--failed", "1,2,3", "--out", str(rep)])
+        assert rc == 2
+        assert "need d = 6 survivors" in capsys.readouterr().err
 
     def test_repair_wrong_failed_count(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"abcdef")

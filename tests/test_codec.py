@@ -58,6 +58,7 @@ def test_derive_points_canonical():
     p = validate_params(3, 1, 1, 1, GF7)
     pts = derive_points(p)
     assert pts.x == pts.y == (1, 2, 3)
+    assert p.points == pts
     p = validate_params(5, 2, 3, 2, Field.gf256())
     pts = derive_points(p)
     assert pts.x == (1, 2, 3, 4, 5)
@@ -78,33 +79,30 @@ def test_shift_node_wraps_into_one_based_range():
 
 def test_encode_toy_example():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
-    shares = encode((1, 1), p, pts)
+    shares = encode((1, 1), p)
     assert [s.evals for s in shares] == [(2, 3), (3, 4), (4, 2)]
 
 
 def test_encode_zero_data():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    for s in encode((0,) * 12, p, pts):
+    for s in encode((0,) * 12, p):
         assert s.evals == (0,) * 7
 
 
 def test_encode_length_mismatch():
     p = validate_params(3, 1, 1, 1, GF7)
     with pytest.raises(CodecError):
-        encode((1, 1, 1), p, derive_points(p))
+        encode((1, 1, 1), p)
 
 
 def test_encode_rejects_a_symbol_outside_the_field():
     p = validate_params(3, 1, 1, 1, GF7)
     with pytest.raises(FieldMismatchError):
-        encode((1, 7), p, derive_points(p))
+        encode((1, 7), p)
 
 
 def test_first_eval_is_the_diagonal_point():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     for i in range(1, 6):
         assert share_point_nodes(i, p)[0] == (i, i)
         assert len(share_point_nodes(i, p)) == p.share_size
@@ -112,27 +110,25 @@ def test_first_eval_is_the_diagonal_point():
 
 def test_share_polys_toy():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
-    shares = encode((1, 1), p, pts)
-    f, g = share_polys(shares[0], p, pts)
+    shares = encode((1, 1), p)
+    f, g = share_polys(shares[0], p)
     assert f == (1, 1)  # 1 + Y
     assert g == (2,)  # constant F(x_1, y_1)
 
 
 def test_share_polys_zero_share():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    f, g = share_polys(Share(node_id=2, evals=(0,) * 7), p, pts)
+    f, g = share_polys(Share(node_id=2, evals=(0,) * 7), p)
     assert f == (0,) * 5 and g == (0,) * 3
 
 
 def test_share_polys_round_trip_reproduces_evals():
     rng = random.Random(8)
     p = validate_params(6, 2, 3, 2, Field.prime(7))
-    pts = derive_points(p)
+    pts = p.points
     data = tuple(rng.randrange(7) for _ in range(p.block_size))
-    for share in encode(data, p, pts):
-        f, g = share_polys(share, p, pts)
+    for share in encode(data, p):
+        f, g = share_polys(share, p)
         expect = [
             eval_poly(GF7, f, pts.y_of(shift_node(share.node_id, t, p.n)))
             for t in range(p.d + p.r)
@@ -142,7 +138,7 @@ def test_share_polys_round_trip_reproduces_evals():
             for s in range(1, p.d)
         ]
         assert tuple(expect) == share.evals
-        assert share_from_polys(share.node_id, f, g, p, pts) == share
+        assert share_from_polys(share.node_id, f, g, p) == share
 
 
 def test_encode_matches_the_direct_monomial_sum():
@@ -152,9 +148,9 @@ def test_encode_matches_the_direct_monomial_sum():
     for n, k, d, r in parameter_grid(5):
         for field in (prime_for(n), Field.gf256()):
             p = validate_params(n, k, d, r, field)
-            pts = derive_points(p)
+            pts = p.points
             data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
-            for share in encode(data, p, pts):
+            for share in encode(data, p):
                 for (xn, yn), v in zip(share_point_nodes(share.node_id, p), share.evals):
                     x, y = pts.x_of(xn), pts.y_of(yn)
                     expect = 0
@@ -168,61 +164,55 @@ def test_encode_matches_the_direct_monomial_sum():
 def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
     # x_of(0) would silently read x[-1], node n's point.
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     stray = Share(node_id=node_id, evals=shares[4].evals)
     with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
-        share_polys(stray, p, pts)
+        share_polys(stray, p)
     with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
-        reconstruct([stray, shares[1]], p, pts)
+        reconstruct([stray, shares[1]], p)
 
 
 def test_share_polys_rejects_wrong_length():
     p = validate_params(5, 2, 3, 2, GF7)
     with pytest.raises(CorruptShareError):
-        share_polys(Share(node_id=1, evals=(0,) * 6), p, derive_points(p))
+        share_polys(Share(node_id=1, evals=(0,) * 6), p)
 
 
 def test_reconstruct_toy_single_share():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
-    shares = encode((1, 1), p, pts)
-    assert reconstruct(shares[:1], p, pts) == (1, 1)
+    shares = encode((1, 1), p)
+    assert reconstruct(shares[:1], p) == (1, 1)
 
 
 def test_reconstruct_zero_shares():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     zeros = [Share(node_id=i, evals=(0,) * 7) for i in (2, 4)]
-    assert reconstruct(zeros, p, pts) == (0,) * 12
+    assert reconstruct(zeros, p) == (0,) * 12
 
 
 def test_reconstruct_input_errors():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     with pytest.raises(CodecError, match="exactly"):
-        reconstruct(shares[:3], p, pts)
+        reconstruct(shares[:3], p)
     with pytest.raises(CodecError, match="duplicate"):
-        reconstruct([shares[0], shares[0]], p, pts)
+        reconstruct([shares[0], shares[0]], p)
 
 
 def test_reconstruct_rejects_a_share_symbol_outside_the_field():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     bad = Share(node_id=1, evals=shares[0].evals[:-1] + (7,))
     with pytest.raises(FieldMismatchError):
-        reconstruct([bad, shares[2]], p, pts)
+        reconstruct([bad, shares[2]], p)
 
 
 def test_reconstruct_detects_corruption():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    shares = encode(tuple(i % 7 for i in range(1, 13)), p, pts)
+    shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     bad = Share(node_id=1, evals=shares[0].evals[:-1] + ((shares[0].evals[-1] + 1) % 7,))
     with pytest.raises(CorruptShareError):
-        reconstruct([bad, shares[2]], p, pts)
+        reconstruct([bad, shares[2]], p)
 
 
 def test_round_trip_random_sampled_grid():
@@ -233,21 +223,19 @@ def test_round_trip_random_sampled_grid():
         n, k, d, r = rng.choice(grid)
         field = prime_for(n) if rng.random() < 0.5 else Field.gf256()
         p = validate_params(n, k, d, r, field)
-        pts = derive_points(p)
         data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
-        shares = encode(data, p, pts)
+        shares = encode(data, p)
         subset = rng.sample(shares, k)
-        assert reconstruct(subset, p, pts) == data
+        assert reconstruct(subset, p) == data
 
 
 def test_every_k_subset_reconstructs_small_code():
     rng = random.Random(10)
     p = validate_params(6, 3, 4, 2, prime_for(6))
-    pts = derive_points(p)
     data = tuple(rng.randrange(7) for _ in range(p.block_size))
-    shares = encode(data, p, pts)
+    shares = encode(data, p)
     for subset in combinations(shares, p.k):
-        assert reconstruct(list(subset), p, pts) == data
+        assert reconstruct(list(subset), p) == data
 
 
 GF256 = Field.gf256()
@@ -260,33 +248,32 @@ def test_columns_encode_and_reconstruct_every_stripe_as_scalar_runs_do():
     for n, k, d, r in parameter_grid(5):
         for field, counts in ((prime_for(n), (1,)), (GF256, (1, 2, 7))):
             p = validate_params(n, k, d, r, field)
-            pts = derive_points(p)
             for count in counts:
                 blocks = [
                     tuple(rng.randrange(field.order) for _ in range(p.block_size))
                     for _ in range(count)
                 ]
-                shares = encode(to_columns(blocks), p, pts, count)
-                scalar = [encode(block, p, pts) for block in blocks]
+                shares = encode(to_columns(blocks), p, count)
+                scalar = [encode(block, p) for block in blocks]
                 for i, share in enumerate(shares):
                     expect = [stripe[i].evals for stripe in scalar]
                     assert from_columns(share.evals, count) == expect
                 subset = rng.sample(shares, k)
-                got = reconstruct(subset, p, pts, count)
+                got = reconstruct(subset, p, count)
                 assert from_columns(got, count) == blocks
-                check_shares(got, shares, [s.node_id for s in subset], p, pts, count)
+                check_shares(got, shares, [s.node_id for s in subset], p, count)
 
 
 def test_prime_field_data_does_not_pack_into_columns():
     p = validate_params(5, 2, 3, 2, GF7)
     with pytest.raises(FieldMismatchError, match="do not pack into columns"):
-        encode((1,) * p.block_size, p, derive_points(p), stripes=2)
+        encode((1,) * p.block_size, p, stripes=2)
 
 
 def test_encode_rejects_a_column_wider_than_its_stripes():
     p = validate_params(5, 2, 3, 2, GF256)
     with pytest.raises(FieldMismatchError, match="2-stripe column"):
-        encode((256**2,) + (0,) * (p.block_size - 1), p, derive_points(p), stripes=2)
+        encode((256**2,) + (0,) * (p.block_size - 1), p, stripes=2)
 
 
 def _flip(share, position, stripes, delta):
@@ -300,22 +287,21 @@ def _flip(share, position, stripes, delta):
 def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
     rng = random.Random(14)
     p = validate_params(5, 2, 3, 2, GF256)
-    pts = derive_points(p)
     blocks = [tuple(rng.randrange(256) for _ in range(p.block_size)) for _ in range(7)]
-    shares = encode(to_columns(blocks), p, pts, 7)
+    shares = encode(to_columns(blocks), p, 7)
     # Position 6 samples g_1 away from the diagonal. With exactly k shares
     # only some errors can be detected, so first check on one stripe that
     # this one is.
-    scalar = encode(blocks[0], p, pts)
+    scalar = encode(blocks[0], p)
     with pytest.raises(CorruptShareError, match="share 1 "):
-        reconstruct([_flip(scalar[0], 6, [0], 0x21), scalar[2]], p, pts)
+        reconstruct([_flip(scalar[0], 6, [0], 0x21), scalar[2]], p)
     bad = _flip(shares[0], 6, [3, 5], 0x21)
     with pytest.raises(CorruptShareError, match="share 1 .*first bad stripe: 3"):
-        reconstruct([bad, shares[2]], p, pts, 7)
+        reconstruct([bad, shares[2]], p, 7)
     # A share past the k decoded from is compared in full.
-    data = reconstruct(shares[1:3], p, pts, 7)
-    check_shares(data, shares, (2, 3), p, pts, 7)
+    data = reconstruct(shares[1:3], p, 7)
+    check_shares(data, shares, (2, 3), p, 7)
     bad = _flip(shares[3], 0, [6], 0x01)
     match = "share 4 .* decoded from shares 2, 3 .*first bad stripe: 6"
     with pytest.raises(CorruptShareError, match=match):
-        check_shares(data, [shares[0], bad], (2, 3), p, pts, 7)
+        check_shares(data, [shares[0], bad], (2, 3), p, 7)

@@ -21,7 +21,7 @@ def test_interpolate_two_points_against_vandermonde_oracle():
     pts = [(1, 2), (2, 3)]
     (x0, y0), (x1, y1) = pts
     det = GF7.sub(x1, x0)
-    c1 = GF7.div(GF7.sub(y1, y0), det)
+    c1 = GF7.mul(GF7.sub(y1, y0), GF7.inv(det))
     c0 = GF7.sub(y0, GF7.mul(c1, x0))
     assert (c0, c1) == (1, 1)
     assert interpolate(GF7, pts, 2) == (1, 1)

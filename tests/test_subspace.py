@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import parameter_grid, prime_for, reference_echelon, reference_rank
-from mbcr.codec import derive_points, validate_params
+from conftest import parameter_grid, prime_for, reference_rank, reference_rref
+from mbcr.codec import validate_params
 from mbcr.errors import MbcrError
 from mbcr.gf import Field
 from mbcr.repair import make_plan
@@ -19,12 +19,10 @@ from mbcr.subspace import (
     node_space,
     pair_intersection_dim,
     rank,
-    reduced_basis,
     run_all_checks,
     space_sum,
     spaces_equal,
     transfer_spaces,
-    zero_space,
 )
 
 GF5 = Field.prime(5)
@@ -73,7 +71,7 @@ def test_sum_properties():
     rng = random.Random(21)
     v = Subspace(GF7, 4, ((1, 2, 3, 4), (0, 1, 0, 1)))
     assert rank(space_sum(v, v)) == rank(v)
-    assert rank(space_sum(v, zero_space(GF7, 4))) == rank(v)
+    assert rank(space_sum(v, Subspace(GF7, 4, ()))) == rank(v)
     for _ in range(20):
         a = Subspace(GF5, 4, tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         b = Subspace(GF5, 4, tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
@@ -112,8 +110,7 @@ def test_is_direct_sum():
 
 def test_node_space_toy_rows():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
-    w1 = node_space(1, p, pts)
+    w1 = node_space(1, p)
     # columns: a00, b01; rows for points (x1,y1)=(1,1) and (x1,y2)=(1,2)
     assert w1.rows == ((1, 1), (1, 2))
     assert all(row[0] == 1 for row in w1.rows)
@@ -121,33 +118,30 @@ def test_node_space_toy_rows():
 
 def test_node_space_rank_is_share_size():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     for i in range(1, 6):
-        assert rank(node_space(i, p, pts)) == 7
+        assert rank(node_space(i, p)) == 7
 
 
 def test_pairwise_intersection_dim():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    w1, w2 = node_space(1, p, pts), node_space(2, p, pts)
+    w1, w2 = node_space(1, p), node_space(2, p)
     assert rank(intersect(w1, w2)) == 2
     # and it is spanned by exactly the two cross rows
     cross = Subspace(
-        GF7, p.block_size, (monomial_row(p, pts, 1, 2), monomial_row(p, pts, 2, 1))
+        GF7, p.block_size, (monomial_row(p, 1, 2), monomial_row(p, 2, 1))
     )
     assert spaces_equal(intersect(w1, w2), cross)
 
 
 def test_transfer_space_dims_and_property3():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    ts = transfer_spaces(plan, p, pts)
+    ts = transfer_spaces(plan, p)
     for sp in ts.s.values():
         assert rank(sp) == 2
     for sp in ts.t.values():
         assert rank(sp) == 1
-    W = {i: node_space(i, p, pts) for i in range(1, 6)}
+    W = {i: node_space(i, p) for i in range(1, 6)}
     for (j, i), sp in ts.s.items():
         assert spaces_equal(sp, intersect(W[i], W[j]))
 
@@ -156,40 +150,37 @@ def test_pairwise_intersection_dim_k1():
     # k = 1: B = alpha, each node alone spans the block, so any two node
     # spaces intersect in dimension alpha, not beta.
     p = validate_params(4, 1, 2, 2, GF5)
-    pts = derive_points(p)
     assert p.share_size == p.block_size == 5
     assert pair_intersection_dim(p) == 5
-    W = {i: node_space(i, p, pts) for i in range(1, 5)}
+    W = {i: node_space(i, p) for i in range(1, 5)}
     for i, j in combinations(range(1, 5), 2):
         assert rank(intersect(W[i], W[j])) == p.share_size
     plan = make_plan(p, {1, 2}, seed=0)
-    results = run_all_checks(p, pts, plan, W)
+    results = run_all_checks(p, plan, W)
     assert all(c.passed for c in checks_named(results, "property1"))
 
 
 def test_transfer_space_dims_and_property3_k1():
     p = validate_params(4, 1, 2, 2, GF5)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    ts = transfer_spaces(plan, p, pts)
+    ts = transfer_spaces(plan, p)
     for sp in ts.s.values():
         assert rank(sp) == 2
     for sp in ts.t.values():
         assert rank(sp) == 1
-    W = {i: node_space(i, p, pts) for i in range(1, 5)}
+    W = {i: node_space(i, p) for i in range(1, 5)}
     for (j, i), sp in ts.s.items():
         inter = intersect(W[i], W[j])
         # a proper subspace of the intersection, of codimension alpha - beta
         assert rank(space_sum(sp, inter)) == rank(inter) == rank(sp) + 3
-    results = run_all_checks(p, pts, plan, W)
+    results = run_all_checks(p, plan, W)
     assert all(c.passed for c in checks_named(results, "property3"))
 
 
 def test_pair_intersection_dim_matches_measured_rank():
     for n, k, d, r in parameter_grid(5):
         p = validate_params(n, k, d, r, prime_for(n))
-        pts = derive_points(p)
-        W = {i: node_space(i, p, pts) for i in range(1, n + 1)}
+        W = {i: node_space(i, p) for i in range(1, n + 1)}
         expect = 2 if k >= 2 else p.share_size
         assert pair_intersection_dim(p) == expect
         for i, j in combinations(range(1, n + 1), 2):
@@ -198,9 +189,8 @@ def test_pair_intersection_dim_matches_measured_rank():
 
 def test_check_suite_fig_params():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    results = run_all_checks(p, pts, plan)
+    results = run_all_checks(p, plan)
     assert all(c.passed for c in results)
     report = format_report(results)
     assert "CHECK property1_node_dim i=1 PASS" in report
@@ -208,9 +198,8 @@ def test_check_suite_fig_params():
 
 def test_check_suite_toy_params():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {2}, seed=0)
-    results = run_all_checks(p, pts, plan)
+    results = run_all_checks(p, plan)
     assert all(c.passed for c in results)
     # r = 1: no exchange checks apply
     assert not any(c.name == "property3_exchange_sum" for c in results)
@@ -218,21 +207,19 @@ def test_check_suite_toy_params():
 
 def test_corrupted_generator_fails_some_check():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    W = {i: node_space(i, p, pts) for i in range(1, 6)}
+    W = {i: node_space(i, p) for i in range(1, 6)}
     rows = [list(r) for r in W[1].rows]
     rows[0][0] = GF7.add(rows[0][0], 1)
     W[1] = Subspace(GF7, p.block_size, tuple(map(tuple, rows)))
-    results = run_all_checks(p, pts, plan, W)
+    results = run_all_checks(p, plan, W)
     assert any(not c.passed for c in results)
 
 
 def test_corrupted_generator_fails_some_check_k1():
     p = validate_params(4, 1, 2, 2, GF5)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    W = {i: node_space(i, p, pts) for i in range(1, 5)}
+    W = {i: node_space(i, p) for i in range(1, 5)}
     # The entry bump of test_corrupted_generator_fails_some_check keeps
     # W_1 at full rank alpha = B here, so its span, which is all any
     # subspace check sees, does not change.
@@ -243,7 +230,7 @@ def test_corrupted_generator_fails_some_check_k1():
     # Collapsing W_1 onto that row, as `mbcr verify --inject-fault` does,
     # is caught by the amended k = 1 checks.
     W[1] = Subspace(GF5, p.block_size, (tuple(rows[0]),) * len(rows))
-    failed = {c.name for c in run_all_checks(p, pts, plan, W) if not c.passed}
+    failed = {c.name for c in run_all_checks(p, plan, W) if not c.passed}
     assert {
         "property1_node_dim",
         "property1_pair_intersection",
@@ -254,14 +241,13 @@ def test_corrupted_generator_fails_some_check_k1():
 
 def test_lemma1_examples():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {1, 2}, seed=0)
-    results = run_all_checks(p, pts, plan)
+    results = run_all_checks(p, plan)
     lemma1 = {c.indices: c.passed for c in checks_named(results, "lemma1")}
     assert lemma1["I={},J={}"]
     assert lemma1["I={1,2},J={}"]
     # LHS for I = R, J = empty is dim(W1 + W2) = 12 <= 2*(3*2 + 0) = 12
-    W = space_sum(node_space(1, p, pts), node_space(2, p, pts))
+    W = space_sum(node_space(1, p), node_space(2, p))
     assert rank(W) == 12
 
 
@@ -269,10 +255,9 @@ def test_lemma1_exhaustive_small_grid():
     rng = random.Random(23)
     for n, k, d, r in parameter_grid(5):
         p = validate_params(n, k, d, r, prime_for(n))
-        pts = derive_points(p)
         failed = set(rng.sample(range(1, n + 1), r))
         plan = make_plan(p, failed, seed=rng.randrange(1000))
-        results = run_all_checks(p, pts, plan)
+        results = run_all_checks(p, plan)
         assert all(c.passed for c in checks_named(results, "lemma1"))
 
 
@@ -280,8 +265,7 @@ def test_reconstructability_iff_stacked_rank_full():
     # k nodes always give full rank; k-1 never do.
     for n, k, d, r in parameter_grid(5):
         p = validate_params(n, k, d, r, prime_for(n))
-        pts = derive_points(p)
-        W = {i: node_space(i, p, pts) for i in range(1, n + 1)}
+        W = {i: node_space(i, p) for i in range(1, n + 1)}
         for subset in combinations(range(1, n + 1), k):
             assert rank(space_sum(*[W[i] for i in subset])) == p.block_size
         if k > 1:
@@ -291,9 +275,8 @@ def test_reconstructability_iff_stacked_rank_full():
 
 def test_property_checks_individual_entry_points():
     p = validate_params(5, 2, 3, 2, GF7)
-    pts = derive_points(p)
     plan = make_plan(p, {3, 4}, seed=5)
-    results = run_all_checks(p, pts, plan)
+    results = run_all_checks(p, plan)
     assert all(c.passed for c in checks_named(results, "property1"))
     assert all(c.passed for c in checks_named(results, "property2"))
     assert all(c.passed for c in checks_named(results, "corollary1"))
@@ -349,12 +332,12 @@ def oracle_spaces(seed):
                 yield tuple(shapes)
 
 
-def test_rank_and_reduced_basis_match_the_reference():
+def test_rank_and_span_match_the_reference():
     for a, b in oracle_spaces(31):
         for space in (a, b, space_sum(a, b)):
-            m, r = reference_echelon(space.field, space.rows, space.width)
-            assert rank(space) == r
-            assert reduced_basis(space).rows == tuple(tuple(row) for row in m[:r])
+            rref = reference_rref(space)
+            assert rank(space) == len(rref)
+            assert spaces_equal(space, Subspace(space.field, space.width, rref))
 
 
 def test_intersect_matches_the_reference_as_a_span():
@@ -366,7 +349,7 @@ def test_intersect_matches_the_reference_as_a_span():
         assert reference_rank(got) == ra + rb - reference_rank(space_sum(a, b))
         assert reference_rank(space_sum(a, got)) == ra
         assert reference_rank(space_sum(b, got)) == rb
-        assert got.rows == reduced_basis(got).rows
+        assert got.rows == reference_rref(got)
 
 
 def test_containment_and_direct_sums_match_the_reference():
@@ -389,9 +372,8 @@ def test_containment_and_direct_sums_match_the_reference():
 @pytest.mark.parametrize("field", [GF7, Field.gf256()], ids=["GF7", "GF256"])
 def test_node_sum_ranks_match_the_rank_of_every_sum(field):
     p = validate_params(5, 2, 3, 2, field)
-    pts = derive_points(p)
     rng = random.Random(35)
-    W = {i: node_space(i, p, pts) for i in range(1, 6)}
+    W = {i: node_space(i, p) for i in range(1, 6)}
     # Node spaces of the code and random ones of mixed rank, so both the
     # shared full bases and the partial ones that get extended are met.
     spaces = {
@@ -444,10 +426,10 @@ def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
     # short lacks the generator of the last column, which stays free.
     full, short = stack(gens), stack(gens[:-1])
     for space in (full, short):
-        m, r = reference_echelon(field, space.rows, width)
-        assert rank(space) == r
-        assert reduced_basis(space).rows == tuple(tuple(row) for row in m[:r])
+        rref = reference_rref(space)
+        assert rank(space) == len(rref)
+        assert spaces_equal(space, Subspace(field, width, rref))
     assert reference_rank(full) == width
     assert reference_rank(short) == width - 1
-    assert intersect(short, full).rows == reduced_basis(short).rows
+    assert intersect(short, full).rows == reference_rref(short)
     assert contained_with_codim(short, full, 1)
