@@ -5,7 +5,9 @@ The max-flow necessary condition bounds the file size by
     B <= sum_h l_h * min{alpha, (d - sum_{t<h} l_t)*beta1 + (r - l_h)*beta2}
 
 minimized over all ordered compositions l_1 + ... + l_s = k with parts
-in [1, r]. All arithmetic is exact (Fraction); no floating point.
+in [1, r]. max_file_size takes that minimum by a recurrence; cutset_rhs
+of each of enumerate_compositions is its reference. All arithmetic is
+exact (Fraction); no floating point.
 """
 
 from __future__ import annotations
@@ -63,11 +65,31 @@ def cutset_rhs(
     return total
 
 
+def composition_count(k: int, r: int) -> int:
+    """How many compositions enumerate_compositions(k, r) yields."""
+    count = [1]  # count[c]: compositions of c with parts in [1, r]
+    for c in range(1, k + 1):
+        count.append(sum(count[c - l] for l in range(1, min(c, r) + 1)))
+    return count[k]
+
+
 def max_file_size(n: int, k: int, d: int, r: int, point: TradeoffPoint) -> Fraction:
-    """Tightest upper bound on the file size over all compositions."""
-    return min(
-        cutset_rhs(n, k, d, r, point, c) for c in enumerate_compositions(k, r)
-    )
+    """Tightest upper bound on the file size over all compositions.
+
+    A part's term depends only on the part and on the count c the parts
+    before it consumed, so the minimum is a recurrence over c: O(k*r)
+    terms, not 2^(k-1) compositions when r >= k.
+    """
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be positive")
+    alpha, b1, b2 = point.node_storage, point.phase1_per_helper, point.phase2_per_peer
+    best = [Fraction(0)]  # best[c]: least sum over the parts that consume c
+    for c in range(1, k + 1):
+        best.append(min(
+            best[c - l] + l * min(alpha, (d - c + l) * b1 + (r - l) * b2)
+            for l in range(1, min(c, r) + 1)
+        ))
+    return best[k]
 
 
 def mbcr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:

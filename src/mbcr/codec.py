@@ -138,20 +138,21 @@ class Share:
     evals: tuple[int, ...]
 
 
+def value_at(node_id: int, f, g, point: tuple[int, int], params: CodeParams) -> int:
+    """F at point = (x-node, y-node) from node node_id's (f, g): f at the
+    y-node when the x-node is node_id, otherwise g at the x-node."""
+    (xn, yn), field, points = point, params.field, params.points
+    if xn == node_id:
+        return eval_poly(field, f, points.y_of(yn))
+    return eval_poly(field, g, points.x_of(xn))
+
+
 def share_from_polys(
     node_id: int, f: Sequence[int], g: Sequence[int], params: CodeParams
 ) -> Share:
     """Sample f_i at the share's y-points and g_i at its x-points."""
-    field, points = params.field, params.points
-    return Share(
-        node_id=node_id,
-        evals=tuple(
-            eval_poly(field, f, points.y_of(yn))
-            if xn == node_id
-            else eval_poly(field, g, points.x_of(xn))
-            for xn, yn in share_point_nodes(node_id, params)
-        ),
-    )
+    pts = share_point_nodes(node_id, params)
+    return Share(node_id, tuple(value_at(node_id, f, g, pt, params) for pt in pts))
 
 
 def _node_share(F: BiPoly, node_id: int, params: CodeParams) -> Share:

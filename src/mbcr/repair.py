@@ -1,28 +1,30 @@
 """Two-phase exact cooperative regeneration with bandwidth accounting.
 
-Phase 1: each newcomer i downloads 2 symbols (f_j(y_i), g_j(x_i)) from
-each of its d helpers and interpolates g_i(X) from the first components.
-Phase 2: each newcomer j sends g_j(x_i) to every other newcomer i; the
-newcomer computes F(x_i, y_i) = g_i(x_i) itself (never downloaded, never
-counted). With d helper samples, r-1 peer samples, and its own value,
-the newcomer interpolates f_i(Y) and re-emits its original share exactly.
+Each transmitted symbol is a value of F at an (x-node, y-node) point,
+named once here (phase1_points, phase2_point; subspace.transfer_spaces
+and find_forwarding_witness read them too), and each sender evaluates it
+from its own (f, g) with codec.value_at. Phase 1: newcomer i gets
+F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j) from each of its d
+helpers j and interpolates g_i(X). Phase 2: newcomer j sends newcomer i
+F(x_i, y_j) = g_j(x_i). With its own F(x_i, y_i) = g_i(x_i) (computed,
+never received or counted), i interpolates f_i(Y) and re-emits its share.
 
-Messages are in-memory values; the ledger counts transmitted symbols
-per stripe. With stripes = S every share symbol is a GF(256) column of
-S stripes (see gf), so every message payload is a column too and one run
-repairs all S stripes of a file; messages keep the same shape and count.
-All phase-1 assemblies are independent, as are all phase-2 exchanges;
-sequential and concurrent schedules give identical results.
+The ledger counts the values sent per newcomer and phase, per stripe.
+With stripes = S each value is a GF(256) column of S stripes (see gf),
+so one run repairs all S stripes of a file with the same counts. The
+phase-1 assemblies are independent, as are the phase-2 exchanges.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .codec import CodeParams, Share, share_from_polys, share_point_nodes, share_polys
+from .codec import (
+    CodeParams, Share, share_from_polys, share_point_nodes, share_polys, value_at
+)
 from .errors import ProtocolError
 from .poly import eval_poly, interpolate
 
@@ -85,106 +87,35 @@ def make_plan(
     return RepairPlan(failed=failed_set, helpers=chosen)
 
 
-@dataclass(frozen=True)
-class Phase1Msg:
-    sender: int
-    receiver: int
-    payload: tuple[int, int]  # (f_sender(y_receiver), g_sender(x_receiver))
+def phase1_points(helper: int, newcomer: int) -> tuple[tuple[int, int], ...]:
+    """Helper to newcomer in phase 1: g_newcomer(x_helper), f_newcomer(y_helper)."""
+    return (helper, newcomer), (newcomer, helper)
 
 
-@dataclass(frozen=True)
-class Phase2Msg:
-    sender: int
-    receiver: int
-    payload: int  # g_sender(x_receiver) = F(x_receiver, y_sender)
+def phase2_point(sender: int, newcomer: int) -> tuple[int, int]:
+    """Newcomer sender to newcomer in phase 2: g_sender(x_newcomer)."""
+    return newcomer, sender
 
 
-@dataclass(frozen=True)
-class NewcomerState:
-    """What a newcomer knows after phase 1.
-
-    g is None until phase 1 is assembled; phase-2 sends require it.
-    f_samples maps helper id to F(x_self, y_helper).
-    """
-
-    node_id: int
-    helper_ids: tuple[int, ...]
-    g: Optional[tuple[int, ...]] = None
-    f_samples: dict[int, int] = dc_field(default_factory=dict)
+def phase1_assemble(newcomer: int, received: Mapping, params: CodeParams):
+    """g_i(X) from the received values, a point -> value map, on newcomer i's y-line."""
+    x_of = params.points.x_of
+    g_pts = [(x_of(xn), v) for (xn, yn), v in received.items() if yn == newcomer]
+    return interpolate(params.field, g_pts, params.d)
 
 
-def phase1_send(helper_share: Share, newcomer_id: int, params: CodeParams) -> Phase1Msg:
-    if helper_share.node_id == newcomer_id:
-        raise ProtocolError(f"node {newcomer_id} cannot help repair itself")
-    f, g = share_polys(helper_share, params)
-    return _phase1_from_polys(f, g, helper_share.node_id, newcomer_id, params)
+def phase2_send(sender: int, g: Sequence[int], newcomer: int, params: CodeParams):
+    # The sender knows only its g so far; phase2_point reads no f.
+    return value_at(sender, None, g, phase2_point(sender, newcomer), params)
 
 
-def _phase1_from_polys(f, g, helper_id, newcomer_id, params) -> Phase1Msg:
-    fld, points = params.field, params.points
-    payload = (
-        eval_poly(fld, f, points.y_of(newcomer_id)),
-        eval_poly(fld, g, points.x_of(newcomer_id)),
-    )
-    return Phase1Msg(sender=helper_id, receiver=newcomer_id, payload=payload)
-
-
-def phase1_assemble(msgs: Sequence[Phase1Msg], params: CodeParams) -> NewcomerState:
-    if len(msgs) != params.d:
-        raise ProtocolError(f"expected d = {params.d} phase-1 messages, got {len(msgs)}")
-    receivers = {m.receiver for m in msgs}
-    if len(receivers) != 1:
-        raise ProtocolError(f"phase-1 messages address multiple newcomers: {receivers}")
-    newcomer = msgs[0].receiver
-    senders = [m.sender for m in msgs]
-    if len(set(senders)) != params.d:
-        raise ProtocolError(f"duplicate helpers in phase-1 messages: {senders}")
-    g = interpolate(
-        params.field,
-        [(params.points.x_of(m.sender), m.payload[0]) for m in msgs],
-        params.d,
-    )
-    f_samples = {m.sender: m.payload[1] for m in msgs}
-    return NewcomerState(
-        node_id=newcomer, helper_ids=tuple(senders), g=g, f_samples=f_samples
-    )
-
-
-def phase2_send(state: NewcomerState, to_id: int, params: CodeParams) -> Phase2Msg:
-    if state.g is None:
-        raise ProtocolError(
-            f"newcomer {state.node_id} has not completed phase 1; cannot send phase 2"
-        )
-    if to_id == state.node_id:
-        raise ProtocolError("phase-2 message to self")
-    payload = eval_poly(params.field, state.g, params.points.x_of(to_id))
-    return Phase2Msg(sender=state.node_id, receiver=to_id, payload=payload)
-
-
-def regenerate(
-    state: NewcomerState, phase2_msgs: Sequence[Phase2Msg], params: CodeParams
-) -> Share:
-    i, r = state.node_id, params.r
-    fld, points = params.field, params.points
-    if state.g is None:
-        raise ProtocolError(f"newcomer {i} has not completed phase 1")
-    if len(phase2_msgs) != r - 1:
-        raise ProtocolError(
-            f"expected r-1 = {r - 1} phase-2 messages, got {len(phase2_msgs)}"
-        )
-    peers = {m.sender for m in phase2_msgs}
-    if len(peers) != r - 1 or i in peers:
-        raise ProtocolError(f"invalid phase-2 senders {sorted(peers)} for newcomer {i}")
-    if any(m.receiver != i for m in phase2_msgs):
-        raise ProtocolError("phase-2 message addressed to a different newcomer")
-
-    # Own value is computed locally, never downloaded.
-    own = eval_poly(fld, state.g, points.x_of(i))
-    f_pts = [(points.y_of(j), v) for j, v in state.f_samples.items()]
-    f_pts += [(points.y_of(m.sender), m.payload) for m in phase2_msgs]
-    f_pts.append((points.y_of(i), own))
-    f = interpolate(fld, f_pts, params.d + r)
-    return share_from_polys(i, f, state.g, params)
+def regenerate(newcomer: int, g: Sequence[int], received: Mapping, params: CodeParams):
+    """f_i(Y) from the received values on newcomer i's x-line and its own g_i(x_i)."""
+    i, fld, points = newcomer, params.field, params.points
+    f_pts = [(points.y_of(yn), v) for (xn, yn), v in received.items() if xn == i]
+    f_pts.append((points.y_of(i), eval_poly(fld, g, points.x_of(i))))
+    f = interpolate(fld, f_pts, params.d + params.r)
+    return share_from_polys(i, f, g, params)
 
 
 @dataclass(frozen=True)
@@ -224,28 +155,27 @@ def run_repair(
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
     helper_polys = {j: share_polys(by_id[j], params, stripes) for j in needed}
-    phase1_count: dict[int, int] = {}
-    states: dict[int, NewcomerState] = {}
-    for i in sorted(plan.failed):
-        msgs = [
-            _phase1_from_polys(*helper_polys[j], j, i, params) for j in plan.helpers[i]
-        ]
-        states[i] = phase1_assemble(msgs, params)
-        phase1_count[i] = sum(len(m.payload) for m in msgs)
+    newcomers = sorted(plan.failed)
+    received: dict[int, dict[tuple[int, int], int]] = {}
+    g: dict[int, tuple[int, ...]] = {}
+    for i in newcomers:
+        received[i] = {
+            pt: value_at(j, *helper_polys[j], pt, params)
+            for j in plan.helpers[i]
+            for pt in phase1_points(j, i)
+        }
+        g[i] = phase1_assemble(i, received[i], params)
+    phase1 = {i: len(received[i]) for i in newcomers}
 
     # Barrier: every phase-1 assembly completes before any exchange.
-    phase2_count = {i: 0 for i in plan.failed}
-    inbox: dict[int, list[Phase2Msg]] = {i: [] for i in plan.failed}
-    for j in sorted(plan.failed):
-        for i in sorted(plan.failed):
-            if i == j:
-                continue
-            msg = phase2_send(states[j], i, params)
-            inbox[i].append(msg)
-            phase2_count[i] += 1
+    for j in newcomers:
+        for i in newcomers:
+            if i != j:
+                received[i][phase2_point(j, i)] = phase2_send(j, g[j], i, params)
+    phase2 = {i: len(received[i]) - phase1[i] for i in newcomers}
 
-    regenerated = {i: regenerate(states[i], inbox[i], params) for i in plan.failed}
-    return regenerated, BandwidthLedger(phase1=phase1_count, phase2=phase2_count)
+    regenerated = {i: regenerate(i, g[i], received[i], params) for i in plan.failed}
+    return regenerated, BandwidthLedger(phase1=phase1, phase2=phase2)
 
 
 @dataclass(frozen=True)
@@ -266,8 +196,7 @@ def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
     """Search repair scenarios for a transmitted symbol the helper does not store.
 
     Enumerates failed sets, newcomers, and helpers; for each candidate the
-    phase-1 payload points (x_helper, y_newcomer) and (x_newcomer, y_helper)
-    are tested against the helper's stored point set.
+    helper's phase1_points are tested against its stored point set.
     """
     n, d, r = params.n, params.d, params.r
     for failed in combinations(range(1, n + 1), r):
@@ -276,18 +205,11 @@ def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
         for i in failed:
             for j in survivors:
                 stored = set(share_point_nodes(j, params))
-                for pt in ((j, i), (i, j)):
+                for pt in phase1_points(j, i):
                     if pt in stored:
                         continue
-                    helpers = {}
-                    for i2 in failed:
-                        if i2 == i:
-                            rest = [s for s in survivors if s != j]
-                            helpers[i2] = (j,) + tuple(rest[: d - 1])
-                        else:
-                            helpers[i2] = tuple(survivors[:d])
+                    own = (j,) + tuple(s for s in survivors if s != j)[: d - 1]
+                    helpers = {h: own if h == i else survivors[:d] for h in failed}
                     plan = make_plan(params, failed_set, helpers=helpers)
-                    return ForwardingWitness(
-                        plan=plan, helper=j, newcomer=i, point_nodes=pt
-                    )
+                    return ForwardingWitness(plan, helper=j, newcomer=i, point_nodes=pt)
     return None

@@ -162,9 +162,8 @@ def parse_share_file(data: bytes) -> ShareFile:
     )
 
 
-def write_share_file(path: str, sf: ShareFile) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    data = pack_share_file(sf)
+def atomic_write(path: str, data: bytes) -> None:
+    """Write a temp file in the target directory, then rename it onto path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mbcr-tmp-")
     try:
@@ -175,6 +174,10 @@ def write_share_file(path: str, sf: ShareFile) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_share_file(path: str, sf: ShareFile) -> None:
+    atomic_write(path, pack_share_file(sf))
 
 
 def read_share_file(path: str) -> ShareFile:

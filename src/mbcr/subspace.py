@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from struct import Struct, calcsize
 from typing import Callable, Iterable, Optional
@@ -54,7 +54,7 @@ from .codec import CodeParams, share_point_nodes
 from .errors import MbcrError
 from .gf import Field
 from .poly import coeff_cells
-from .repair import RepairPlan
+from .repair import RepairPlan, phase1_points, phase2_point
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,9 @@ def node_space(node_id: int, params: CodeParams) -> Subspace:
 class TransferSpaces:
     """Spans of the symbols moved under one repair plan.
 
-    s[(j, i)] is what helper j passes to newcomer i in phase 1;
-    t[(j, i)] is what newcomer j passes to newcomer i in phase 2.
+    s[(j, i)] is spanned by the rows of repair.phase1_points(j, i), what
+    helper j sends newcomer i in phase 1; t[(j, i)] by the row of
+    repair.phase2_point(j, i), what newcomer j sends newcomer i in phase 2.
     """
 
     s: dict[tuple[int, int], Subspace]
@@ -283,15 +284,13 @@ class TransferSpaces:
 
 
 def transfer_spaces(plan: RepairPlan, params: CodeParams) -> TransferSpaces:
-    def span(*rows):
+    def span(*points):
+        rows = tuple(monomial_row(params, *pt) for pt in points)
         return Subspace(params.field, params.block_size, rows)
 
-    row = partial(monomial_row, params)
-    s = {
-        (j, i): span(row(j, i), row(i, j)) for i in plan.failed for j in plan.helpers[i]
-    }
-    # Newcomer j sends g_j(x_i) = F(x_i, y_j).
-    t = {(j, i): span(row(i, j)) for i in plan.failed for j in plan.failed if j != i}
+    failed, helpers = plan.failed, plan.helpers
+    s = {(j, i): span(*phase1_points(j, i)) for i in failed for j in helpers[i]}
+    t = {(j, i): span(phase2_point(j, i)) for i in failed for j in failed if j != i}
     return TransferSpaces(s=s, t=t)
 
 

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +8,7 @@ import pytest
 from conftest import parameter_grid
 from mbcr.bounds import (
     TradeoffPoint,
+    composition_count,
     cutset_rhs,
     enumerate_compositions,
     max_file_size,
@@ -112,3 +115,35 @@ def test_tradeoff_point_is_exact_rational():
     pt = mbcr_point(5, 2, 3, 2, 5)
     assert isinstance(pt.phase2_per_peer, Fraction)
     assert pt.phase2_per_peer == Fraction(5, 12)
+
+
+def test_max_file_size_matches_the_enumeration_on_the_grid():
+    # The recurrence against the reference: min of cutset_rhs over every
+    # composition, at both operating points and at seeded random points.
+    rng = random.Random(17)
+
+    def random_point():
+        a, b1, b2 = (Fraction(rng.randrange(1, 40), rng.randrange(1, 6)) for _ in range(3))
+        return TradeoffPoint(a, b1, b2, file_size=Fraction(1))
+
+    for n, k, d, r in parameter_grid(8):
+        comps = list(enumerate_compositions(k, r))
+        assert composition_count(k, r) == len(comps)
+        B = k * (2 * d + r - k)
+        points = [mbcr_point(n, k, d, r, B), mscr_point(n, k, d, r, B)]
+        points += [random_point() for _ in range(3)]
+        for pt in points:
+            want = min(cutset_rhs(n, k, d, r, pt, c) for c in comps)
+            assert max_file_size(n, k, d, r, pt) == want, (n, k, d, r, pt)
+
+
+def test_bound_command_at_k20_is_fast(capsys):
+    # 2^19 compositions: enumerating them took minutes.
+    from mbcr.cli import main
+
+    start = time.perf_counter()
+    assert main(["bound", "-n", "42", "-k", "20", "-d", "20", "-r", "20"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "file size B = 800, 524288 compositions" in out
+    assert "bound met with equality: True" in out

@@ -4,20 +4,22 @@ from itertools import combinations
 import pytest
 
 from conftest import from_columns, parameter_grid, prime_for, to_columns
-from mbcr.codec import Share, encode, share_point_nodes, validate_params
+from mbcr import repair
+from mbcr.codec import Share, encode, share_point_nodes, share_polys, validate_params, value_at
 from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
+from mbcr.poly import BiPoly
 from mbcr.repair import (
-    NewcomerState,
-    Phase2Msg,
     find_forwarding_witness,
     make_plan,
     phase1_assemble,
-    phase1_send,
+    phase1_points,
+    phase2_point,
     phase2_send,
     regenerate,
     run_repair,
 )
+from mbcr.subspace import monomial_row, transfer_spaces
 
 GF7 = Field.prime(7)
 
@@ -65,92 +67,103 @@ def test_make_plan_errors():
         make_plan(p, {1, 2}, seed=0, survivors=(1, 3, 4))
 
 
+def phase1_values(share, newcomer, p):
+    """The values helper share.node_id sends newcomer in phase 1, as a
+    point -> value map."""
+    j = share.node_id
+    f, g = share_polys(share, p)
+    return {pt: value_at(j, f, g, pt, p) for pt in phase1_points(j, newcomer)}
+
+
 def test_phase1_send_toy():
     p = validate_params(3, 1, 1, 1, GF7)
     shares = encode((1, 1), p)
-    msg = phase1_send(shares[1], 1, p)
-    assert msg.payload == (2, 3)  # (F(2,1), F(1,2)) with F = 1 + Y
+    sent = phase1_values(shares[1], 1, p)
+    assert list(sent.values()) == [2, 3]  # (F(2,1), F(1,2)) with F = 1 + Y
 
 
 def test_phase1_send_zero_codeword():
     p, _, _ = make_code(5, 2, 3, 2, GF7)
     zero = encode((0,) * p.block_size, p)
-    msg = phase1_send(zero[2], 1, p)
-    assert msg.payload == (0, 0)
-
-
-def test_phase1_send_rejects_self():
-    p, _, shares = make_code(5, 2, 3, 2, GF7, seed=1)
-    with pytest.raises(ProtocolError, match="itself"):
-        phase1_send(shares[2], 3, p)
+    assert list(phase1_values(zero[2], 1, p).values()) == [0, 0]
 
 
 def test_phase1_payload_matches_ground_truth():
-    from mbcr.poly import BiPoly
-
     p, data, shares = make_code(5, 2, 3, 2, GF7, seed=2)
     F = BiPoly.from_coeffs(data, p.k, p.d, p.r)
+    x_of, y_of = p.points.x_of, p.points.y_of
     for helper in (3, 4, 5):
         for newcomer in (1, 2):
-            msg = phase1_send(shares[helper - 1], newcomer, p)
-            assert msg.payload[0] == F.eval(
-                GF7, p.points.x_of(helper), p.points.y_of(newcomer)
-            )
-            assert msg.payload[1] == F.eval(
-                GF7, p.points.x_of(newcomer), p.points.y_of(helper)
-            )
+            first, second = phase1_values(shares[helper - 1], newcomer, p).values()
+            assert first == F.eval(GF7, x_of(helper), y_of(newcomer))
+            assert second == F.eval(GF7, x_of(newcomer), y_of(helper))
 
 
 def test_phase1_assemble_recovers_g():
-    from mbcr.poly import eval_poly
-
     p, data, shares = make_code(5, 2, 3, 2, GF7, seed=3)
-    msgs = [phase1_send(shares[j - 1], 1, p) for j in (3, 4, 5)]
-    state = phase1_assemble(msgs, p)
-    assert state.node_id == 1
-    for m in msgs:
-        assert eval_poly(GF7, state.g, p.points.x_of(m.sender)) == m.payload[0]
-
-
-def test_phase1_assemble_errors():
-    p, _, shares = make_code(5, 2, 3, 2, GF7, seed=4)
-    msgs = [phase1_send(shares[j - 1], 1, p) for j in (3, 4, 5)]
-    with pytest.raises(ProtocolError, match="expected d"):
-        phase1_assemble(msgs[:2], p)
-    with pytest.raises(ProtocolError, match="duplicate helpers"):
-        phase1_assemble([msgs[0], msgs[0], msgs[1]], p)
-    other = phase1_send(shares[2], 2, p)
-    with pytest.raises(ProtocolError, match="multiple newcomers"):
-        phase1_assemble([msgs[0], msgs[1], other], p)
-
-
-def test_phase2_before_phase1_errors():
-    p, _, _ = make_code(5, 2, 3, 2, GF7)
-    incomplete = NewcomerState(node_id=1, helper_ids=(3, 4, 5))
-    with pytest.raises(ProtocolError, match="phase 1"):
-        phase2_send(incomplete, 2, p)
-    with pytest.raises(ProtocolError, match="phase 1"):
-        regenerate(incomplete, [Phase2Msg(2, 1, 0)], p)
+    F = BiPoly.from_coeffs(data, p.k, p.d, p.r)
+    received = {}
+    for j in (3, 4, 5):
+        received.update(phase1_values(shares[j - 1], 1, p))
+    g = phase1_assemble(1, received, p)
+    assert g == F.g_at(GF7, p.points.y_of(1))
 
 
 def test_phase2_payload_is_cross_evaluation():
-    from mbcr.poly import BiPoly
-
     p, data, shares = make_code(5, 2, 3, 2, GF7, seed=5)
     F = BiPoly.from_coeffs(data, p.k, p.d, p.r)
-    msgs = [phase1_send(shares[j - 1], 2, p) for j in (3, 4, 5)]
-    state = phase1_assemble(msgs, p)
-    msg = phase2_send(state, 1, p)
-    assert msg.payload == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
+    received = {}
+    for j in (3, 4, 5):
+        received.update(phase1_values(shares[j - 1], 2, p))
+    g = phase1_assemble(2, received, p)
+    assert phase2_send(2, g, 1, p) == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
 
 
 def test_regenerate_toy():
     p = validate_params(3, 1, 1, 1, GF7)
     shares = encode((1, 1), p)
-    msgs = [phase1_send(shares[1], 1, p)]
-    state = phase1_assemble(msgs, p)
-    # r = 1: no phase-2 messages at all.
-    assert regenerate(state, [], p) == shares[0]
+    received = phase1_values(shares[1], 1, p)
+    g = phase1_assemble(1, received, p)
+    # r = 1: no phase-2 values at all.
+    assert regenerate(1, g, received, p) == shares[0]
+
+
+def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
+    # Every value run_repair transmits is F at phase1_points or
+    # phase2_point, and the rows of transfer_spaces are monomial_row at
+    # exactly those points.
+    rng = random.Random(16)
+    received = {}
+
+    def spy(newcomer, g, values, params):
+        received[newcomer] = dict(values)
+        return regenerate(newcomer, g, values, params)
+
+    monkeypatch.setattr(repair, "regenerate", spy)
+    for n, k, d, r in parameter_grid(5):
+        p, data, shares = make_code(n, k, d, r, seed=rng.randrange(1000))
+        F = BiPoly.from_coeffs(data, k, d, r)
+        failed = set(rng.sample(range(1, n + 1), r))
+        plan = make_plan(p, failed, seed=rng.randrange(1000))
+        received.clear()
+        regen, ledger = run_repair(
+            [s for s in shares if s.node_id not in failed], plan, p
+        )
+        ts = transfer_spaces(plan, p)
+        for i in failed:
+            assert regen[i] == shares[i - 1]
+            phase1 = {(j, i): phase1_points(j, i) for j in plan.helpers[i]}
+            phase2 = {(j, i): (phase2_point(j, i),) for j in failed if j != i}
+            sent = [pt for pts in (*phase1.values(), *phase2.values()) for pt in pts]
+            assert sorted(received[i]) == sorted(sent)
+            for (xn, yn), v in received[i].items():
+                assert v == F.eval(p.field, p.points.x_of(xn), p.points.y_of(yn))
+            assert ledger.phase1[i] == 2 * d and ledger.phase2[i] == r - 1
+            for spaces, points in ((ts.s, phase1), (ts.t, phase2)):
+                for key, pts in points.items():
+                    assert spaces[key].rows == tuple(monomial_row(p, *pt) for pt in pts)
+        assert set(ts.s) == {(j, i) for i in failed for j in plan.helpers[i]}
+        assert set(ts.t) == {(j, i) for i in failed for j in failed if j != i}
 
 
 def test_run_repair_fig_example():
