@@ -15,8 +15,8 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cache, lru_cache
+from typing import Sequence
 
 from .errors import InterpolationError
 from .gf import Field
@@ -37,7 +37,8 @@ def lagrange_basis(field: Field, xs: tuple[int, ...]) -> tuple[tuple[int, ...], 
 
     Row t is the ascending-degree coefficients of the polynomial that is
     1 at xs[t] and 0 at the other points. Cached: the protocol
-    interpolates at the same point sets over and over.
+    interpolates at the same point sets over and over (interpolate asks
+    in ascending x, whatever the order of its points).
     """
     m = len(xs)
     # master(X) = prod (X - x_t), ascending coefficients, length m+1
@@ -75,6 +76,7 @@ def interpolate(
         raise InterpolationError(
             f"expected exactly {degree_bound} points, got {len(points)}"
         )
+    points = sorted(points, key=lambda p: p[0])
     xs = tuple(p[0] for p in points)
     if len(set(xs)) != len(xs):
         raise InterpolationError("duplicate x-coordinates")
@@ -90,20 +92,24 @@ def interpolate(
     return tuple(result)
 
 
-def coeff_cells(k: int, d: int, r: int) -> Iterator[tuple[int, int]]:
+@cache
+def coeff_cells(k: int, d: int, r: int) -> tuple[tuple[int, int], ...]:
     """(X-exponent, Y-exponent) pairs in the canonical flat order.
 
     i < d, j < d+r, no cell with both i, j >= k: k(2d+r-k) cells.
     """
-    for i in range(k):
-        for j in range(k):
-            yield (i, j)
-    for i in range(k):
-        for j in range(k, d + r):
-            yield (i, j)
-    for i in range(k, d):
-        for j in range(k):
-            yield (i, j)
+    return (
+        *((i, j) for i in range(k) for j in range(k)),
+        *((i, j) for i in range(k) for j in range(k, d + r)),
+        *((i, j) for i in range(k, d) for j in range(k)),
+    )
+
+
+@lru_cache(maxsize=4096)
+def powers(field: Field, x: int, count: int) -> tuple[int, ...]:
+    """x^0, ..., x^(count-1). Cached: the code raises its n evaluation
+    points to the same few powers over and over."""
+    return tuple(field.pow(x, i) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class BiPoly:
     def f_at(self, field: Field, x: int) -> tuple[int, ...]:
         """Ascending Y-coefficients of F(x, Y), degree < d+r."""
         add, scale = field.add, field.scale
-        xpow = [field.pow(x, i) for i in range(self.d)]
+        xpow = powers(field, x, self.d)
         out = [0] * (self.d + self.r)
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[j] = add(out[j], scale(c, xpow[i]))
@@ -138,7 +144,7 @@ class BiPoly:
     def g_at(self, field: Field, y: int) -> tuple[int, ...]:
         """Ascending X-coefficients of F(X, y), degree < d."""
         add, scale = field.add, field.scale
-        ypow = [field.pow(y, j) for j in range(self.d + self.r)]
+        ypow = powers(field, y, self.d + self.r)
         out = [0] * self.d
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[i] = add(out[i], scale(c, ypow[j]))

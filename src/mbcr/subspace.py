@@ -18,20 +18,17 @@ v += (q - f) * row with no per-slot reduction: a slot is the narrowest
 struct integer (B, H, I or Q) holding (q-1) + width*(q-1)^2, the most a
 slot reaches from reduced entries in width operations, and each reduced
 row gets one % q pass. Pivot rows stay unnormalized, each kept with its
-pivot's inverse. rank is the basis length, and containment reduces one
-space's rows against the other's basis. intersect is Zassenhaus's
+pivot's inverse. rank is the basis length. intersect is Zassenhaus's
 algorithm on the same kernel: eliminate the rows [a | a] and [b | 0];
 the echelon rows whose pivot falls in the right half span a cap b.
 
 run_all_checks is the one entry point to the checks. It builds the node
-spaces, one node-set memo (_node_bases) and one TransferSpaces, and each
-check takes only what it reads of them.
-
-The checks avoid intersecting at all. The sum of a set of node spaces is
-kept as one basis per node set, each extending the basis of its longest
-prefix, and an intersection is sized by the modular law
-dim(A cap B) = dim A + dim B - dim(A + B); S lies in W_i cap W_j iff it
-lies in W_i and in W_j.
+spaces, the transfer spaces and one memo over both, dim(labels): the
+dimension of the sum of the labelled spaces (_dims). Every check
+compares such dimensions: X lies in W iff dim(W + X) = dim W; a sum is
+direct iff its dimension is the sum of its parts'; spans are equal iff
+each contains the other; and an intersection is sized by the modular
+law dim(A cap B) = dim A + dim B - dim(A + B).
 
 Two node spaces intersect in pair_intersection_dim = 2*alpha -
 min(B, 2*alpha - beta) dimensions. For k >= 2 this is beta, and the
@@ -48,12 +45,12 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from struct import Struct, calcsize
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from .codec import CodeParams, share_point_nodes
 from .errors import MbcrError
 from .gf import Field
-from .poly import coeff_cells
+from .poly import coeff_cells, powers
 from .repair import RepairPlan, phase1_points, phase2_point
 
 
@@ -81,10 +78,10 @@ class _Packing:
     at most (q-1)^2 per slot in each of at most width row operations
     before its next % q pass; GF(256) rows add by XOR and stay bytes.
 
-    pack(row) packs reduced entries; entries(v, c) is the tuple of the
-    reduced entries of c * v; reduce(v, rows) clears v at the pivot of
-    each echelon row (c, row, inv) in turn with one row operation, then
-    reduces every slot mod q, so the result is 0 iff v lies in their span.
+    pack(row) packs reduced entries; reduce(v, rows) clears v at the
+    pivot of each echelon row (c, row, inv) in turn with one row
+    operation, then reduces every slot mod q, so the result is 0 iff v
+    lies in their span.
     """
 
     def __init__(self, field: Field, width: int):
@@ -98,9 +95,6 @@ class _Packing:
         def pack(row):
             return int.from_bytes(layout.pack(*row), "little")
 
-        def slots(v):
-            return layout.unpack(v.to_bytes(layout.size, "little"))
-
         if field.kind == "prime":
 
             def reduce(v, rows):
@@ -108,7 +102,8 @@ class _Packing:
                     f = (v >> c * bits & mask) * inv % q
                     if f:
                         v += (q - f) * row
-                return pack([e % q for e in slots(v)])
+                slots = layout.unpack(v.to_bytes(layout.size, "little"))
+                return pack([e % q for e in slots])
 
         else:
 
@@ -120,15 +115,14 @@ class _Packing:
                 return v
 
         self.pack, self.reduce = pack, reduce
-        self.entries = lambda v, c: tuple(mul(e, c) for e in slots(v))
 
 
 class _Basis:
     """Row-echelon basis of a subspace of GF(q)^width, grown row by row.
 
     rows holds (pivot column, packed row, inverse of the pivot entry) by
-    increasing pivot; a row is reduced but not normalized. Methods take
-    rows packed by self.packing.
+    increasing pivot; a row is reduced, so zero before its pivot, but not
+    normalized. Methods take rows packed by self.packing.
     """
 
     __slots__ = ("field", "width", "packing", "rows")
@@ -150,9 +144,6 @@ class _Basis:
         other.rows = self.rows[:]
         return other
 
-    def contains(self, v: int) -> bool:
-        return self.full or not self.packing.reduce(v, self.rows)
-
     def add(self, v: int) -> bool:
         """Absorb v; return whether it was independent of the basis."""
         p = self.packing
@@ -172,24 +163,6 @@ class _Basis:
             self.add(v)
         return self
 
-    def reduced_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The RREF rows of the span: each row reduced against the rows
-        after it, then scaled by its pivot's inverse."""
-        p, rows = self.packing, self.rows
-        return tuple(
-            p.entries(p.reduce(v, rows[t + 1 :]), inv)
-            for t, (_, v, inv) in enumerate(rows)
-        )
-
-
-# basis_of(nodes) of _node_bases: the basis of a sum of node spaces.
-_BasisOf = Callable[[Iterable[int]], _Basis]
-
-
-def _span_basis(space: Subspace) -> _Basis:
-    basis = _Basis(space.field, space.width)
-    return basis.extend(map(basis.packing.pack, space.rows))
-
 
 def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
     if a.width != b.width or a.field != b.field:
@@ -197,7 +170,8 @@ def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
 
 
 def rank(space: Subspace) -> int:
-    return len(_span_basis(space))
+    basis = _Basis(space.field, space.width)
+    return len(basis.extend(map(basis.packing.pack, space.rows)))
 
 
 def space_sum(*spaces: Subspace) -> Subspace:
@@ -211,56 +185,35 @@ def space_sum(*spaces: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """RREF basis of a cap b, by Zassenhaus's algorithm.
+    """A basis of a cap b, by Zassenhaus's algorithm.
 
     A combination of the rows [a_s | a_s] and [b_t | 0] with left half
     zero has sum(lam_s a_s) = -sum(mu_t b_t) as its right half, a vector
     of a cap b, and every such vector arises. In an echelon basis of the
-    stack, the rows whose pivot lies in the right half span exactly the
-    vectors with left half zero.
+    stack, the rows whose pivot lies in the right half are zero on the
+    left and span exactly those vectors; their right halves are returned.
     """
     _check_ambient(a, b, "intersection")
     field, width = a.field, a.width
     stacked = _Basis(field, 2 * width)
-    pack, zeros = stacked.packing.pack, (0,) * width
-    stacked.extend(pack(tuple(row) + zeros) for row in b.rows)
-    stacked.extend(pack(tuple(row) * 2) for row in a.rows)
-    # The RREF rows with pivot in the right half, cut to it, are in RREF.
-    right = zip(stacked.rows, stacked.reduced_rows())
-    rows = tuple(row[width:] for (c, _, _), row in right if c >= width)
+    p, zeros = stacked.packing, (0,) * width
+    stacked.extend(p.pack(tuple(row) + zeros) for row in b.rows)
+    stacked.extend(p.pack(tuple(row) * 2) for row in a.rows)
+    rows = tuple(
+        tuple(v >> t * p.bits & p.mask for t in range(width, 2 * width))
+        for c, v, _ in stacked.rows
+        if c >= width
+    )
     return Subspace(field, width, rows)
-
-
-def is_direct_sum(parts: Iterable[Subspace]) -> bool:
-    parts = list(parts)
-    if not parts:
-        return True
-    return rank(space_sum(*parts)) == sum(rank(p) for p in parts)
-
-
-def spaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality as spans (mutual containment), not generator equality."""
-    return contained_with_codim(a, b, 0)
-
-
-def contained_with_codim(a: Subspace, b: Subspace, codim: int) -> bool:
-    """a is a subspace of b and dim b - dim a == codim."""
-    _check_ambient(a, b, "containment")
-    basis = _span_basis(b)
-    rows = map(basis.packing.pack, a.rows)
-    return len(basis) - rank(a) == codim and all(map(basis.contains, rows))
 
 
 def monomial_row(params: CodeParams, x_node: int, y_node: int) -> tuple[int, ...]:
     """Generator row of the evaluation at (x of x_node, y of y_node)."""
-    field = params.field
-    x, y = params.points.x_of(x_node), params.points.y_of(y_node)
-    xpow = [field.pow(x, i) for i in range(params.d)]
-    ypow = [field.pow(y, j) for j in range(params.d + params.r)]
-    return tuple(
-        field.mul(xpow[i], ypow[j])
-        for i, j in coeff_cells(params.k, params.d, params.r)
-    )
+    field, d = params.field, params.d
+    xpow = powers(field, params.points.x_of(x_node), d)
+    ypow = powers(field, params.points.y_of(y_node), d + params.r)
+    mul = field.mul
+    return tuple(mul(xpow[i], ypow[j]) for i, j in coeff_cells(params.k, d, params.r))
 
 
 def node_space(node_id: int, params: CodeParams) -> Subspace:
@@ -270,28 +223,26 @@ def node_space(node_id: int, params: CodeParams) -> Subspace:
     return Subspace(params.field, params.block_size, rows)
 
 
-@dataclass(frozen=True)
-class TransferSpaces:
-    """Spans of the symbols moved under one repair plan.
-
-    s[(j, i)] is spanned by the rows of repair.phase1_points(j, i), what
-    helper j sends newcomer i in phase 1; t[(j, i)] by the row of
-    repair.phase2_point(j, i), what newcomer j sends newcomer i in phase 2.
-    """
-
-    s: dict[tuple[int, int], Subspace]
-    t: dict[tuple[int, int], Subspace]
+def _transfer_labels(plan: RepairPlan) -> list[tuple[str, int, int]]:
+    """Labels of the spaces moved under a plan, sorted: ("s", j, i) for
+    what helper j sends newcomer i in phase 1, then ("t", j, i) for what
+    newcomer j sends newcomer i in phase 2."""
+    failed, helpers = plan.failed, plan.helpers
+    s = [("s", j, i) for i in failed for j in helpers[i]]
+    return sorted(s + [("t", j, i) for i in failed for j in failed if j != i])
 
 
-def transfer_spaces(plan: RepairPlan, params: CodeParams) -> TransferSpaces:
-    def span(*points):
+def transfer_spaces(plan: RepairPlan, params: CodeParams) -> dict[tuple, Subspace]:
+    """The span of the symbols moved under one repair plan, by label:
+    ("s", j, i) is spanned by the rows of repair.phase1_points(j, i),
+    ("t", j, i) by the row of repair.phase2_point(j, i)."""
+
+    def span(kind, j, i):
+        points = phase1_points(j, i) if kind == "s" else [phase2_point(j, i)]
         rows = tuple(monomial_row(params, *pt) for pt in points)
         return Subspace(params.field, params.block_size, rows)
 
-    failed, helpers = plan.failed, plan.helpers
-    s = {(j, i): span(*phase1_points(j, i)) for i in failed for j in helpers[i]}
-    t = {(j, i): span(phase2_point(j, i)) for i in failed for j in failed if j != i}
-    return TransferSpaces(s=s, t=t)
+    return {label: span(*label) for label in _transfer_labels(plan)}
 
 
 @dataclass(frozen=True)
@@ -321,51 +272,57 @@ def pair_intersection_dim(params: CodeParams) -> int:
     return 2 * alpha - min(params.block_size, 2 * alpha - params.helper_symbols)
 
 
-def check_property1(params: CodeParams, basis_of: _BasisOf) -> list[CheckResult]:
+# dim(labels) of _dims: the dimension of the sum of the labelled spaces.
+_Dim = Callable[[tuple], int]
+
+
+def _cap_dim(dim: _Dim, i: int, j: int) -> int:
+    """dim(W_i cap W_j) = dim W_i + dim W_j - dim(W_i + W_j)."""
+    return dim((i,)) + dim((j,)) - dim((min(i, j), max(i, j)))
+
+
+def check_property1(params: CodeParams, dim: _Dim) -> list[CheckResult]:
     """dim W_i = share_size for all i; pairwise intersections have
     dim pair_intersection_dim (beta = 2 when k >= 2, alpha when k = 1)."""
-    dim = {i: len(basis_of((i,))) for i in range(1, params.n + 1)}
+    nodes = range(1, params.n + 1)
     out = [
-        CheckResult("property1_node_dim", f"i={i}", dim[i] == params.share_size)
-        for i in dim
+        CheckResult("property1_node_dim", f"i={i}", dim((i,)) == params.share_size)
+        for i in nodes
     ]
     pair_dim = pair_intersection_dim(params)
-    for i, j in combinations(dim, 2):
-        # Modular law: dim(W_i cap W_j) = dim W_i + dim W_j - dim(W_i + W_j).
-        ok = dim[i] + dim[j] - len(basis_of((i, j))) == pair_dim
+    for i, j in combinations(nodes, 2):
+        ok = _cap_dim(dim, i, j) == pair_dim
         out.append(CheckResult("property1_pair_intersection", f"i={i},j={j}", ok))
     return out
 
 
-def check_property2(
-    plan: RepairPlan, W: dict[int, Subspace], ts: TransferSpaces
-) -> list[CheckResult]:
+def check_property2(plan: RepairPlan, dim: _Dim) -> list[CheckResult]:
     """Each newcomer's space is the direct sum of what it receives."""
     out = []
-    for i in sorted(plan.failed):
-        parts = [ts.s[(j, i)] for j in plan.helpers[i]]
-        parts += [ts.t[(j, i)] for j in sorted(plan.failed) if j != i]
-        ok = is_direct_sum(parts) and spaces_equal(space_sum(*parts), W[i])
+    failed = sorted(plan.failed)
+    for i in failed:
+        parts = tuple(("s", j, i) for j in plan.helpers[i])
+        parts += tuple(("t", j, i) for j in failed if j != i)
+        # A direct sum, and W_i and the sum each contain the other.
+        sizes = sum(dim((x,)) for x in parts)
+        ok = sizes == dim(parts) == dim((i,)) == dim((i, *parts))
         out.append(CheckResult("property2_direct_sum", f"i={i}", ok))
     return out
 
 
-def check_corollary1(params: CodeParams, ts: TransferSpaces) -> list[CheckResult]:
+def check_corollary1(
+    params: CodeParams, plan: RepairPlan, dim: _Dim
+) -> list[CheckResult]:
+    names = {"s": "corollary1_dim_helper_transfer", "t": "corollary1_dim_exchange"}
+    symbols = {"s": params.helper_symbols, "t": params.exchange_symbols}
     return [
-        CheckResult(name, f"j={j},i={i}", rank(sp) == dim)
-        for name, spaces, dim in (
-            ("corollary1_dim_helper_transfer", ts.s, params.helper_symbols),
-            ("corollary1_dim_exchange", ts.t, params.exchange_symbols),
-        )
-        for (j, i), sp in sorted(spaces.items())
+        CheckResult(names[kind], f"j={j},i={i}", dim(((kind, j, i),)) == symbols[kind])
+        for kind, j, i in _transfer_labels(plan)
     ]
 
 
 def check_property3(
-    plan: RepairPlan,
-    params: CodeParams,
-    basis_of: _BasisOf,
-    ts: TransferSpaces,
+    plan: RepairPlan, params: CodeParams, dim: _Dim
 ) -> list[CheckResult]:
     """Helper transfer S_{j,i} and the exchange sum T_{i,i'} (+) T_{i',i}
     lie in the pairwise intersection with codimension
@@ -377,71 +334,69 @@ def check_property3(
     """
     codim = pair_intersection_dim(params) - params.helper_symbols
 
-    def in_intersection(sp: Subspace, i: int, j: int) -> bool:
-        """contained_with_codim(sp, W_i cap W_j, codim), with the
-        intersection sized by the modular law and never formed."""
-        wi, wj = basis_of((i,)), basis_of((j,))
-        dim = len(wi) + len(wj) - len(basis_of((i, j)))
-        rows = map(wi.packing.pack, sp.rows)
-        return dim - rank(sp) == codim and all(
-            wi.contains(v) and wj.contains(v) for v in rows
+    def in_intersection(x: tuple, i: int, j: int) -> bool:
+        """The sum of the spaces x lies in W_i and in W_j, with
+        codimension codim in their intersection."""
+        return (
+            _cap_dim(dim, i, j) - dim(x) == codim
+            and dim((i, *x)) == dim((i,))
+            and dim((j, *x)) == dim((j,))
         )
 
     name = "property3_helper_eq_intersection"
     out = [
-        CheckResult(name, f"j={j},i={i}", in_intersection(sp, i, j))
-        for (j, i), sp in sorted(ts.s.items())
+        CheckResult(name, f"j={j},i={i}", in_intersection((("s", j, i),), i, j))
+        for kind, j, i in _transfer_labels(plan)
+        if kind == "s"
     ]
     for i, i2 in combinations(sorted(plan.failed), 2):
-        pair = [ts.t[(i, i2)], ts.t[(i2, i)]]
-        ok = is_direct_sum(pair) and in_intersection(space_sum(*pair), i, i2)
+        pair = (("t", i, i2), ("t", i2, i))
+        ok = dim(pair) == dim(pair[:1]) + dim(pair[1:]) and in_intersection(pair, i, i2)
         out.append(CheckResult("property3_exchange_sum", f"i={i},i'={i2}", ok))
     return out
 
 
-def _node_bases(spaces: dict[int, Subspace]) -> _BasisOf:
-    """basis_of(nodes): the echelon basis of the sum of a set of node
-    spaces, memoized by sorted node tuple; no nodes give the zero space.
+def _dims(spaces: dict[Hashable, Subspace]) -> _Dim:
+    """dim(labels): the dimension of the sum of the spaces with the given
+    labels, memoized by the label tuple as given; no labels give 0.
 
-    Each node's rows are packed once. A set's basis extends the memoized
-    basis of its longest prefix by the remaining nodes' rows, one node at
-    a time, memoizing every prefix on the way. Every sum that spans the
-    whole space shares one basis: a full basis is never copied, and the
-    first one found stands for all.
+    Each space's rows are packed once. A tuple's basis extends the
+    memoized basis of its longest prefix by the remaining spaces' rows,
+    one space at a time, memoizing every prefix on the way. Every sum
+    that spans the whole space shares one basis: a full basis is never
+    copied, and the first one found stands for all.
     """
     w = next(iter(spaces.values()))
-    memo: dict[tuple[int, ...], _Basis] = {(): _Basis(w.field, w.width)}
+    memo: dict[tuple, _Basis] = {(): _Basis(w.field, w.width)}
     pack = memo[()].packing.pack
-    rows = {i: list(map(pack, space.rows)) for i, space in spaces.items()}
+    rows = {label: list(map(pack, space.rows)) for label, space in spaces.items()}
     whole: Optional[_Basis] = None
 
-    def basis_of(nodes: Iterable[int]) -> _Basis:
+    def dim(labels: tuple) -> int:
         nonlocal whole
-        key = tuple(sorted(nodes))
-        known = len(key)
-        while key[:known] not in memo:
+        known = len(labels)
+        while labels[:known] not in memo:
             known -= 1
-        basis = memo[key[:known]]
-        for m in range(known, len(key)):
+        basis = memo[labels[:known]]
+        for m in range(known, len(labels)):
             if not basis.full:
-                basis = basis.copy().extend(rows[key[m]])
+                basis = basis.copy().extend(rows[labels[m]])
             if basis.full:
                 whole = basis = whole or basis
-            memo[key[: m + 1]] = basis
-        return basis
+            memo[labels[: m + 1]] = basis
+        return len(basis)
 
-    return basis_of
+    return dim
 
 
 def lemma1_results(
-    params: CodeParams, plan: RepairPlan, basis_of: _BasisOf
+    params: CodeParams, plan: RepairPlan, dim: _Dim
 ) -> list[CheckResult]:
     """Lemma 1 for every subset I of the failed set and every subset J of
     the helpers common to I:
     dim(sum_I) - dim(sum_I cap sum_J) <= |I|((d-|J|)beta1 + (r-|I|)beta2).
 
-    By the modular law the left side is dim(sum_{I+J}) - dim(sum_J), so
-    two node-set bases suffice.
+    By the modular law the left side is dim(sum_{I+J}) - dim(sum_J).
     """
     beta1, beta2 = params.helper_symbols, params.exchange_symbols
     out = []
@@ -451,7 +406,7 @@ def lemma1_results(
             common = set.intersection(*(set(plan.helpers[i]) for i in I)) if I else ()
             for b in range(len(common) + 1):
                 for J in combinations(sorted(common), b):
-                    lhs = len(basis_of(I + J)) - len(basis_of(J))
+                    lhs = dim(tuple(sorted(I + J))) - dim(J)
                     bound = a * ((params.d - b) * beta1 + (params.r - a) * beta2)
                     out.append(
                         CheckResult(
@@ -468,15 +423,15 @@ def run_all_checks(
     plan: RepairPlan,
     node_spaces: Optional[dict[int, Subspace]] = None,
 ) -> list[CheckResult]:
-    """All subspace checks for one code instance and repair plan, run on
-    one set of node spaces (built unless given), one node-set memo and one
-    TransferSpaces."""
+    """All subspace checks for one code instance and repair plan, each a
+    comparison of dimensions from one memo over the node spaces (built
+    unless given) and the transfer spaces."""
     W = node_spaces or {i: node_space(i, params) for i in range(1, params.n + 1)}
-    basis_of, ts = _node_bases(W), transfer_spaces(plan, params)
+    dim = _dims({**W, **transfer_spaces(plan, params)})
     return [
-        *check_property1(params, basis_of),
-        *check_property2(plan, W, ts),
-        *check_corollary1(params, ts),
-        *check_property3(plan, params, basis_of, ts),
-        *lemma1_results(params, plan, basis_of),
+        *check_property1(params, dim),
+        *check_property2(plan, dim),
+        *check_corollary1(params, plan, dim),
+        *check_property3(plan, params, dim),
+        *lemma1_results(params, plan, dim),
     ]

@@ -283,6 +283,15 @@ class TestCli:
             assert argv[0] == "mbcr"
             assert main(argv[1:]) == 0, line
 
+    def test_readme_python_blocks_run(self):
+        # In order and in one namespace, as a reader runs them.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+        assert len(blocks) == 3
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+
     def test_repair_regenerates_identical_files(self, tmp_path, capsys):
         out = self.encode(tmp_path, bytes(range(30)))
         rep = tmp_path / "repaired"

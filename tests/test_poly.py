@@ -4,7 +4,7 @@ import pytest
 
 from mbcr.errors import InterpolationError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly, coeff_cells, eval_poly, interpolate
+from mbcr.poly import BiPoly, coeff_cells, eval_poly, interpolate, lagrange_basis
 
 GF7 = Field.prime(7)
 
@@ -51,6 +51,21 @@ def test_interpolation_uniqueness():
         xs = rng.sample(range(7), m)
         pts = [(x, eval_poly(GF7, coeffs, x)) for x in xs]
         assert interpolate(GF7, pts, m) == coeffs
+
+
+def test_permuted_points_share_one_lagrange_basis():
+    # Repair passes its points in seeded helper order; every order of one
+    # point set gives the same polynomial from the one cached basis.
+    rng = random.Random(5)
+    field = Field.gf256()
+    coeffs = tuple(rng.randrange(256) for _ in range(6))
+    pts = [(x, eval_poly(field, coeffs, x)) for x in rng.sample(range(256), 6)]
+    assert interpolate(field, pts, 6) == coeffs
+    misses = lagrange_basis.cache_info().misses
+    for _ in range(10):
+        rng.shuffle(pts)
+        assert interpolate(field, pts, 6) == coeffs
+    assert lagrange_basis.cache_info().misses == misses
 
 
 def test_interpolate_errors():

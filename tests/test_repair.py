@@ -159,11 +159,13 @@ def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
             for (xn, yn), v in received[i].items():
                 assert v == F.eval(p.field, p.points.x_of(xn), p.points.y_of(yn))
             assert ledger.phase1[i] == 2 * d and ledger.phase2[i] == r - 1
-            for spaces, points in ((ts.s, phase1), (ts.t, phase2)):
-                for key, pts in points.items():
-                    assert spaces[key].rows == tuple(monomial_row(p, *pt) for pt in pts)
-        assert set(ts.s) == {(j, i) for i in failed for j in plan.helpers[i]}
-        assert set(ts.t) == {(j, i) for i in failed for j in failed if j != i}
+            for kind, points in (("s", phase1), ("t", phase2)):
+                for (j, i2), pts in points.items():
+                    rows = tuple(monomial_row(p, *pt) for pt in pts)
+                    assert ts[kind, j, i2].rows == rows
+        s = {("s", j, i) for i in failed for j in plan.helpers[i]}
+        t = {("t", j, i) for i in failed for j in failed if j != i}
+        assert set(ts) == s | t
 
 
 def test_run_repair_fig_example():

@@ -10,18 +10,15 @@ from mbcr.gf import Field
 from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
-    _node_bases,
-    contained_with_codim,
+    _dims,
     format_report,
     intersect,
-    is_direct_sum,
     monomial_row,
     node_space,
     pair_intersection_dim,
     rank,
     run_all_checks,
     space_sum,
-    spaces_equal,
     transfer_spaces,
 )
 
@@ -40,6 +37,11 @@ def span_vectors(space):
                 vec[t] = field.add(vec[t], field.mul(c, v))
         vectors.add(tuple(vec))
     return vectors
+
+
+def same_span(a, b):
+    """Span equality by the reference rank: each space contains the other."""
+    return reference_rank(a) == reference_rank(b) == reference_rank(space_sum(a, b))
 
 
 def checks_named(results, prefix):
@@ -82,7 +84,7 @@ def test_sum_properties():
 def test_intersect_self_and_oracle():
     rng = random.Random(22)
     v = Subspace(GF7, 4, ((1, 2, 3, 4), (0, 1, 0, 1)))
-    assert spaces_equal(intersect(v, v), v)
+    assert same_span(intersect(v, v), v)
     for _ in range(15):
         a = Subspace(GF5, 4, tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         b = Subspace(GF5, 4, tuple(tuple(rng.randrange(5) for _ in range(4)) for _ in range(3)))
@@ -98,14 +100,6 @@ def test_mismatched_widths_rejected():
         space_sum(a, b)
     with pytest.raises(MbcrError):
         intersect(a, b)
-
-
-def test_is_direct_sum():
-    x = Subspace(GF7, 3, ((1, 0, 0),))
-    y = Subspace(GF7, 3, ((0, 1, 0),))
-    assert is_direct_sum([x, y])
-    assert not is_direct_sum([x, x])
-    assert is_direct_sum([])
 
 
 def test_node_space_toy_rows():
@@ -130,20 +124,19 @@ def test_pairwise_intersection_dim():
     cross = Subspace(
         GF7, p.block_size, (monomial_row(p, 1, 2), monomial_row(p, 2, 1))
     )
-    assert spaces_equal(intersect(w1, w2), cross)
+    assert same_span(intersect(w1, w2), cross)
 
 
 def test_transfer_space_dims_and_property3():
     p = validate_params(5, 2, 3, 2, GF7)
     plan = make_plan(p, {1, 2}, seed=0)
     ts = transfer_spaces(plan, p)
-    for sp in ts.s.values():
-        assert rank(sp) == 2
-    for sp in ts.t.values():
-        assert rank(sp) == 1
+    for (kind, _, _), sp in ts.items():
+        assert rank(sp) == {"s": 2, "t": 1}[kind]
     W = {i: node_space(i, p) for i in range(1, 6)}
-    for (j, i), sp in ts.s.items():
-        assert spaces_equal(sp, intersect(W[i], W[j]))
+    for (kind, j, i), sp in ts.items():
+        if kind == "s":
+            assert same_span(sp, intersect(W[i], W[j]))
 
 
 def test_pairwise_intersection_dim_k1():
@@ -164,15 +157,14 @@ def test_transfer_space_dims_and_property3_k1():
     p = validate_params(4, 1, 2, 2, GF5)
     plan = make_plan(p, {1, 2}, seed=0)
     ts = transfer_spaces(plan, p)
-    for sp in ts.s.values():
-        assert rank(sp) == 2
-    for sp in ts.t.values():
-        assert rank(sp) == 1
+    for (kind, _, _), sp in ts.items():
+        assert rank(sp) == {"s": 2, "t": 1}[kind]
     W = {i: node_space(i, p) for i in range(1, 5)}
-    for (j, i), sp in ts.s.items():
-        inter = intersect(W[i], W[j])
-        # a proper subspace of the intersection, of codimension alpha - beta
-        assert rank(space_sum(sp, inter)) == rank(inter) == rank(sp) + 3
+    for (kind, j, i), sp in ts.items():
+        if kind == "s":
+            inter = intersect(W[i], W[j])
+            # a proper subspace of the intersection, of codimension alpha - beta
+            assert rank(space_sum(sp, inter)) == rank(inter) == rank(sp) + 3
     results = run_all_checks(p, plan, W)
     assert all(c.passed for c in checks_named(results, "property3"))
 
@@ -226,7 +218,7 @@ def test_corrupted_generator_fails_some_check_k1():
     rows = [list(r) for r in W[1].rows]
     rows[0][0] = GF5.add(rows[0][0], 1)
     bumped = Subspace(GF5, p.block_size, tuple(map(tuple, rows)))
-    assert spaces_equal(bumped, W[1])
+    assert same_span(bumped, W[1])
     # Collapsing W_1 onto that row, as `mbcr verify --inject-fault` does,
     # is caught by the amended k = 1 checks.
     W[1] = Subspace(GF5, p.block_size, (tuple(rows[0]),) * len(rows))
@@ -335,9 +327,8 @@ def oracle_spaces(seed):
 def test_rank_and_span_match_the_reference():
     for a, b in oracle_spaces(31):
         for space in (a, b, space_sum(a, b)):
-            rref = reference_rref(space)
-            assert rank(space) == len(rref)
-            assert spaces_equal(space, Subspace(space.field, space.width, rref))
+            rref = Subspace(space.field, space.width, reference_rref(space))
+            assert rank(space) == len(rref.rows) == rank(space_sum(space, rref))
 
 
 def test_intersect_matches_the_reference_as_a_span():
@@ -345,60 +336,69 @@ def test_intersect_matches_the_reference_as_a_span():
         got = intersect(a, b)
         ra, rb = reference_rank(a), reference_rank(b)
         # The span of got lies in a and in b and has the modular-law
-        # dimension, so it is the intersection.
+        # dimension, so it is the intersection; its rows are a basis.
         assert reference_rank(got) == ra + rb - reference_rank(space_sum(a, b))
         assert reference_rank(space_sum(a, got)) == ra
         assert reference_rank(space_sum(b, got)) == rb
-        assert got.rows == reference_rref(got)
+        assert len(got.rows) == reference_rank(got)
 
 
 def test_containment_and_direct_sums_match_the_reference():
+    # The checks decide containment, direct sums and span equality by
+    # comparing dimensions from the memo: X lies in Y iff dim(Y + X) =
+    # dim Y, and X + Y is direct iff dim(X + Y) = dim X + dim Y.
     rng = random.Random(33)
     for a, b in oracle_spaces(34):
         # Also a space inside b, from random combinations of b's rows.
         combos = tuple(random_combination(rng, b) for _ in range(rng.randrange(3)))
-        part = Subspace(b.field, b.width, combos)
-        for x, y in ((a, b), (b, a), (part, b), (b, b)):
-            rx, ry = reference_rank(x), reference_rank(y)
-            inside = reference_rank(space_sum(x, y)) == ry
-            for codim in range(-1, y.width + 1):
-                expect = inside and ry - rx == codim
-                assert contained_with_codim(x, y, codim) == expect
-            assert spaces_equal(x, y) == (inside and rx == ry)
-            expect = reference_rank(space_sum(x, y)) == rx + ry
-            assert is_direct_sum([x, y]) == expect
+        spaces = {"a": a, "b": b, "part": Subspace(b.field, b.width, combos)}
+        dim = _dims(spaces)
+        for x, y in (("a", "b"), ("b", "a"), ("part", "b"), ("b", "b")):
+            X, Y = spaces[x], spaces[y]
+            rx, ry, rsum = map(reference_rank, (X, Y, space_sum(X, Y)))
+            got = dim((x,)), dim((y,)), dim((x, y)), dim((y, x))
+            assert got == (rx, ry, rsum, rsum)
+            assert (dim((y, x)) == dim((y,))) == (rsum == ry)
+            assert (dim((x, y)) == dim((x,)) + dim((y,))) == (rsum == rx + ry)
+            equal = dim((x,)) == dim((y,)) == dim((x, y)) == dim((y, x))
+            assert equal == (rsum == rx == ry)
 
 
 @pytest.mark.parametrize("field", [GF7, Field.gf256()], ids=["GF7", "GF256"])
 def test_node_sum_ranks_match_the_rank_of_every_sum(field):
     p = validate_params(5, 2, 3, 2, field)
     rng = random.Random(35)
+    plan = make_plan(p, {1, 2}, seed=0)
     W = {i: node_space(i, p) for i in range(1, 6)}
-    # Node spaces of the code and random ones of mixed rank, so both the
-    # shared full bases and the partial ones that get extended are met.
+    # Node and transfer spaces of the code, and random ones of mixed rank
+    # under the same labels, so both the shared full bases and the partial
+    # ones that get extended are met.
+    code = {**W, **transfer_spaces(plan, p)}
     spaces = {
-        "code": W,
+        "code": code,
         "random": {
-            i: random_stack(rng, field, rng.randrange(1, 8), p.block_size, 5)
-            for i in range(1, 6)
+            label: random_stack(rng, field, rng.randrange(1, 8), p.block_size, 5)
+            for label in code
         },
     }
     for W in spaces.values():
-        basis_of = _node_bases(W)
-        # No nodes: the zero space.
-        assert len(basis_of(())) == 0
+        dim = _dims(W)
+        # No labels: the zero space.
+        assert dim(()) == 0
         subsets = [
             nodes for size in range(1, 6) for nodes in combinations(range(1, 6), size)
         ]
-        # Ask in a shuffled order, with the nodes listed backwards, so the
+        # Sums that mix node and transfer labels, in the order drawn.
+        subsets += [tuple(rng.sample(list(W), rng.randrange(1, 6))) for _ in range(150)]
+        # Ask in a shuffled order, with the labels listed backwards, so the
         # memo is entered from every prefix.
         rng.shuffle(subsets)
-        for nodes in subsets:
-            expect = rank(space_sum(*[W[i] for i in nodes]))
-            assert expect == reference_rank(space_sum(*[W[i] for i in nodes]))
-            assert len(basis_of(nodes[::-1])) == expect, nodes
-        # Every set was built on the memoized zero space, which stays zero.
-        assert len(basis_of(())) == 0
+        for labels in subsets:
+            expect = rank(space_sum(*[W[x] for x in labels]))
+            assert expect == reference_rank(space_sum(*[W[x] for x in labels]))
+            assert dim(labels[::-1]) == expect, labels
+        # Every sum was built on the memoized zero space, which stays zero.
+        assert dim(()) == 0
 
 
 @pytest.mark.parametrize("field", [Field.prime(2), Field.prime(65521)], ids=["GF2", "GF65521"])
@@ -409,8 +409,8 @@ def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
     operations. Dense stacks twice as tall as wide make rows meet nearly
     every pivot, at q = 2 and at the largest prime Field accepts; the
     rank-deficient one leaves a free column, so a wrong entry shows in
-    its RREF and a dependent row that fails to reduce to zero shows in
-    its rank."""
+    the span of its intersection with the full one and a dependent row
+    that fails to reduce to zero shows in its rank."""
     rng = random.Random(width)
     # Independent generators: row t starts with a 1 at column t.
     gens = [
@@ -426,10 +426,11 @@ def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
     # short lacks the generator of the last column, which stays free.
     full, short = stack(gens), stack(gens[:-1])
     for space in (full, short):
-        rref = reference_rref(space)
-        assert rank(space) == len(rref)
-        assert spaces_equal(space, Subspace(field, width, rref))
+        rref = Subspace(field, width, reference_rref(space))
+        assert rank(space) == len(rref.rows) == rank(space_sum(space, rref))
     assert reference_rank(full) == width
     assert reference_rank(short) == width - 1
-    assert intersect(short, full).rows == reference_rref(short)
-    assert contained_with_codim(short, full, 1)
+    assert same_span(intersect(short, full), short)
+    # short lies in full with codimension 1.
+    dim = _dims({"full": full, "short": short})
+    assert dim(("full", "short")) == dim(("full",)) == dim(("short",)) + 1
