@@ -3,9 +3,9 @@
 Subcommands: params | encode | reconstruct | repair | verify | bound |
 simulate. File commands use GF(256) (one byte per symbol) and split a
 file into stripes of block_size bytes; each makes one library call per
-file, on the columns of all its stripes (see sharefile). Verification
-commands default to the smallest prime field that fits n. All
-randomness flows from --seed.
+batch of sharefile.to_batches: per stripe, or on the columns of all
+stripes. Verification commands default to the smallest prime field that
+fits n. All randomness flows from --seed.
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage or
 parameter errors.
@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bounds, subspace
-from .codec import check_shares, encode, reconstruct, validate_params
-from .errors import CodecError, CorruptShareError, MbcrError, ParameterError, ShareFormatError
+from .codec import Share, check_shares, encode, reconstruct, validate_params
+from .errors import CodecError, CorruptShareError, InconsistentShareError, MbcrError
+from .errors import ParameterError, ShareFormatError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
 from .sharefile import (
@@ -30,8 +31,7 @@ from .sharefile import (
     atomic_write,
     from_columns,
     read_share_file,
-    stripe_count,
-    to_columns,
+    to_batches,
     write_share_file,
 )
 
@@ -130,12 +130,14 @@ def cmd_encode(args) -> int:
     p = validate_params(args.n, args.k, args.d, args.r, field)
     with open(args.input, "rb") as fh:
         data = fh.read()
-    stripes = stripe_count(len(data), p.block_size)
-    shares = encode(to_columns(data, p.block_size), p, stripes)
+    batches, per_call = to_batches(data, p.block_size, p)
+    encoded = [encode(batch, p, per_call) for batch in batches]
+    stripes = len(batches) * per_call
     os.makedirs(args.out, exist_ok=True)
-    for share in shares:
-        sf = ShareFile.of_share(share, p, stripes, len(data))
-        write_share_file(_share_path(args.out, share.node_id), sf)
+    for i in range(1, p.n + 1):
+        payload = b"".join(from_columns(s[i - 1].evals, per_call) for s in encoded)
+        sf = ShareFile(p, i, stripes, len(data), payload)
+        write_share_file(_share_path(args.out, i), sf)
     print(
         f"encoded {len(data)} bytes into {p.n} shares "
         f"({stripes} stripes of {p.block_size} symbols, "
@@ -144,18 +146,32 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _batches(files: list[ShareFile]) -> tuple[list[tuple[Share, ...]], int]:
+    """The shares of every file for each codec call (see to_batches), and
+    the stripes each call covers."""
+    p = files[0].params
+    split = [to_batches(sf.payload, p.share_size, p) for sf in files]
+    shares = [[Share(sf.node_id, b) for b in bs] for sf, (bs, _) in zip(files, split)]
+    return list(zip(*shares)), split[0][1]
+
+
 def cmd_reconstruct(args) -> int:
     files, ref = _read_matching_shares(args.shares)
     p = ref.params
     if len(files) < p.k:
         raise CodecError(f"need at least k = {p.k} share files, got {len(files)}")
-    stripes = ref.stripe_count
-    shares = [sf.share() for sf in files]
-    columns = reconstruct(shares[: p.k], p, stripes)
-    # Shares past the k decoded from must be the encoding of the result.
-    decoded_from = [s.node_id for s in shares[: p.k]]
-    check_shares(columns, shares[p.k :], decoded_from, p, stripes)
-    data = from_columns(columns, stripes)[: ref.original_length]
+    batches, per_call = _batches(files)
+    decoded_from = [sf.node_id for sf in files[: p.k]]
+    out = []
+    for b, shares in enumerate(batches):
+        try:
+            out.append(reconstruct(shares[: p.k], p, per_call))
+            # Shares past the k decoded from must be the encoding of the result.
+            check_shares(out[-1], shares[p.k :], decoded_from, p, per_call)
+        except InconsistentShareError as exc:  # name the file's stripe
+            i, ids, stripe = exc.args
+            raise InconsistentShareError(i, ids, b * per_call + stripe) from None
+    data = b"".join(from_columns(c, per_call) for c in out)[: ref.original_length]
     _atomic_write(args.out, data)
     print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
     return EXIT_OK
@@ -171,13 +187,14 @@ def cmd_repair(args) -> int:
     helpers = _parse_helpers(args.helpers) if args.helpers else None
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
-    stripes = ref.stripe_count
-    survivors = [sf.share() for sf in files]
-    regenerated, ledger = run_repair(survivors, plan, p, stripes)
+    batches, per_call = _batches(files)
+    runs = [run_repair(shares, plan, p, per_call) for shares in batches]
+    ledger, stripes = runs[0][1], ref.stripe_count
 
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):
-        sf = ShareFile.of_share(regenerated[i], p, stripes, ref.original_length)
+        payload = b"".join(from_columns(run[0][i].evals, per_call) for run in runs)
+        sf = ShareFile(p, i, stripes, ref.original_length, payload)
         write_share_file(_share_path(args.out, i), sf)
 
     for i in sorted(plan.failed):

@@ -1,16 +1,17 @@
 """Parameter validation, encoding, and data reconstruction.
 
 A data block of block_size symbols is the coefficient sequence of the
-bivariate polynomial F (see poly.BiPoly). Encoding restricts F to
-f_i(Y) = F(x_i, Y) and g_i(X) = F(X, y_i), then samples them: node i
+bivariate polynomial F (see poly.BiPoly). Encoding evaluates F on the
+n x n grid of points (x_u, y_v), then gathers each share from it: node i
 stores the share_size evaluations (layout: share_point_nodes)
 
     F(x_i, y_i), F(x_i, y_{i(+)1}), ..., F(x_i, y_{i(+)(d+r-1)}),
     F(x_{i(+)1}, y_i), ..., F(x_{i(+)(d-1)}, y_i),
 
-where (+) is node-index addition modulo n mapped back into [1, n].
-Reconstruction from any k shares is staged univariate interpolation on
-the coefficients of the f_i and g_i.
+where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
+= F(x_i, Y) at d+r y-points and g_i(X) = F(X, y_i) at d x-points (one of
+them shared). Reconstruction from any k shares is staged univariate
+interpolation on the coefficients of the f_i and g_i.
 
 encode, reconstruct, check_shares and share_polys take a stripe count.
 With the default of 1 every data symbol is a field element; with
@@ -21,12 +22,12 @@ call encodes or decodes all S stripes of a file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import CodecError, CorruptShareError, ParameterError
+from .errors import CodecError, CorruptShareError, InconsistentShareError, ParameterError
 from .gf import Field
-from .poly import BiPoly, coeff_cells, eval_poly, interpolate
+from .poly import coeff_cells, evaluate, interpolate
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,19 @@ def shift_node(i: int, t: int, n: int) -> int:
     return (i - 1 + t) % n + 1
 
 
-def share_point_nodes(node_id: int, params: CodeParams) -> list[tuple[int, int]]:
+@lru_cache(maxsize=4096)
+def share_point_nodes(node_id: int, params: CodeParams) -> tuple[tuple[int, int], ...]:
     """Evaluation points of a share as (x-node, y-node) id pairs, canonical order.
 
     Points with x-node i sample f_i, points with y-node i sample g_i.
+    Cached: every encode, repair and check gathers shares by it.
     """
     i, n = node_id, params.n
     if not 1 <= i <= n:
         raise CodecError(f"node id {i} is outside [1, {n}]")
     pts = [(i, shift_node(i, t, n)) for t in range(params.d + params.r)]
     pts += [(shift_node(i, s, n), i) for s in range(1, params.d)]
-    return pts
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -138,42 +141,52 @@ class Share:
     evals: tuple[int, ...]
 
 
-def value_at(node_id: int, f, g, point: tuple[int, int], params: CodeParams) -> int:
-    """F at point = (x-node, y-node) from node node_id's (f, g): f at the
-    y-node when the x-node is node_id, otherwise g at the x-node."""
-    (xn, yn), field, points = point, params.field, params.points
-    if xn == node_id:
-        return eval_poly(field, f, points.y_of(yn))
-    return eval_poly(field, g, points.x_of(xn))
+def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
+    """F at point = (x-node, y-node) from node node_id's lines (see
+    node_lines): f at the y-node when the x-node is node_id, otherwise g
+    at the x-node."""
+    xn, yn = point
+    return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
 
 
-def share_from_polys(
-    node_id: int, f: Sequence[int], g: Sequence[int], params: CodeParams
-) -> Share:
-    """Sample f_i at the share's y-points and g_i at its x-points."""
-    pts = share_point_nodes(node_id, params)
-    return Share(node_id, tuple(value_at(node_id, f, g, pt, params) for pt in pts))
-
-
-def _node_share(F: BiPoly, node_id: int, params: CodeParams) -> Share:
+def node_lines(f: Sequence[int], g: Sequence[int], params: CodeParams):
+    """A node's row and column of F's n x n grid: (f at every y-point,
+    g at every x-point)."""
     field, points = params.field, params.points
-    return share_from_polys(
-        node_id,
-        F.f_at(field, points.x_of(node_id)),
-        F.g_at(field, points.y_of(node_id)),
-        params,
-    )
+    return evaluate(field, f, points.y), evaluate(field, g, points.x)
+
+
+def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
+    """Gather the share's points from the node's lines."""
+    pts = share_point_nodes(node_id, params)
+    return Share(node_id, tuple(value_at(node_id, lines, pt) for pt in pts))
+
+
+def _y_stage(data: Sequence[int], params: CodeParams) -> list[Sequence[int]]:
+    """F's X^a slices at every y-point: entry v of row a is the X^a
+    coefficient of g_v = F(X, y_v)."""
+    k, d, r = params.k, params.d, params.r
+    slices = [[0] * (d + r if a < k else k) for a in range(d)]
+    for (a, b), c in zip(coeff_cells(k, d, r), data):
+        slices[a][b] = c
+    return [evaluate(params.field, s, params.points.y) for s in slices]
 
 
 def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Share]:
-    """Restrict F to (f_i, g_i) for each node, then sample."""
+    """Evaluate F on the grid, a Y stage then an X stage, and gather each
+    node's share from its row and column of the grid."""
     if len(data) != params.block_size:
         raise CodecError(
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
-    params.field.check_elements(data, stripes)
-    F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
-    return [_node_share(F, i, params) for i in range(1, params.n + 1)]
+    field, points = params.field, params.points
+    field.check_elements(data, stripes)
+    # grid[v][u] = F(x_u, y_v): g_v at every x-point.
+    grid = [evaluate(field, g, points.x) for g in zip(*_y_stage(data, params))]
+    return [
+        share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
+        for i in range(1, params.n + 1)
+    ]
 
 
 def _check_consistent(
@@ -183,7 +196,7 @@ def _check_consistent(
     stripes: int,
     decoded_from: Sequence[int],
 ) -> None:
-    """Raise CorruptShareError unless got equals want.
+    """Raise InconsistentShareError unless got equals want.
 
     A mismatch shows only that share node_id and the shares the data was
     decoded from do not all agree, not which of them is bad, so the
@@ -195,10 +208,7 @@ def _check_consistent(
     if diff:
         # Stripe s of a column is its byte s: the XOR's lowest non-zero byte.
         stripe = ((diff & -diff).bit_length() - 1) >> 3 if stripes > 1 else 0
-        raise CorruptShareError(
-            f"share {node_id} is inconsistent with the data decoded from shares "
-            f"{', '.join(map(str, decoded_from))} (first bad stripe: {stripe})"
-        )
+        raise InconsistentShareError(node_id, tuple(decoded_from), stripe)
 
 
 def _check_length(share: Share, params: CodeParams) -> None:
@@ -271,14 +281,14 @@ def reconstruct(
         col = interpolate(field, pts, k)
         coeff.update(((i, j), c) for i, c in enumerate(col))
 
-    F = BiPoly.from_coeffs([coeff[cell] for cell in coeff_cells(k, d, r)], k, d, r)
-
-    # Cross-check: stage 2 fits the high g coefficients, so only the k
-    # low ones can disagree. In each stripe g_l and its samples determine
-    # each other, so g_l differs in exactly the stripes where a sample does.
-    for l in range(k):
-        _check_consistent(ids[l], F.g_at(field, ys[l]), fg[l][1], stripes, ids)
-    return F.coeffs
+    data = tuple(coeff[cell] for cell in coeff_cells(k, d, r))
+    # Cross-check with g_l = F(X, y_l) from the Y stage of the re-encoding:
+    # stages 1 and 3 fit each f_l exactly, so only g_l can disagree, and in
+    # exactly the stripes where one of its samples does.
+    at_y = _y_stage(data, params)
+    for l, i in enumerate(ids):
+        _check_consistent(i, [at[i - 1] for at in at_y], fg[l][1], stripes, ids)
+    return data
 
 
 def check_shares(
@@ -294,8 +304,8 @@ def check_shares(
     the shares re-encoded from its output; decoded_from holds the node
     ids of those k shares, for the error message.
     """
-    F = BiPoly.from_coeffs(data, params.k, params.d, params.r)
+    encoded = encode(data, params, stripes) if shares else []
     for share in shares:
         _check_length(share, params)
-        want = _node_share(F, share.node_id, params).evals
+        want = encoded[share.node_id - 1].evals
         _check_consistent(share.node_id, share.evals, want, stripes, decoded_from)

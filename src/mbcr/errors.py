@@ -25,6 +25,17 @@ class CorruptShareError(MbcrError):
     """Share content failed an internal consistency cross-check."""
 
 
+class InconsistentShareError(CorruptShareError):
+    """args: a share's node id, the node ids decoded from, first bad stripe."""
+
+    def __str__(self):
+        i, ids, stripe = self.args
+        return (
+            f"share {i} is inconsistent with the data decoded from shares "
+            f"{', '.join(map(str, ids))} (first bad stripe: {stripe})"
+        )
+
+
 class ProtocolError(MbcrError):
     """Repair-protocol contract violation (plan shape, phase order)."""
 

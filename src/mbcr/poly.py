@@ -9,13 +9,19 @@ Points are field elements; coefficients and sample values are data,
 either elements or GF(256) columns (see gf). Data is only ever added to
 data or scaled by a constant built from the points, so every function
 here runs once per file on columns as it does once per stripe on
-elements.
+elements. interpolate and evaluate apply such a constant map in one of
+two forms, both through Field.scale: per element, one call per input and
+output; or packed, when every input is a GF(256) element, one call per
+input on the constant's row packed over all outputs (output i in byte i).
+sharefile.to_batches picks the orientation that makes inputs elements.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial, reduce
+from operator import xor
 from typing import Sequence
 
 from .errors import InterpolationError
@@ -32,8 +38,9 @@ def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def lagrange_basis(field: Field, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Coefficient rows of the Lagrange basis polynomials for the x-set.
+def lagrange_basis(field: Field, xs: tuple[int, ...]):
+    """Coefficient rows of the Lagrange basis polynomials for the x-set,
+    and their packed form (see _packed).
 
     Row t is the ascending-degree coefficients of the polynomial that is
     1 at xs[t] and 0 at the other points. Cached: the protocol
@@ -61,7 +68,13 @@ def lagrange_basis(field: Field, xs: tuple[int, ...]) -> tuple[tuple[int, ...], 
             q[i] = field.add(master[i + 1], field.mul(x, q[i + 1]))
         scale = field.inv(eval_poly(field, q, x))
         rows.append(tuple(field.mul(scale, c) for c in q))
-    return tuple(rows)
+    return tuple(rows), _packed(field, rows)
+
+
+def _packed(field: Field, rows):
+    """GF(256) rows as ints, entry i in byte i; None over GF(p)."""
+    if field.kind == "binary":
+        return tuple(int.from_bytes(bytes(r), "little") for r in rows)
 
 
 def interpolate(
@@ -82,14 +95,42 @@ def interpolate(
         raise InterpolationError("duplicate x-coordinates")
 
     m = degree_bound
-    basis = lagrange_basis(field, xs)
+    basis, packed = lagrange_basis(field, xs)
+    ys = [p[1] for p in points]
+    if packed and max(ys) < 256:
+        acc = reduce(xor, map(field.scale, packed, ys))
+        return tuple(acc.to_bytes(m, "little"))
     add, scale = field.add, field.scale
     result = [0] * m
-    for (_, y), row in zip(points, basis):
+    for y, row in zip(ys, basis):
         if y:
             for i in range(m):
                 result[i] = add(result[i], scale(y, row[i]))
     return tuple(result)
+
+
+def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> Sequence[int]:
+    """The polynomial with these ascending coefficients at every point of
+    xs: all at once in the packed form, in the per-element form each on its
+    first read, so that a caller pays for the points it reads."""
+    packed = powers(field, xs, len(coeffs))[1]
+    if packed and max(coeffs) < 256:
+        acc = reduce(xor, map(field.scale, packed, coeffs))
+        return tuple(acc.to_bytes(len(xs), "little"))
+    return _Values(partial(eval_poly, field, coeffs), xs)
+
+
+class _Values(abc.Sequence):
+    def __init__(self, at, xs: tuple[int, ...]):
+        self._at, self._xs, self._memo = at, xs, {}
+
+    def __len__(self):
+        return len(self._xs)
+
+    def __getitem__(self, u: int) -> int:
+        if u not in self._memo:
+            self._memo[u] = self._at(self._xs[u])
+        return self._memo[u]
 
 
 @cache
@@ -106,10 +147,12 @@ def coeff_cells(k: int, d: int, r: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=4096)
-def powers(field: Field, x: int, count: int) -> tuple[int, ...]:
-    """x^0, ..., x^(count-1). Cached: the code raises its n evaluation
+def powers(field: Field, xs: tuple[int, ...], count: int):
+    """x^0, ..., x^(count-1) for each point of xs, and per degree those
+    powers packed over the points. Cached: the code raises its evaluation
     points to the same few powers over and over."""
-    return tuple(field.pow(x, i) for i in range(count))
+    rows = tuple(tuple(field.pow(x, i) for i in range(count)) for x in xs)
+    return rows, _packed(field, zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -135,7 +178,7 @@ class BiPoly:
     def f_at(self, field: Field, x: int) -> tuple[int, ...]:
         """Ascending Y-coefficients of F(x, Y), degree < d+r."""
         add, scale = field.add, field.scale
-        xpow = powers(field, x, self.d)
+        (xpow,), _ = powers(field, (x,), self.d)
         out = [0] * (self.d + self.r)
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[j] = add(out[j], scale(c, xpow[i]))
@@ -144,7 +187,7 @@ class BiPoly:
     def g_at(self, field: Field, y: int) -> tuple[int, ...]:
         """Ascending X-coefficients of F(X, y), degree < d."""
         add, scale = field.add, field.scale
-        ypow = powers(field, y, self.d + self.r)
+        (ypow,), _ = powers(field, (y,), self.d + self.r)
         out = [0] * self.d
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[i] = add(out[i], scale(c, ypow[j]))

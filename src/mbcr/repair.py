@@ -2,12 +2,13 @@
 
 Each transmitted symbol is a value of F at an (x-node, y-node) point,
 named once here (phase1_points, phase2_point; subspace.transfer_spaces
-and find_forwarding_witness read them too), and each sender evaluates it
-from its own (f, g) with codec.value_at. Phase 1: newcomer i gets
-F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j) from each of its d
-helpers j and interpolates g_i(X). Phase 2: newcomer j sends newcomer i
-F(x_i, y_j) = g_j(x_i). With its own F(x_i, y_i) = g_i(x_i) (computed,
-never received or counted), i interpolates f_i(Y) and re-emits its share.
+and find_forwarding_witness read them too), and each sender reads it
+with codec.value_at from its f and g at every point (codec.node_lines).
+Phase 1: newcomer i gets F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j)
+from each of its d helpers j and interpolates g_i(X). Phase 2: newcomer j
+sends newcomer i F(x_i, y_j) = g_j(x_i). With its own F(x_i, y_i) =
+g_i(x_i) (computed, never received or counted), i interpolates f_i(Y) and
+re-emits its share.
 
 The ledger counts the values sent per newcomer and phase, per stripe.
 With stripes = S each value is a GF(256) column of S stripes (see gf),
@@ -23,10 +24,10 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .codec import (
-    CodeParams, Share, share_from_polys, share_point_nodes, share_polys, value_at
+    CodeParams, Share, node_lines, share_from_lines, share_point_nodes, share_polys, value_at
 )
 from .errors import ProtocolError
-from .poly import eval_poly, interpolate
+from .poly import evaluate, interpolate
 
 
 @dataclass(frozen=True)
@@ -104,18 +105,19 @@ def phase1_assemble(newcomer: int, received: Mapping, params: CodeParams):
     return interpolate(params.field, g_pts, params.d)
 
 
-def phase2_send(sender: int, g: Sequence[int], newcomer: int, params: CodeParams):
+def phase2_send(sender: int, g_line: Sequence[int], newcomer: int):
     # The sender knows only its g so far; phase2_point reads no f.
-    return value_at(sender, None, g, phase2_point(sender, newcomer), params)
+    return value_at(sender, (None, g_line), phase2_point(sender, newcomer))
 
 
-def regenerate(newcomer: int, g: Sequence[int], received: Mapping, params: CodeParams):
-    """f_i(Y) from the received values on newcomer i's x-line and its own g_i(x_i)."""
+def regenerate(newcomer: int, g_line: Sequence[int], received: Mapping, params: CodeParams):
+    """f_i(Y) from the received values on newcomer i's x-line and its own
+    g_i(x_i); g_line is g_i at every x-point."""
     i, fld, points = newcomer, params.field, params.points
     f_pts = [(points.y_of(yn), v) for (xn, yn), v in received.items() if xn == i]
-    f_pts.append((points.y_of(i), eval_poly(fld, g, points.x_of(i))))
+    f_pts.append((points.y_of(i), g_line[i - 1]))
     f = interpolate(fld, f_pts, params.d + params.r)
-    return share_from_polys(i, f, g, params)
+    return share_from_lines(i, (evaluate(fld, f, points.y), g_line), params)
 
 
 @dataclass(frozen=True)
@@ -154,24 +156,24 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    helper_polys = {j: share_polys(by_id[j], params, stripes) for j in needed}
+    lines = {j: node_lines(*share_polys(by_id[j], params, stripes), params) for j in needed}
     newcomers = sorted(plan.failed)
     received: dict[int, dict[tuple[int, int], int]] = {}
-    g: dict[int, tuple[int, ...]] = {}
+    g: dict[int, Sequence[int]] = {}  # g_i at every x-point
     for i in newcomers:
         received[i] = {
-            pt: value_at(j, *helper_polys[j], pt, params)
+            pt: value_at(j, lines[j], pt)
             for j in plan.helpers[i]
             for pt in phase1_points(j, i)
         }
-        g[i] = phase1_assemble(i, received[i], params)
+        g[i] = evaluate(params.field, phase1_assemble(i, received[i], params), params.points.x)
     phase1 = {i: len(received[i]) for i in newcomers}
 
     # Barrier: every phase-1 assembly completes before any exchange.
     for j in newcomers:
         for i in newcomers:
             if i != j:
-                received[i][phase2_point(j, i)] = phase2_send(j, g[j], i, params)
+                received[i][phase2_point(j, i)] = phase2_send(j, g[j], i)
     phase2 = {i: len(received[i]) - phase1[i] for i in newcomers}
 
     regenerated = {i: regenerate(i, g[i], received[i], params) for i in plan.failed}

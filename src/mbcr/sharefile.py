@@ -10,10 +10,11 @@ Layout (little-endian, bit-exact):
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
 
-The codec runs once per file on columns (see gf). The transpose lives
-here, in to_columns and from_columns: column t of stripe-major bytes with
-w symbols per stripe is the slice data[t::w], packed little-endian, and
-is written back through the same slice.
+The codec runs once per stripe on a file with few stripes and once per
+file on columns (see gf) otherwise; to_batches picks which. The transpose
+lives here, in to_columns and from_columns: column t of stripe-major
+bytes with w symbols per stripe is the slice data[t::w], packed
+little-endian, and is written back through the same slice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codec import CodeParams, Share, validate_params
+from .codec import CodeParams, validate_params
 from .errors import ParameterError, ShareFormatError
 from .gf import GF256_REDUCTION_POLY, Field
 
@@ -70,18 +71,6 @@ class ShareFile:
             tuple(self.payload[s * a : (s + 1) * a])
             for s in range(self.stripe_count)
         ]
-
-    def share(self) -> Share:
-        """The node's share, one column per share position."""
-        columns = to_columns(self.payload, self.params.share_size)
-        return Share(self.node_id, tuple(columns))
-
-    @classmethod
-    def of_share(
-        cls, share: Share, params: CodeParams, stripe_count: int, original_length: int
-    ) -> "ShareFile":
-        payload = from_columns(share.evals, stripe_count)
-        return cls(params, share.node_id, stripe_count, original_length, payload)
 
 
 def pack_share_file(sf: ShareFile) -> bytes:
@@ -190,17 +179,37 @@ def stripe_count(length: int, block_size: int) -> int:
     return max(1, -(-length // block_size))
 
 
-def to_columns(data: bytes, width: int) -> list[int]:
+# The crossover grows with the code; measured end to end it is about 2
+# stripes at (5,2,3,2), 3 to 4 at (10,4,6,3) and 5 at (14,10,10,4).
+_HELPERS_PER_STRIPE = 2
+
+
+def to_batches(data: bytes, width: int, params: CodeParams) -> tuple[list[tuple], int]:
+    """The inputs of the codec calls for stripe-major bytes of width symbols
+    per stripe, and the stripes each call covers. The one place that picks
+    the orientation: below d / _HELPERS_PER_STRIPE stripes of a GF(256) file,
+    one call per stripe on its symbols (packed constants, see poly); from
+    there, and over a prime field, one call on the columns of all stripes."""
+    count = stripe_count(len(data), width)
+    if params.field.kind != "binary" or count * _HELPERS_PER_STRIPE >= params.d:
+        return [to_columns(data, width)], count
+    data = data.ljust(count * width, b"\x00")
+    return [tuple(data[s * width : (s + 1) * width]) for s in range(count)], 1
+
+
+def to_columns(data: bytes, width: int) -> tuple[int, ...]:
     """The width columns of stripe-major bytes, zero-padded to whole stripes.
 
     Column t packs symbol t of every stripe, stripe s in byte s.
     """
     data = data.ljust(stripe_count(len(data), width) * width, b"\x00")
-    return [int.from_bytes(data[t::width], "little") for t in range(width)]
+    return tuple(int.from_bytes(data[t::width], "little") for t in range(width))
 
 
 def from_columns(columns: Sequence[int], count: int) -> bytes:
     """The stripe-major bytes of count stripes, from their columns."""
+    if count == 1:  # one-stripe columns are the symbols
+        return bytes(columns)
     width = len(columns)
     out = bytearray(width * count)
     for t, column in enumerate(columns):

@@ -10,14 +10,18 @@ from mbcr.cli import main
 from mbcr.codec import encode, validate_params
 from mbcr.errors import ShareFormatError
 from mbcr.gf import Field
+from mbcr import sharefile
 from mbcr.sharefile import (
     HEADER_SIZE,
     ShareFile,
     file_to_stripes,
+    from_columns,
     pack_share_file,
     parse_share_file,
     read_share_file,
     stripes_to_file,
+    to_batches,
+    to_columns,
     write_share_file,
 )
 
@@ -180,6 +184,55 @@ class TestCli:
         assert "share 4 is inconsistent with the data decoded from shares 1, 3" in err
         assert "first bad stripe: 0" in err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("node", [1, 11])
+    def test_a_per_stripe_mismatch_names_the_file_stripe(self, tmp_path, capsys, node):
+        # 3 stripes at (14,10,10,4) run through the codec once per stripe.
+        # Flip the last symbol (a g sample) of stripe 2 in share 1, within
+        # the k decoded from, or in share 11, past them.
+        data = random.Random(2).randbytes(3 * 140 - 7)
+        out = self.encode(tmp_path, data, 14, 10, 10, 4)
+        path = out / f"share_{node:03d}.mbcr"
+        blob = bytearray(path.read_bytes())
+        blob[HEADER_SIZE + 3 * 23 - 1] ^= 0x40
+        path.write_bytes(bytes(blob))
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in range(1, 12)]
+        dest = tmp_path / "rec.bin"
+        capsys.readouterr()
+        assert main(["reconstruct", *paths, "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert f"share {node} is inconsistent" in err and "first bad stripe: 2" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("code", [(5, 2, 3, 2), (10, 4, 6, 3), (14, 10, 10, 4)])
+    def test_both_orientations_match_the_library_column_path(self, tmp_path, code):
+        # Below the crossover the CLI calls the codec once per stripe, from
+        # it on once on columns; share files, read output and regenerated
+        # shares are the same bytes on both sides.
+        n, k, d, r = code
+        p = validate_params(n, k, d, r, Field.gf256())
+        crossover = -(-d // sharefile._HELPERS_PER_STRIPE)
+        rng = random.Random(n)
+        for count in range(1, crossover + 3):
+            data = rng.randbytes(count * p.block_size - rng.randrange(p.block_size))
+            assert to_batches(data, p.block_size, p)[1] == (1 if count < crossover else count)
+            work = tmp_path / str(count)
+            work.mkdir()
+            out = self.encode(work, data, n, k, d, r)
+            path = lambda i: str(out / f"share_{i:03d}.mbcr")
+            for share in encode(to_columns(data, p.block_size), p, count):
+                sf = read_share_file(path(share.node_id))
+                assert sf.payload == from_columns(share.evals, count)
+            readers = [path(i) for i in rng.sample(range(1, n + 1), k + 1)]
+            assert main(["reconstruct", *readers, "--out", str(work / "rec.bin")]) == 0
+            assert (work / "rec.bin").read_bytes() == data
+            failed = sorted(rng.sample(range(1, n + 1), r))
+            survivors = [path(i) for i in range(1, n + 1) if i not in failed]
+            argv = ["repair", *survivors, "--failed", ",".join(map(str, failed))]
+            assert main([*argv, "--seed", str(count), "--out", str(work / "rep")]) == 0
+            for i in failed:
+                name = f"share_{i:03d}.mbcr"
+                assert (work / "rep" / name).read_bytes() == (out / name).read_bytes()
 
     def test_reconstruct_with_too_few_shares(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"hello world")

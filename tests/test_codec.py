@@ -10,7 +10,8 @@ from mbcr.codec import (
     derive_points,
     encode,
     reconstruct,
-    share_from_polys,
+    node_lines,
+    share_from_lines,
     share_point_nodes,
     share_polys,
     shift_node,
@@ -138,7 +139,7 @@ def test_share_polys_round_trip_reproduces_evals():
             for s in range(1, p.d)
         ]
         assert tuple(expect) == share.evals
-        assert share_from_polys(share.node_id, f, g, p) == share
+        assert share_from_lines(share.node_id, node_lines(f, g, p), p) == share
 
 
 def test_encode_matches_the_direct_monomial_sum():

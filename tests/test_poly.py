@@ -4,7 +4,7 @@ import pytest
 
 from mbcr.errors import InterpolationError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly, coeff_cells, eval_poly, interpolate, lagrange_basis
+from mbcr.poly import BiPoly, coeff_cells, eval_poly, evaluate, interpolate, lagrange_basis
 
 GF7 = Field.prime(7)
 
@@ -66,6 +66,35 @@ def test_permuted_points_share_one_lagrange_basis():
         rng.shuffle(pts)
         assert interpolate(field, pts, 6) == coeffs
     assert lagrange_basis.cache_info().misses == misses
+
+
+def by_stripe(fn, values, stripes):
+    """fn applied to each stripe's bytes of the columns, packed back."""
+    outs = [fn([v >> 8 * s & 0xFF for v in values]) for s in range(stripes)]
+    return tuple(sum(b << 8 * s for s, b in enumerate(col)) for col in zip(*outs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 14, 23])
+def test_packed_and_per_element_forms_agree(m):
+    # Bytes take the packed form, one scale per input on a constant row
+    # packed over the outputs; any value above 255 takes the per-element
+    # form. Some columns are below 256, and in one case all of them are.
+    field, rng = Field.gf256(), random.Random(m)
+    xs = tuple(rng.sample(range(256), m))
+    at = tuple(rng.sample(range(256), 9))
+    values = [rng.randrange(256) for _ in range(m)]
+    assert evaluate(field, values, at) == tuple(eval_poly(field, values, x) for x in at)
+    f = interpolate(field, list(zip(xs, values)), m)
+    assert evaluate(field, f, xs) == tuple(values)
+    for stripes, wide in ((3, 0.5), (3, 0.0), (40, 0.8)):
+        cols = [
+            rng.randrange(256 ** stripes) if rng.random() < wide else rng.randrange(256)
+            for _ in range(m)
+        ]
+        want = by_stripe(lambda ys: interpolate(field, list(zip(xs, ys)), m), cols, stripes)
+        assert interpolate(field, list(zip(xs, cols)), m) == want
+        want = by_stripe(lambda c: evaluate(field, c, at), cols, stripes)
+        assert tuple(evaluate(field, cols, at)) == want
 
 
 def test_interpolate_errors():

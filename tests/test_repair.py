@@ -5,10 +5,12 @@ import pytest
 
 from conftest import from_columns, parameter_grid, prime_for, to_columns
 from mbcr import repair
-from mbcr.codec import Share, encode, share_point_nodes, share_polys, validate_params, value_at
+from mbcr.codec import (
+    Share, encode, node_lines, share_point_nodes, share_polys, validate_params, value_at
+)
 from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly
+from mbcr.poly import BiPoly, evaluate
 from mbcr.repair import (
     find_forwarding_witness,
     make_plan,
@@ -72,7 +74,8 @@ def phase1_values(share, newcomer, p):
     point -> value map."""
     j = share.node_id
     f, g = share_polys(share, p)
-    return {pt: value_at(j, f, g, pt, p) for pt in phase1_points(j, newcomer)}
+    lines = node_lines(f, g, p)
+    return {pt: value_at(j, lines, pt) for pt in phase1_points(j, newcomer)}
 
 
 def test_phase1_send_toy():
@@ -116,7 +119,8 @@ def test_phase2_payload_is_cross_evaluation():
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 2, p))
     g = phase1_assemble(2, received, p)
-    assert phase2_send(2, g, 1, p) == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
+    g_line = evaluate(GF7, g, p.points.x)
+    assert phase2_send(2, g_line, 1) == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
 
 
 def test_regenerate_toy():
@@ -125,7 +129,7 @@ def test_regenerate_toy():
     received = phase1_values(shares[1], 1, p)
     g = phase1_assemble(1, received, p)
     # r = 1: no phase-2 values at all.
-    assert regenerate(1, g, received, p) == shares[0]
+    assert regenerate(1, evaluate(GF7, g, p.points.x), received, p) == shares[0]
 
 
 def test_one_set_of_points_drives_repair_and_verify(monkeypatch):

@@ -11,6 +11,7 @@ from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
     _dims,
+    check_property3,
     format_report,
     intersect,
     monomial_row,
@@ -137,6 +138,33 @@ def test_transfer_space_dims_and_property3():
     for (kind, j, i), sp in ts.items():
         if kind == "s":
             assert same_span(sp, intersect(W[i], W[j]))
+
+
+def test_property3_needs_the_transfer_space_inside_the_helper():
+    # Swap S_{j,i} for a beta-dimensional subspace of W_i that meets W_j
+    # only in 0: its dimension and W_i half still hold, so only the W_j
+    # half of the containment can fail the (j, i) line.
+    p = validate_params(5, 2, 3, 2, GF7)
+    plan = make_plan(p, {1, 2}, seed=0)
+    W = {i: node_space(i, p) for i in range(1, 6)}
+    real = transfer_spaces(plan, p)
+    label = min(x for x in real if x[0] == "s")
+    _, j, i = label
+    fake = next(
+        sp
+        for sp in (Subspace(GF7, p.block_size, pair) for pair in combinations(W[i].rows, 2))
+        if rank(space_sum(W[j], sp)) == p.share_size + 2
+    )
+    assert rank(fake) == 2 and rank(space_sum(W[i], fake)) == p.share_size
+
+    def property3(spaces):
+        results = check_property3(plan, p, _dims({**W, **spaces}))
+        return {c.indices: c.passed for c in results if c.name.endswith("intersection")}
+
+    assert all(property3(real).values())
+    faked = property3({**real, label: fake})
+    assert not faked.pop(f"j={j},i={i}")
+    assert all(faked.values())
 
 
 def test_pairwise_intersection_dim_k1():
