@@ -181,8 +181,9 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
         )
     field, points = params.field, params.points
     field.check_elements(data, stripes)
-    # grid[v][u] = F(x_u, y_v): g_v at every x-point.
-    grid = [evaluate(field, g, points.x) for g in zip(*_y_stage(data, params))]
+    # grid[v][u] = F(x_u, y_v): g_v at every x-point, all computed (rows and
+    # columns both read it).
+    grid = [tuple(evaluate(field, g, points.x)) for g in zip(*_y_stage(data, params))]
     return [
         share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
         for i in range(1, params.n + 1)

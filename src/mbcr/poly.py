@@ -111,8 +111,8 @@ def interpolate(
 
 def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> Sequence[int]:
     """The polynomial with these ascending coefficients at every point of
-    xs: all at once in the packed form, in the per-element form each on its
-    first read, so that a caller pays for the points it reads."""
+    xs: all at once in the packed form, in the per-element form each on
+    read, so that a caller pays for the points it reads."""
     packed = powers(field, xs, len(coeffs))[1]
     if packed and max(coeffs) < 256:
         acc = reduce(xor, map(field.scale, packed, coeffs))
@@ -122,15 +122,13 @@ def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> Sequen
 
 class _Values(abc.Sequence):
     def __init__(self, at, xs: tuple[int, ...]):
-        self._at, self._xs, self._memo = at, xs, {}
+        self._at, self._xs = at, xs
 
     def __len__(self):
         return len(self._xs)
 
     def __getitem__(self, u: int) -> int:
-        if u not in self._memo:
-            self._memo[u] = self._at(self._xs[u])
-        return self._memo[u]
+        return self._at(self._xs[u])
 
 
 @cache

@@ -181,20 +181,19 @@ def stripe_count(length: int, block_size: int) -> int:
 
 # The crossover grows with the code; measured end to end it is about 2
 # stripes at (5,2,3,2), 3 to 4 at (10,4,6,3) and 5 at (14,10,10,4).
-_HELPERS_PER_STRIPE = 2
+_CROSSOVER_DIVISOR = 2
 
 
 def to_batches(data: bytes, width: int, params: CodeParams) -> tuple[list[tuple], int]:
     """The inputs of the codec calls for stripe-major bytes of width symbols
     per stripe, and the stripes each call covers. The one place that picks
-    the orientation: below d / _HELPERS_PER_STRIPE stripes of a GF(256) file,
+    the orientation: below d / _CROSSOVER_DIVISOR stripes of a GF(256) file,
     one call per stripe on its symbols (packed constants, see poly); from
     there, and over a prime field, one call on the columns of all stripes."""
     count = stripe_count(len(data), width)
-    if params.field.kind != "binary" or count * _HELPERS_PER_STRIPE >= params.d:
+    if params.field.kind != "binary" or count * _CROSSOVER_DIVISOR >= params.d:
         return [to_columns(data, width)], count
-    data = data.ljust(count * width, b"\x00")
-    return [tuple(data[s * width : (s + 1) * width]) for s in range(count)], 1
+    return file_to_stripes(data, width), 1
 
 
 def to_columns(data: bytes, width: int) -> tuple[int, ...]:
@@ -208,8 +207,6 @@ def to_columns(data: bytes, width: int) -> tuple[int, ...]:
 
 def from_columns(columns: Sequence[int], count: int) -> bytes:
     """The stripe-major bytes of count stripes, from their columns."""
-    if count == 1:  # one-stripe columns are the symbols
-        return bytes(columns)
     width = len(columns)
     out = bytearray(width * count)
     for t, column in enumerate(columns):

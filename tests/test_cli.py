@@ -211,7 +211,7 @@ class TestCli:
         # shares are the same bytes on both sides.
         n, k, d, r = code
         p = validate_params(n, k, d, r, Field.gf256())
-        crossover = -(-d // sharefile._HELPERS_PER_STRIPE)
+        crossover = -(-d // sharefile._CROSSOVER_DIVISOR)
         rng = random.Random(n)
         for count in range(1, crossover + 3):
             data = rng.randbytes(count * p.block_size - rng.randrange(p.block_size))
