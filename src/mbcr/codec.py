@@ -11,12 +11,14 @@ stores the share_size evaluations (layout: share_point_nodes)
 where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
 = F(x_i, Y) at d+r y-points and g_i(X) = F(X, y_i) at d x-points (one of
 them shared). Reconstruction from any k shares is staged univariate
-interpolation on the coefficients of the f_i and g_i.
+interpolation on the coefficients of the f_i and g_i (share_polys);
+repair reads a node's row and column of the grid resampled from its
+share (node_lines), never its coefficients.
 
-encode, reconstruct, check_shares and share_polys take a stripe count.
-With the default of 1 every data symbol is a field element; with
-stripes = S every one is a GF(256) column of S stripes (see gf), and one
-call encodes or decodes all S stripes of a file.
+encode, reconstruct, check_shares, share_polys and node_lines take a
+stripe count. With the default of 1 every data symbol is a field
+element; with stripes = S every one is a GF(256) column of S stripes
+(see gf), and one call covers all S stripes of a file.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, InconsistentShareError, ParameterError
 from .gf import Field
-from .poly import coeff_cells, evaluate, interpolate
+from .poly import coeff_cells, evaluate, interpolate, resample
 
 
 @dataclass(frozen=True)
@@ -149,11 +151,12 @@ def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
     return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
 
 
-def node_lines(f: Sequence[int], g: Sequence[int], params: CodeParams):
-    """A node's row and column of F's n x n grid: (f at every y-point,
-    g at every x-point)."""
+def node_lines(share: Share, params: CodeParams, stripes: int = 1):
+    """A node's row and column of F's n x n grid, (f at every y-point, g at
+    every x-point), resampled from its checked share."""
+    f_pts, g_pts = _share_samples(share, params, stripes)
     field, points = params.field, params.points
-    return evaluate(field, f, points.y), evaluate(field, g, points.x)
+    return resample(field, f_pts, points.y), resample(field, g_pts, points.x)
 
 
 def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
@@ -162,14 +165,14 @@ def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
     return Share(node_id, tuple(value_at(node_id, lines, pt) for pt in pts))
 
 
-def _y_stage(data: Sequence[int], params: CodeParams) -> list[Sequence[int]]:
-    """F's X^a slices at every y-point: entry v of row a is the X^a
-    coefficient of g_v = F(X, y_v)."""
+def _y_stage(data: Sequence[int], params: CodeParams, ys: tuple[int, ...]) -> list[tuple]:
+    """F's X^a slices at the y-points ys: entry v of row a is the X^a
+    coefficient of F(X, ys[v])."""
     k, d, r = params.k, params.d, params.r
     slices = [[0] * (d + r if a < k else k) for a in range(d)]
     for (a, b), c in zip(coeff_cells(k, d, r), data):
         slices[a][b] = c
-    return [evaluate(params.field, s, params.points.y) for s in slices]
+    return [evaluate(params.field, s, ys) for s in slices]
 
 
 def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Share]:
@@ -181,9 +184,8 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
         )
     field, points = params.field, params.points
     field.check_elements(data, stripes)
-    # grid[v][u] = F(x_u, y_v): g_v at every x-point, all computed (rows and
-    # columns both read it).
-    grid = [tuple(evaluate(field, g, points.x)) for g in zip(*_y_stage(data, params))]
+    # grid[v][u] = F(x_u, y_v): g_v at every x-point.
+    grid = [evaluate(field, g, points.x) for g in zip(*_y_stage(data, params, points.y))]
     return [
         share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
         for i in range(1, params.n + 1)
@@ -220,6 +222,19 @@ def _check_length(share: Share, params: CodeParams) -> None:
         )
 
 
+def _share_samples(share: Share, params: CodeParams, stripes: int):
+    """The share's (y, value) samples of f_i and (x, value) samples of g_i.
+    Every share enters reconstruct and repair here, so it is checked here."""
+    i = share.node_id
+    samples = list(zip(share_point_nodes(i, params), share.evals))
+    _check_length(share, params)
+    params.field.check_elements(share.evals, stripes)
+    points = params.points
+    f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
+    g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
+    return f_pts, g_pts
+
+
 def share_polys(
     share: Share, params: CodeParams, stripes: int = 1
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -227,18 +242,10 @@ def share_polys(
 
     f_i(Y) = F(x_i, Y) has degree < d+r and g_i(X) = F(X, y_i) degree
     < d; each is interpolated from its samples in share_point_nodes.
-    This is where every share enters reconstruct and repair, so its node
-    id and symbols are checked here.
     """
-    i = share.node_id
-    samples = list(zip(share_point_nodes(i, params), share.evals))
-    _check_length(share, params)
-    field, points = params.field, params.points
-    field.check_elements(share.evals, stripes)
-    f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
-    g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
-    f = interpolate(field, f_pts, params.d + params.r)
-    return f, interpolate(field, g_pts, params.d)
+    f_pts, g_pts = _share_samples(share, params, stripes)
+    fld = params.field
+    return interpolate(fld, f_pts, params.d + params.r), interpolate(fld, g_pts, params.d)
 
 
 def reconstruct(
@@ -286,9 +293,9 @@ def reconstruct(
     # Cross-check with g_l = F(X, y_l) from the Y stage of the re-encoding:
     # stages 1 and 3 fit each f_l exactly, so only g_l can disagree, and in
     # exactly the stripes where one of its samples does.
-    at_y = _y_stage(data, params)
+    at_y = _y_stage(data, params, tuple(ys))
     for l, i in enumerate(ids):
-        _check_consistent(i, [at[i - 1] for at in at_y], fg[l][1], stripes, ids)
+        _check_consistent(i, [at[l] for at in at_y], fg[l][1], stripes, ids)
     return data
 
 

@@ -9,18 +9,19 @@ Points are field elements; coefficients and sample values are data,
 either elements or GF(256) columns (see gf). Data is only ever added to
 data or scaled by a constant built from the points, so every function
 here runs once per file on columns as it does once per stripe on
-elements. interpolate and evaluate apply such a constant map in one of
-two forms, both through Field.scale: per element, one call per input and
-output; or packed, when every input is a GF(256) element, one call per
-input on the constant's row packed over all outputs (output i in byte i).
-sharefile.to_batches picks the orientation that makes inputs elements.
+elements. interpolate, evaluate and resample (values on one point set
+to values on another) apply such a constant map, cached per point set,
+in one of two forms (_apply), both through Field.scale: per element, one
+call per input and output; or packed, when every input is a GF(256)
+element, one call per input on the constant's row packed over all
+outputs (output i in byte i). sharefile.to_batches picks the orientation
+that makes inputs elements.
 """
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, reduce
 from operator import xor
 from typing import Sequence
 
@@ -40,7 +41,7 @@ def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
 @lru_cache(maxsize=4096)
 def lagrange_basis(field: Field, xs: tuple[int, ...]):
     """Coefficient rows of the Lagrange basis polynomials for the x-set,
-    and their packed form (see _packed).
+    and their packed form (see _rows).
 
     Row t is the ascending-degree coefficients of the polynomial that is
     1 at xs[t] and 0 at the other points. Cached: the protocol
@@ -68,13 +69,61 @@ def lagrange_basis(field: Field, xs: tuple[int, ...]):
             q[i] = field.add(master[i + 1], field.mul(x, q[i + 1]))
         scale = field.inv(eval_poly(field, q, x))
         rows.append(tuple(field.mul(scale, c) for c in q))
-    return tuple(rows), _packed(field, rows)
+    return _rows(field, rows)
 
 
-def _packed(field: Field, rows):
-    """GF(256) rows as ints, entry i in byte i; None over GF(p)."""
+def _rows(field: Field, rows):
+    """Constant rows as cached: over GF(256) bytes, and each also packed
+    into an int (entry i in byte i); over GF(p) tuples, and no packed form."""
     if field.kind == "binary":
-        return tuple(int.from_bytes(bytes(r), "little") for r in rows)
+        rows = tuple(map(bytes, rows))
+        return rows, tuple(int.from_bytes(r, "little") for r in rows)
+    return tuple(map(tuple, rows)), None
+
+
+@lru_cache(maxsize=4096)
+def lagrange_at(field: Field, xs: tuple[int, ...], targets: tuple[int, ...]):
+    """Row s: the Lagrange polynomial that is 1 at xs[s] and 0 at the other
+    points, at every target; and the rows packed (see _rows). Barycentric,
+    L_s(z) = l(z) w_s / (z - xs[s]) with l(z) = prod (z - x_t) and w_s = 1 /
+    prod over t != s of (xs[s] - x_t): O(m^2 + n m) operations. A target in
+    xs gets a unit column, so its value is copied. Cached like lagrange_basis."""
+    sub, mul, inv = field.sub, field.mul, field.inv
+    w = [inv(reduce(mul, (sub(x, t) for t in xs if t != x), 1)) for x in xs]
+
+    def column(z):
+        diffs = [sub(z, x) for x in xs]
+        if 0 in diffs:
+            return [int(not dz) for dz in diffs]
+        lz = reduce(mul, diffs)
+        return [mul(mul(lz, ws), inv(dz)) for ws, dz in zip(w, diffs)]
+    return _rows(field, zip(*map(column, targets)))
+
+
+def _apply(field: Field, rows, packed, values: Sequence[int]) -> tuple[int, ...]:
+    """The constant map with input s's weight on output o at rows[s][o].
+    Packed if every value is a GF(256) element, else per element: a weight
+    of 0 is skipped and one of 1 copies its input."""
+    if packed and max(values) < 256:
+        acc = reduce(xor, map(field.scale, packed, values))
+        return tuple(acc.to_bytes(len(rows[0]), "little"))
+    add, scale = field.add, field.scale
+    out = [0] * len(rows[0])
+    for v, row in zip(values, rows):
+        if v:
+            for o, c in enumerate(row):
+                if c:
+                    out[o] = add(out[o], v if c == 1 else scale(v, c))
+    return tuple(out)
+
+
+def _by_x(points: Sequence[tuple[int, int]]):
+    """The points' x-set in ascending order, and their values in that order."""
+    points = sorted(points, key=lambda p: p[0])
+    xs = tuple(p[0] for p in points)
+    if len(set(xs)) != len(xs):
+        raise InterpolationError("duplicate x-coordinates")
+    return xs, [p[1] for p in points]
 
 
 def interpolate(
@@ -89,46 +138,20 @@ def interpolate(
         raise InterpolationError(
             f"expected exactly {degree_bound} points, got {len(points)}"
         )
-    points = sorted(points, key=lambda p: p[0])
-    xs = tuple(p[0] for p in points)
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("duplicate x-coordinates")
-
-    m = degree_bound
-    basis, packed = lagrange_basis(field, xs)
-    ys = [p[1] for p in points]
-    if packed and max(ys) < 256:
-        acc = reduce(xor, map(field.scale, packed, ys))
-        return tuple(acc.to_bytes(m, "little"))
-    add, scale = field.add, field.scale
-    result = [0] * m
-    for y, row in zip(ys, basis):
-        if y:
-            for i in range(m):
-                result[i] = add(result[i], scale(y, row[i]))
-    return tuple(result)
+    xs, ys = _by_x(points)
+    return _apply(field, *lagrange_basis(field, xs), ys)
 
 
-def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> Sequence[int]:
-    """The polynomial with these ascending coefficients at every point of
-    xs: all at once in the packed form, in the per-element form each on
-    read, so that a caller pays for the points it reads."""
-    packed = powers(field, xs, len(coeffs))[1]
-    if packed and max(coeffs) < 256:
-        acc = reduce(xor, map(field.scale, packed, coeffs))
-        return tuple(acc.to_bytes(len(xs), "little"))
-    return _Values(partial(eval_poly, field, coeffs), xs)
+def resample(field: Field, points: Sequence[tuple[int, int]], targets: tuple[int, ...]):
+    """The values at targets of the polynomial of degree < len(points)
+    through the points (pairwise distinct x), with no coefficients."""
+    xs, ys = _by_x(points)
+    return _apply(field, *lagrange_at(field, xs, targets), ys)
 
 
-class _Values(abc.Sequence):
-    def __init__(self, at, xs: tuple[int, ...]):
-        self._at, self._xs = at, xs
-
-    def __len__(self):
-        return len(self._xs)
-
-    def __getitem__(self, u: int) -> int:
-        return self._at(self._xs[u])
+def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> tuple[int, ...]:
+    """The polynomial with these ascending coefficients at every point of xs."""
+    return _apply(field, *powers(field, xs, len(coeffs)), coeffs)
 
 
 @cache
@@ -146,11 +169,10 @@ def coeff_cells(k: int, d: int, r: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=4096)
 def powers(field: Field, xs: tuple[int, ...], count: int):
-    """x^0, ..., x^(count-1) for each point of xs, and per degree those
-    powers packed over the points. Cached: the code raises its evaluation
-    points to the same few powers over and over."""
-    rows = tuple(tuple(field.pow(x, i) for i in range(count)) for x in xs)
-    return rows, _packed(field, zip(*rows))
+    """Per degree i < count, x^i at every point of xs, and those rows
+    packed over the points. Cached: the code raises its evaluation points
+    to the same few powers over and over."""
+    return _rows(field, ((field.pow(x, i) for x in xs) for i in range(count)))
 
 
 @dataclass(frozen=True)
@@ -176,19 +198,19 @@ class BiPoly:
     def f_at(self, field: Field, x: int) -> tuple[int, ...]:
         """Ascending Y-coefficients of F(x, Y), degree < d+r."""
         add, scale = field.add, field.scale
-        (xpow,), _ = powers(field, (x,), self.d)
+        xpow = powers(field, (x,), self.d)[0]
         out = [0] * (self.d + self.r)
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
-            out[j] = add(out[j], scale(c, xpow[i]))
+            out[j] = add(out[j], scale(c, xpow[i][0]))
         return tuple(out)
 
     def g_at(self, field: Field, y: int) -> tuple[int, ...]:
         """Ascending X-coefficients of F(X, y), degree < d."""
         add, scale = field.add, field.scale
-        (ypow,), _ = powers(field, (y,), self.d + self.r)
+        ypow = powers(field, (y,), self.d + self.r)[0]
         out = [0] * self.d
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
-            out[i] = add(out[i], scale(c, ypow[j]))
+            out[i] = add(out[i], scale(c, ypow[j][0]))
         return tuple(out)
 
     def eval(self, field: Field, x: int, y: int) -> int:

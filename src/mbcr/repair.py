@@ -5,10 +5,11 @@ named once here (phase1_points, phase2_point; subspace.transfer_spaces
 and find_forwarding_witness read them too), and each sender reads it
 with codec.value_at from its f and g at every point (codec.node_lines).
 Phase 1: newcomer i gets F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j)
-from each of its d helpers j and interpolates g_i(X). Phase 2: newcomer j
-sends newcomer i F(x_i, y_j) = g_j(x_i). With its own F(x_i, y_i) =
-g_i(x_i) (computed, never received or counted), i interpolates f_i(Y) and
-re-emits its share.
+from each of its d helpers j and resamples g_i to every x-point. Phase 2:
+newcomer j sends newcomer i F(x_i, y_j) = g_j(x_i). With its own
+F(x_i, y_i) = g_i(x_i) (computed, never received or counted), i resamples
+f_i to every y-point and re-emits its share. Senders and newcomers read
+values from resampled lines (poly.resample), never from coefficients.
 
 The ledger counts the values sent per newcomer and phase, per stripe.
 With stripes = S each value is a GF(256) column of S stripes (see gf),
@@ -23,11 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .codec import (
-    CodeParams, Share, node_lines, share_from_lines, share_point_nodes, share_polys, value_at
-)
+from .codec import CodeParams, Share, node_lines, share_from_lines, share_point_nodes, value_at
 from .errors import ProtocolError
-from .poly import evaluate, interpolate
+from .poly import resample
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,10 @@ def phase2_point(sender: int, newcomer: int) -> tuple[int, int]:
 
 
 def phase1_assemble(newcomer: int, received: Mapping, params: CodeParams):
-    """g_i(X) from the received values, a point -> value map, on newcomer i's y-line."""
-    x_of = params.points.x_of
-    g_pts = [(x_of(xn), v) for (xn, yn), v in received.items() if yn == newcomer]
-    return interpolate(params.field, g_pts, params.d)
+    """g_i at every x-point, from the received values on newcomer i's y-line."""
+    points = params.points
+    g_pts = [(points.x_of(xn), v) for (xn, yn), v in received.items() if yn == newcomer]
+    return resample(params.field, g_pts, points.x)
 
 
 def phase2_send(sender: int, g_line: Sequence[int], newcomer: int):
@@ -111,13 +110,13 @@ def phase2_send(sender: int, g_line: Sequence[int], newcomer: int):
 
 
 def regenerate(newcomer: int, g_line: Sequence[int], received: Mapping, params: CodeParams):
-    """f_i(Y) from the received values on newcomer i's x-line and its own
-    g_i(x_i); g_line is g_i at every x-point."""
-    i, fld, points = newcomer, params.field, params.points
+    """Newcomer i's share, with f_i at every y-point resampled from the
+    received values on its x-line and its own g_i(x_i); g_line is g_i at
+    every x-point."""
+    i, points = newcomer, params.points
     f_pts = [(points.y_of(yn), v) for (xn, yn), v in received.items() if xn == i]
     f_pts.append((points.y_of(i), g_line[i - 1]))
-    f = interpolate(fld, f_pts, params.d + params.r)
-    return share_from_lines(i, (evaluate(fld, f, points.y), g_line), params)
+    return share_from_lines(i, (resample(params.field, f_pts, points.y), g_line), params)
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    lines = {j: node_lines(*share_polys(by_id[j], params, stripes), params) for j in needed}
+    lines = {j: node_lines(by_id[j], params, stripes) for j in needed}
     newcomers = sorted(plan.failed)
     received: dict[int, dict[tuple[int, int], int]] = {}
     g: dict[int, Sequence[int]] = {}  # g_i at every x-point
@@ -166,7 +165,7 @@ def run_repair(
             for j in plan.helpers[i]
             for pt in phase1_points(j, i)
         }
-        g[i] = evaluate(params.field, phase1_assemble(i, received[i], params), params.points.x)
+        g[i] = phase1_assemble(i, received[i], params)
     phase1 = {i: len(received[i]) for i in newcomers}
 
     # Barrier: every phase-1 assembly completes before any exchange.

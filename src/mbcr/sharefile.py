@@ -2,8 +2,8 @@
 
 Layout (little-endian, bit-exact):
   magic "MBCR" (4 bytes), version u8 = 1, field kind u8 (0 prime,
-  1 binary GF(256)), field modulus u16 (prime, or the reduction
-  polynomial 0x11D), n, k, d, r u16 each, node_id u16,
+  1 binary GF(256)), field modulus u16 (a prime of at most 256, or the
+  reduction polynomial 0x11D), n, k, d, r u16 each, node_id u16,
   stripe_count u32, original_length u64, then the payload: one byte
   per symbol, stripe-major, each stripe in canonical share order.
 
@@ -46,6 +46,8 @@ def field_kind_codes(field: Field) -> tuple[int, int]:
 
 def field_from_codes(kind: int, modulus: int) -> Field:
     if kind == FIELD_KIND_PRIME:
+        if modulus > 256:
+            raise ShareFormatError(f"prime modulus {modulus} exceeds 256, one byte per symbol")
         try:
             return Field.prime(modulus)
         except ValueError as exc:

@@ -296,6 +296,23 @@ class TestCli:
         assert rc == 2
         assert "11 is not an element of GF(11)" in capsys.readouterr().err
 
+    def test_a_prime_modulus_above_256_is_refused(self, tmp_path, capsys):
+        # One byte per symbol: over GF(257) the data symbol 256 could not
+        # be written back out, so such a file is malformed.
+        p = validate_params(5, 2, 3, 2, Field.prime(257))
+        shares = encode((256, 1) + (0,) * (p.block_size - 2), p)
+        assert all(v < 256 for share in shares[:2] for v in share.evals)
+        paths = []
+        for share in shares[:2]:
+            paths.append(str(tmp_path / f"share_{share.node_id}.mbcr"))
+            sf = ShareFile(p, share.node_id, 1, p.block_size, bytes(share.evals))
+            write_share_file(paths[-1], sf)
+        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "prime modulus 257 exceeds 256" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_prime_field_files_hold_one_stripe(self, tmp_path, capsys):
         # Prime-field symbols do not pack into columns; encode never
         # writes such files, and a hand-made one is refused.

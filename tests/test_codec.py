@@ -24,7 +24,7 @@ from mbcr.errors import (
     ParameterError,
 )
 from mbcr.gf import Field
-from mbcr.poly import coeff_cells, eval_poly
+from mbcr.poly import BiPoly, coeff_cells, eval_poly
 
 GF7 = Field.prime(7)
 
@@ -139,7 +139,21 @@ def test_share_polys_round_trip_reproduces_evals():
             for s in range(1, p.d)
         ]
         assert tuple(expect) == share.evals
-        assert share_from_lines(share.node_id, node_lines(f, g, p), p) == share
+        assert share_from_lines(share.node_id, node_lines(share, p), p) == share
+
+
+def test_node_lines_are_the_nodes_row_and_column_of_the_grid():
+    rng = random.Random(9)
+    for n, k, d, r in parameter_grid(5):
+        for field in (prime_for(n), Field.gf256()):
+            p = validate_params(n, k, d, r, field)
+            data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
+            F = BiPoly.from_coeffs(data, k, d, r)
+            for share in encode(data, p):
+                x, y = p.points.x_of(share.node_id), p.points.y_of(share.node_id)
+                f_line, g_line = node_lines(share, p)
+                assert f_line == tuple(F.eval(field, x, v) for v in p.points.y)
+                assert g_line == tuple(F.eval(field, u, y) for u in p.points.x)
 
 
 def test_encode_matches_the_direct_monomial_sum():
@@ -167,16 +181,18 @@ def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
     p = validate_params(5, 2, 3, 2, GF7)
     shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     stray = Share(node_id=node_id, evals=shares[4].evals)
-    with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
-        share_polys(stray, p)
+    for read in (share_polys, node_lines):
+        with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
+            read(stray, p)
     with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
         reconstruct([stray, shares[1]], p)
 
 
 def test_share_polys_rejects_wrong_length():
     p = validate_params(5, 2, 3, 2, GF7)
-    with pytest.raises(CorruptShareError):
-        share_polys(Share(node_id=1, evals=(0,) * 6), p)
+    for read in (share_polys, node_lines):
+        with pytest.raises(CorruptShareError):
+            read(Share(node_id=1, evals=(0,) * 6), p)
 
 
 def test_reconstruct_toy_single_share():

@@ -4,7 +4,9 @@ import pytest
 
 from mbcr.errors import InterpolationError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly, coeff_cells, eval_poly, evaluate, interpolate, lagrange_basis
+from mbcr.poly import (
+    BiPoly, coeff_cells, eval_poly, evaluate, interpolate, lagrange_at, lagrange_basis, resample
+)
 
 GF7 = Field.prime(7)
 
@@ -102,6 +104,47 @@ def test_interpolate_errors():
         interpolate(GF7, [(1, 2)], 2)
     with pytest.raises(InterpolationError):
         interpolate(GF7, [(1, 2), (1, 3)], 2)
+
+
+@pytest.mark.parametrize("field", [GF7, Field.prime(257), Field.gf256()])
+def test_resample_is_evaluate_of_interpolate(field):
+    # Targets both inside and outside the point set. Over GF(256), bytes
+    # take the packed form and columns the per-element form.
+    rng = random.Random(field.order)
+    for m in range(1, 7):
+        for _ in range(10):
+            xs = rng.sample(range(field.order), m)
+            targets = tuple(rng.sample(xs, rng.randrange(m + 1)))
+            targets += tuple(rng.sample(range(field.order), 4))
+            values = [rng.randrange(field.order) for _ in range(m)]
+            want = evaluate(field, interpolate(field, list(zip(xs, values)), m), targets)
+            assert resample(field, list(zip(xs, values)), targets) == want
+            if field.kind == "binary":
+                cols = [rng.randrange(256**5) for _ in range(m)]
+                pts = list(zip(xs, cols))
+                want = by_stripe(lambda ys: resample(field, list(zip(xs, ys)), targets), cols, 5)
+                assert resample(field, pts, targets) == want
+                assert resample(field, pts, tuple(xs)) == tuple(cols)
+
+
+def test_permuted_points_share_one_lagrange_at_entry():
+    rng = random.Random(6)
+    field = Field.gf256()
+    coeffs = tuple(rng.randrange(256) for _ in range(6))
+    pts = [(x, eval_poly(field, coeffs, x)) for x in rng.sample(range(256), 6)]
+    targets = tuple(range(1, 11))
+    want = evaluate(field, coeffs, targets)
+    assert resample(field, pts, targets) == want
+    misses = lagrange_at.cache_info().misses
+    for _ in range(10):
+        rng.shuffle(pts)
+        assert resample(field, pts, targets) == want
+    assert lagrange_at.cache_info().misses == misses
+
+
+def test_resample_rejects_duplicate_x():
+    with pytest.raises(InterpolationError, match="duplicate"):
+        resample(GF7, [(1, 2), (1, 3)], (0, 4))
 
 
 def test_bipoly_layout_and_eval():

@@ -4,13 +4,11 @@ from itertools import combinations
 import pytest
 
 from conftest import from_columns, parameter_grid, prime_for, to_columns
-from mbcr import repair
-from mbcr.codec import (
-    Share, encode, node_lines, share_point_nodes, share_polys, validate_params, value_at
-)
+from mbcr import codec, poly, repair
+from mbcr.codec import Share, encode, node_lines, share_point_nodes, validate_params, value_at
 from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly, evaluate
+from mbcr.poly import BiPoly
 from mbcr.repair import (
     find_forwarding_witness,
     make_plan,
@@ -73,8 +71,7 @@ def phase1_values(share, newcomer, p):
     """The values helper share.node_id sends newcomer in phase 1, as a
     point -> value map."""
     j = share.node_id
-    f, g = share_polys(share, p)
-    lines = node_lines(f, g, p)
+    lines = node_lines(share, p)
     return {pt: value_at(j, lines, pt) for pt in phase1_points(j, newcomer)}
 
 
@@ -108,8 +105,8 @@ def test_phase1_assemble_recovers_g():
     received = {}
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 1, p))
-    g = phase1_assemble(1, received, p)
-    assert g == F.g_at(GF7, p.points.y_of(1))
+    g_line = phase1_assemble(1, received, p)
+    assert g_line == tuple(F.eval(GF7, x, p.points.y_of(1)) for x in p.points.x)
 
 
 def test_phase2_payload_is_cross_evaluation():
@@ -118,8 +115,7 @@ def test_phase2_payload_is_cross_evaluation():
     received = {}
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 2, p))
-    g = phase1_assemble(2, received, p)
-    g_line = evaluate(GF7, g, p.points.x)
+    g_line = phase1_assemble(2, received, p)
     assert phase2_send(2, g_line, 1) == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
 
 
@@ -127,9 +123,9 @@ def test_regenerate_toy():
     p = validate_params(3, 1, 1, 1, GF7)
     shares = encode((1, 1), p)
     received = phase1_values(shares[1], 1, p)
-    g = phase1_assemble(1, received, p)
+    g_line = phase1_assemble(1, received, p)
     # r = 1: no phase-2 values at all.
-    assert regenerate(1, evaluate(GF7, g, p.points.x), received, p) == shares[0]
+    assert regenerate(1, g_line, received, p) == shares[0]
 
 
 def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
@@ -251,6 +247,30 @@ def test_column_repair_matches_per_stripe_scalar_repairs():
                     expect = [stripe[0][i].evals for stripe in per_stripe]
                     assert from_columns(regen[i].evals, count) == expect
                 assert all(stripe[1] == ledger for stripe in per_stripe)
+
+
+def test_run_repair_builds_no_coefficients(monkeypatch):
+    # Repair moves values between point sets by poly.resample; nothing on
+    # its path interpolates coefficients.
+    def forbidden(*args):
+        raise AssertionError("repair interpolated coefficients")
+
+    for module, name in ((poly, "interpolate"), (codec, "interpolate"), (poly, "lagrange_basis")):
+        monkeypatch.setattr(module, name, forbidden)
+    rng = random.Random(17)
+    for n, k, d, r in parameter_grid(5):
+        for field, count in ((prime_for(n), 1), (Field.gf256(), 1), (Field.gf256(), 3)):
+            p = validate_params(n, k, d, r, field)
+            blocks = [
+                tuple(rng.randrange(field.order) for _ in range(p.block_size))
+                for _ in range(count)
+            ]
+            shares = encode(to_columns(blocks), p, count)
+            failed = set(rng.sample(range(1, n + 1), r))
+            plan = make_plan(p, failed, seed=rng.randrange(1000))
+            survivors = [s for s in shares if s.node_id not in failed]
+            regen, _ = run_repair(survivors, plan, p, count)
+            assert all(regen[i] == shares[i - 1] for i in failed)
 
 
 def test_multi_stage_stability():
