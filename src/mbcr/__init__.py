@@ -9,7 +9,6 @@ subspace structure and the cut-set bound.
 from .codec import (
     CodeParams,
     Share,
-    check_shares,
     encode,
     reconstruct,
     share_polys,
@@ -30,7 +29,6 @@ __all__ = [
     "Field",
     "RepairPlan",
     "Share",
-    "check_shares",
     "encode",
     "find_forwarding_witness",
     "make_plan",

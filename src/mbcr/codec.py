@@ -10,26 +10,28 @@ stores the share_size evaluations (layout: share_point_nodes)
 
 where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
 = F(x_i, Y) at d+r y-points and g_i(X) = F(X, y_i) at d x-points (one of
-them shared). Reconstruction from any k shares is staged univariate
-interpolation on the coefficients of the f_i and g_i (share_polys);
-repair reads a node's row and column of the grid resampled from its
-share (node_lines), never its coefficients.
+them shared). reconstruct decodes from the first k of its shares by
+staged univariate interpolation on the coefficients of their f_i and g_i
+(share_polys), then checks every share it was given against F's
+coefficient grid; repair reads a node's row and column of the grid
+resampled from its share (node_lines), never its coefficients.
 
-encode, reconstruct, check_shares, share_polys and node_lines take a
-stripe count. With the default of 1 every data symbol is a field
-element; with stripes = S every one is a GF(256) column of S stripes
-(see gf), and one call covers all S stripes of a file.
+encode, reconstruct, share_polys and node_lines take a stripe count.
+With the default of 1 every data symbol is a field element; with stripes
+= S every one is a GF(256) column of S stripes (see gf), and one call
+covers all S stripes of a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, InconsistentShareError, ParameterError
 from .gf import Field
-from .poly import coeff_cells, evaluate, interpolate, resample
+from .poly import coeff_cells, evaluate, interpolate, powers, resample
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,14 @@ def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
     return Share(node_id, tuple(value_at(node_id, lines, pt) for pt in pts))
 
 
-def _y_stage(data: Sequence[int], params: CodeParams, ys: tuple[int, ...]) -> list[tuple]:
-    """F's X^a slices at the y-points ys: entry v of row a is the X^a
-    coefficient of F(X, ys[v])."""
+def _coeff_grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
+    """F's coefficients by X-exponent: row a holds the Y^b coefficients of
+    X^a, d+r of them for a < k and k for a >= k."""
     k, d, r = params.k, params.d, params.r
-    slices = [[0] * (d + r if a < k else k) for a in range(d)]
+    grid = [[0] * (d + r if a < k else k) for a in range(d)]
     for (a, b), c in zip(coeff_cells(k, d, r), data):
-        slices[a][b] = c
-    return [evaluate(params.field, s, ys) for s in slices]
+        grid[a][b] = c
+    return grid
 
 
 def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Share]:
@@ -184,8 +186,9 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
         )
     field, points = params.field, params.points
     field.check_elements(data, stripes)
+    at_y = [evaluate(field, row, points.y) for row in _coeff_grid(data, params)]
     # grid[v][u] = F(x_u, y_v): g_v at every x-point.
-    grid = [evaluate(field, g, points.x) for g in zip(*_y_stage(data, params, points.y))]
+    grid = [evaluate(field, g, points.x) for g in zip(*at_y)]
     return [
         share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
         for i in range(1, params.n + 1)
@@ -214,20 +217,15 @@ def _check_consistent(
         raise InconsistentShareError(node_id, tuple(decoded_from), stripe)
 
 
-def _check_length(share: Share, params: CodeParams) -> None:
-    if len(share.evals) != params.share_size:
-        raise CorruptShareError(
-            f"share {share.node_id} has {len(share.evals)} symbols, "
-            f"expected {params.share_size}"
-        )
-
-
 def _share_samples(share: Share, params: CodeParams, stripes: int):
     """The share's (y, value) samples of f_i and (x, value) samples of g_i.
     Every share enters reconstruct and repair here, so it is checked here."""
     i = share.node_id
     samples = list(zip(share_point_nodes(i, params), share.evals))
-    _check_length(share, params)
+    if len(share.evals) != params.share_size:
+        raise CorruptShareError(
+            f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
+        )
     params.field.check_elements(share.evals, stripes)
     points = params.points
     f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
@@ -251,69 +249,52 @@ def share_polys(
 def reconstruct(
     shares: Sequence[Share], params: CodeParams, stripes: int = 1
 ) -> tuple[int, ...]:
-    """Recover the data block from exactly k shares with distinct node ids."""
+    """Recover the data block from k or more shares with distinct node ids.
+
+    Decodes from the first k shares, then checks every share against the
+    result: InconsistentShareError names the first that disagrees, the k
+    decoded from and its first bad stripe.
+    """
     k, d, r = params.k, params.d, params.r
     field, points = params.field, params.points
-    if len(shares) != k:
-        raise CodecError(f"reconstruction needs exactly {k} shares, got {len(shares)}")
+    if len(shares) < k:
+        raise CodecError(f"reconstruction needs at least k = {k} shares, got {len(shares)}")
     ids = [s.node_id for s in shares]
-    if len(set(ids)) != k:
+    if len(set(ids)) != len(ids):
         raise CodecError(f"duplicate node ids in {ids}")
 
     fg = [share_polys(s, params, stripes) for s in shares]
-    xs = [points.x_of(i) for i in ids]
-    ys = [points.y_of(i) for i in ids]
-    coeff: dict[tuple[int, int], int] = {}
+    xs = tuple(points.x_of(i) for i in ids)
+    ys = tuple(points.y_of(i) for i in ids)
 
-    # Stage 1: only cells with i < k carry Y^j for j >= k, so the Y^j
-    # coefficient of f_l is a degree-<k polynomial in X sampled at x_l.
-    for j in range(k, d + r):
-        col = interpolate(field, [(xs[l], fg[l][0][j]) for l in range(k)], k)
-        coeff.update(((i, j), c) for i, c in enumerate(col))
+    # Stage 1: only cells with j < k carry X^i for i >= k, so the X^i
+    # coefficient of g_l is a degree-<k polynomial in Y sampled at y_l.
+    high = [interpolate(field, [(ys[l], fg[l][1][i]) for l in range(k)], k) for i in range(k, d)]
 
-    # Stage 2: symmetrically, the X^i coefficient of g_l for i >= k is a
-    # degree-<k polynomial in Y sampled at y_l.
-    for i in range(k, d):
-        row = interpolate(field, [(ys[l], fg[l][1][i]) for l in range(k)], k)
-        coeff.update(((i, j), c) for j, c in enumerate(row))
-
-    # Stage 3: subtract the recovered i >= k terms from the low Y^j
-    # coefficients of each f_l, leaving samples of the i, j < k cells.
-    for j in range(k):
+    # Stage 2: the Y^j coefficient of f_l, less the stage-1 terms at x_l,
+    # is a degree-<k polynomial in X sampled at x_l.
+    sub, scale = field.sub, field.scale
+    xpow = powers(field, xs[:k], d)[0]
+    cols = []
+    for j in range(d + r):
         pts = []
         for l in range(k):
-            resid = fg[l][0][j]
-            for i in range(k, d):
-                resid = field.sub(resid, field.scale(coeff[i, j], field.pow(xs[l], i)))
-            pts.append((xs[l], resid))
-        col = interpolate(field, pts, k)
-        coeff.update(((i, j), c) for i, c in enumerate(col))
+            v = fg[l][0][j]
+            if j < k:
+                for i, row in enumerate(high, k):
+                    v = sub(v, scale(row[j], xpow[i][l]))
+            pts.append((xs[l], v))
+        cols.append(interpolate(field, pts, k))
+    data = tuple(cols[j][i] if i < k else high[i - k][j] for i, j in coeff_cells(k, d, r))
 
-    data = tuple(coeff[cell] for cell in coeff_cells(k, d, r))
-    # Cross-check with g_l = F(X, y_l) from the Y stage of the re-encoding:
-    # stages 1 and 3 fit each f_l exactly, so only g_l can disagree, and in
-    # exactly the stripes where one of its samples does.
-    at_y = _y_stage(data, params, tuple(ys))
-    for l, i in enumerate(ids):
-        _check_consistent(i, [at[l] for at in at_y], fg[l][1], stripes, ids)
+    # Check each share's g_l (its X^a coefficient is row a of the grid at
+    # y_l) and, past the first k, its f_l (Y^b: column b at x_l). The
+    # stages fit each decoded f_l exactly, so only its g_l can disagree.
+    grid = _coeff_grid(data, params)
+    want = list(zip(*(evaluate(field, row, ys) for row in grid)))
+    if len(shares) > k:
+        at_x = zip(*(evaluate(field, c, xs[k:]) for c in zip_longest(*grid, fillvalue=0)))
+        want[k:] = [g + f for g, f in zip(want[k:], at_x)]
+    for l, (i, (f, g)) in enumerate(zip(ids, fg)):
+        _check_consistent(i, g if l < k else g + f, want[l], stripes, ids[:k])
     return data
-
-
-def check_shares(
-    data: Sequence[int],
-    shares: Sequence[Share],
-    decoded_from: Sequence[int],
-    params: CodeParams,
-    stripes: int = 1,
-) -> None:
-    """Raise CorruptShareError unless each share is the encoding of data.
-
-    Checks shares beyond the k that reconstruct decoded from, against
-    the shares re-encoded from its output; decoded_from holds the node
-    ids of those k shares, for the error message.
-    """
-    encoded = encode(data, params, stripes) if shares else []
-    for share in shares:
-        _check_length(share, params)
-        want = encoded[share.node_id - 1].evals
-        _check_consistent(share.node_id, share.evals, want, stripes, decoded_from)

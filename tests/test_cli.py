@@ -387,6 +387,15 @@ class TestCli:
             out / "share_001.mbcr"
         ).read_bytes()
 
+    def test_repair_rejects_a_newcomer_named_twice_in_helpers(self, tmp_path, capsys):
+        out = self.encode(tmp_path, b"x" * 12)
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in (3, 4, 5)]
+        rc = main(["repair", *survivors, "--failed", "1,2",
+                   "--helpers", "1:9+9+9;1:3+4+5;2:3+4+5", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "newcomer 1 is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_repair_draws_helpers_from_the_supplied_shares(self, tmp_path, capsys):
         # Nodes 1-3 of (10,4,6,3) failed; shares 4-9 are d = 6 helpers, and
         # no file is given for node 10.

@@ -6,7 +6,6 @@ import pytest
 from conftest import from_columns, parameter_grid, prime_for, to_columns
 from mbcr.codec import (
     Share,
-    check_shares,
     derive_points,
     encode,
     reconstruct,
@@ -184,8 +183,9 @@ def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
     for read in (share_polys, node_lines):
         with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
             read(stray, p)
-    with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
-        reconstruct([stray, shares[1]], p)
+    for readers in ([stray, shares[1]], [shares[0], shares[1], stray]):
+        with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
+            reconstruct(readers, p)
 
 
 def test_share_polys_rejects_wrong_length():
@@ -210,18 +210,21 @@ def test_reconstruct_zero_shares():
 def test_reconstruct_input_errors():
     p = validate_params(5, 2, 3, 2, GF7)
     shares = encode(tuple(i % 7 for i in range(1, 13)), p)
-    with pytest.raises(CodecError, match="exactly"):
-        reconstruct(shares[:3], p)
+    with pytest.raises(CodecError, match="at least k = 2 shares, got 1"):
+        reconstruct(shares[:1], p)
     with pytest.raises(CodecError, match="duplicate"):
         reconstruct([shares[0], shares[0]], p)
+    with pytest.raises(CodecError, match="duplicate"):
+        reconstruct([shares[0], shares[1], shares[2], shares[1]], p)
 
 
 def test_reconstruct_rejects_a_share_symbol_outside_the_field():
     p = validate_params(5, 2, 3, 2, GF7)
     shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     bad = Share(node_id=1, evals=shares[0].evals[:-1] + (7,))
-    with pytest.raises(FieldMismatchError):
-        reconstruct([bad, shares[2]], p)
+    for readers in ([bad, shares[2]], [shares[2], shares[3], bad]):
+        with pytest.raises(FieldMismatchError):
+            reconstruct(readers, p)
 
 
 def test_reconstruct_detects_corruption():
@@ -278,7 +281,8 @@ def test_columns_encode_and_reconstruct_every_stripe_as_scalar_runs_do():
                 subset = rng.sample(shares, k)
                 got = reconstruct(subset, p, count)
                 assert from_columns(got, count) == blocks
-                check_shares(got, shares, [s.node_id for s in subset], p, count)
+                extra = [s for s in shares if s not in subset]
+                assert reconstruct(subset + extra, p, count) == got
 
 
 def test_prime_field_data_does_not_pack_into_columns():
@@ -317,8 +321,34 @@ def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
         reconstruct([bad, shares[2]], p, 7)
     # A share past the k decoded from is compared in full.
     data = reconstruct(shares[1:3], p, 7)
-    check_shares(data, shares, (2, 3), p, 7)
+    assert reconstruct([*shares[1:3], shares[0], *shares[3:]], p, 7) == data
     bad = _flip(shares[3], 0, [6], 0x01)
     match = "share 4 .* decoded from shares 2, 3 .*first bad stripe: 6"
     with pytest.raises(CorruptShareError, match=match):
-        check_shares(data, [shares[0], bad], (2, 3), p, 7)
+        reconstruct([*shares[1:3], shares[0], bad], p, 7)
+
+
+@pytest.mark.parametrize(
+    "field, count", [(None, 1), (GF256, 1), (GF256, 3)], ids=["GFp", "GF256", "GF256x3"]
+)
+def test_every_symbol_change_past_k_names_its_share(field, count):
+    # Decode from k shares and supply every other one; a change to one
+    # symbol (in stripe count - 1 of a column) of one extra share names it.
+    rng = random.Random(15)
+    for n, k, d, r in parameter_grid(5):
+        p = validate_params(n, k, d, r, field or prime_for(n))
+        blocks = [
+            tuple(rng.randrange(p.field.order) for _ in range(p.block_size))
+            for _ in range(count)
+        ]
+        shares = encode(to_columns(blocks), p, count)
+        rng.shuffle(shares)
+        for l in range(k, n):
+            for position in range(p.share_size):
+                evals = list(shares[l].evals)
+                delta = rng.randrange(1, p.field.order)
+                evals[position] = p.field.add(evals[position], delta << 8 * (count - 1))
+                readers = shares[:l] + [Share(shares[l].node_id, tuple(evals))] + shares[l + 1 :]
+                match = f"share {shares[l].node_id} .*first bad stripe: {count - 1}"
+                with pytest.raises(CorruptShareError, match=match):
+                    reconstruct(readers, p, count)
