@@ -1,7 +1,8 @@
 """Parameter validation, encoding, and data reconstruction.
 
 A data block of block_size symbols is the coefficient sequence of the
-bivariate polynomial F (see poly.BiPoly). Encoding evaluates F on the
+bivariate polynomial F (see poly.BiPoly). Node i has one evaluation
+point, x_i = y_i = CodeParams.points[i-1]. Encoding evaluates F on the
 n x n grid of points (x_u, y_v), then gathers each share from it: node i
 stores the share_size evaluations (layout: share_point_nodes)
 
@@ -10,11 +11,12 @@ stores the share_size evaluations (layout: share_point_nodes)
 
 where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
 = F(x_i, Y) at d+r y-points and g_i(X) = F(X, y_i) at d x-points (one of
-them shared). reconstruct decodes from the first k of its shares by
-staged univariate interpolation on the coefficients of their f_i and g_i
-(share_polys), then checks every share it was given against F's
-coefficient grid; repair reads a node's row and column of the grid
-resampled from its share (node_lines), never its coefficients.
+them shared); line_samples tells which line a point lies on. reconstruct
+decodes from the first k of its shares by staged interpolation on the
+coefficients of their f_i and g_i (share_polys), then checks every share
+it was given against F's coefficient grid; repair reads a node's row and
+column of the grid resampled from its share (node_lines). Data is added
+and scaled only in poly, through interpolate, evaluate and resample.
 
 encode, reconstruct, share_polys and node_lines take a stripe count.
 With the default of 1 every data symbol is a field element; with stripes
@@ -31,7 +33,7 @@ from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, InconsistentShareError, ParameterError
 from .gf import Field
-from .poly import coeff_cells, evaluate, interpolate, powers, resample
+from .poly import coeff_cells, evaluate, interpolate, resample
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class CodeParams:
         return self.d * self.helper_symbols + (self.r - 1) * self.exchange_symbols
 
     @cached_property
-    def points(self) -> EvalPoints:
-        """The code's evaluation points, derived once per instance."""
+    def points(self) -> tuple[int, ...]:
+        """The code's evaluation points, node i's at index i-1, derived once."""
         return derive_points(self)
 
 
@@ -87,34 +89,16 @@ def validate_params(n: int, k: int, d: int, r: int, field: Field) -> CodeParams:
     return CodeParams(n, k, d, r, field)
 
 
-@dataclass(frozen=True)
-class EvalPoints:
-    """The n distinct x evaluation points and n distinct y points.
-
-    Index 0 corresponds to node 1. x and y may share values. Every layer
-    reaches them through CodeParams.points.
-    """
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-
-    def x_of(self, node_id: int) -> int:
-        return self.x[node_id - 1]
-
-    def y_of(self, node_id: int) -> int:
-        return self.y[node_id - 1]
-
-
-def derive_points(params: CodeParams) -> EvalPoints:
-    """Deterministic evaluation points from the canonical enumeration.
+def derive_points(params: CodeParams) -> tuple[int, ...]:
+    """Deterministic evaluation points from the canonical enumeration, one
+    per node: node i's is both its x- and its y-point, as q >= n allows.
 
     Node i gets element i; when n equals the field order, node n wraps
     to element 0 (still injective). Never serialized, always recomputed;
     CodeParams.points is the one caller.
     """
     order = params.field.order
-    vals = tuple(i % order for i in range(1, params.n + 1))
-    return EvalPoints(x=vals, y=vals)
+    return tuple(i % order for i in range(1, params.n + 1))
 
 
 def shift_node(i: int, t: int, n: int) -> int:
@@ -124,11 +108,8 @@ def shift_node(i: int, t: int, n: int) -> int:
 
 @lru_cache(maxsize=4096)
 def share_point_nodes(node_id: int, params: CodeParams) -> tuple[tuple[int, int], ...]:
-    """Evaluation points of a share as (x-node, y-node) id pairs, canonical order.
-
-    Points with x-node i sample f_i, points with y-node i sample g_i.
-    Cached: every encode, repair and check gathers shares by it.
-    """
+    """Evaluation points of a share as (x-node, y-node) id pairs, canonical
+    order. Cached: every encode, repair and check gathers shares by it."""
     i, n = node_id, params.n
     if not 1 <= i <= n:
         raise CodecError(f"node id {i} is outside [1, {n}]")
@@ -156,9 +137,8 @@ def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
 def node_lines(share: Share, params: CodeParams, stripes: int = 1):
     """A node's row and column of F's n x n grid, (f at every y-point, g at
     every x-point), resampled from its checked share."""
-    f_pts, g_pts = _share_samples(share, params, stripes)
     field, points = params.field, params.points
-    return resample(field, f_pts, points.y), resample(field, g_pts, points.x)
+    return tuple(resample(field, s, points) for s in _share_samples(share, params, stripes))
 
 
 def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
@@ -186,9 +166,9 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
         )
     field, points = params.field, params.points
     field.check_elements(data, stripes)
-    at_y = [evaluate(field, row, points.y) for row in _coeff_grid(data, params)]
+    at_y = [evaluate(field, row, points) for row in _coeff_grid(data, params)]
     # grid[v][u] = F(x_u, y_v): g_v at every x-point.
-    grid = [evaluate(field, g, points.x) for g in zip(*at_y)]
+    grid = [evaluate(field, g, points) for g in zip(*at_y)]
     return [
         share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
         for i in range(1, params.n + 1)
@@ -217,20 +197,29 @@ def _check_consistent(
         raise InconsistentShareError(node_id, tuple(decoded_from), stripe)
 
 
+def line_samples(node_id: int, values, params: CodeParams):
+    """Node i's (y, value) samples of f_i and (x, value) samples of g_i
+    among values, pairs of an (x-node, y-node) point and F there: a point
+    samples f_i when its x-node is i and g_i when its y-node is i."""
+    points, f_pts, g_pts = params.points, [], []
+    for (xn, yn), v in values:
+        if xn == node_id:
+            f_pts.append((points[yn - 1], v))
+        if yn == node_id:
+            g_pts.append((points[xn - 1], v))
+    return f_pts, g_pts
+
+
 def _share_samples(share: Share, params: CodeParams, stripes: int):
-    """The share's (y, value) samples of f_i and (x, value) samples of g_i.
-    Every share enters reconstruct and repair here, so it is checked here."""
+    """line_samples of the share. Every share enters reconstruct and repair
+    here, so it is checked here."""
     i = share.node_id
-    samples = list(zip(share_point_nodes(i, params), share.evals))
     if len(share.evals) != params.share_size:
         raise CorruptShareError(
             f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
         )
     params.field.check_elements(share.evals, stripes)
-    points = params.points
-    f_pts = [(points.y_of(yn), v) for (xn, yn), v in samples if xn == i]
-    g_pts = [(points.x_of(xn), v) for (xn, yn), v in samples if yn == i]
-    return f_pts, g_pts
+    return line_samples(i, zip(share_point_nodes(i, params), share.evals), params)
 
 
 def share_polys(
@@ -255,8 +244,7 @@ def reconstruct(
     result: InconsistentShareError names the first that disagrees, the k
     decoded from and its first bad stripe.
     """
-    k, d, r = params.k, params.d, params.r
-    field, points = params.field, params.points
+    k, d, r, field = params.k, params.d, params.r, params.field
     if len(shares) < k:
         raise CodecError(f"reconstruction needs at least k = {k} shares, got {len(shares)}")
     ids = [s.node_id for s in shares]
@@ -264,36 +252,29 @@ def reconstruct(
         raise CodecError(f"duplicate node ids in {ids}")
 
     fg = [share_polys(s, params, stripes) for s in shares]
-    xs = tuple(points.x_of(i) for i in ids)
-    ys = tuple(points.y_of(i) for i in ids)
+    pts = tuple(params.points[i - 1] for i in ids)
+    # f_coeff[j] and g_coeff[i]: the Y^j coefficient of each decoded f_l
+    # and the X^i one of each g_l, as samples at node l's point (x_l = y_l).
+    f_coeff, g_coeff = ([list(zip(pts, c)) for c in zip(*lines)] for lines in zip(*fg[:k]))
 
     # Stage 1: only cells with j < k carry X^i for i >= k, so the X^i
     # coefficient of g_l is a degree-<k polynomial in Y sampled at y_l.
-    high = [interpolate(field, [(ys[l], fg[l][1][i]) for l in range(k)], k) for i in range(k, d)]
+    high = [interpolate(field, g_coeff[i], k) for i in range(k, d)]
 
-    # Stage 2: the Y^j coefficient of f_l, less the stage-1 terms at x_l,
-    # is a degree-<k polynomial in X sampled at x_l.
-    sub, scale = field.sub, field.scale
-    xpow = powers(field, xs[:k], d)[0]
-    cols = []
-    for j in range(d + r):
-        pts = []
-        for l in range(k):
-            v = fg[l][0][j]
-            if j < k:
-                for i, row in enumerate(high, k):
-                    v = sub(v, scale(row[j], xpow[i][l]))
-            pts.append((xs[l], v))
-        cols.append(interpolate(field, pts, k))
-    data = tuple(cols[j][i] if i < k else high[i - k][j] for i, j in coeff_cells(k, d, r))
+    # Stage 2: the Y^j coefficient of f_l is column j of the grid, a
+    # polynomial in X, at x_l: of degree < k, or for j < k of degree < d
+    # with its X^i coefficients for i >= k from stage 1.
+    cols = [interpolate(field, f_coeff[j], k, [row[j] for row in high] if j < k else ())
+            for j in range(d + r)]
+    data = tuple(cols[j][i] for i, j in coeff_cells(k, d, r))
 
     # Check each share's g_l (its X^a coefficient is row a of the grid at
     # y_l) and, past the first k, its f_l (Y^b: column b at x_l). The
     # stages fit each decoded f_l exactly, so only its g_l can disagree.
     grid = _coeff_grid(data, params)
-    want = list(zip(*(evaluate(field, row, ys) for row in grid)))
+    want = list(zip(*(evaluate(field, row, pts) for row in grid)))
     if len(shares) > k:
-        at_x = zip(*(evaluate(field, c, xs[k:]) for c in zip_longest(*grid, fillvalue=0)))
+        at_x = zip(*(evaluate(field, c, pts[k:]) for c in zip_longest(*grid, fillvalue=0)))
         want[k:] = [g + f for g, f in zip(want[k:], at_x)]
     for l, (i, (f, g)) in enumerate(zip(ids, fg)):
         _check_consistent(i, g if l < k else g + f, want[l], stripes, ids[:k])

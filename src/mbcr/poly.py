@@ -39,12 +39,13 @@ def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def lagrange_basis(field: Field, xs: tuple[int, ...]):
+def lagrange_basis(field: Field, xs: tuple[int, ...], top: int = 0):
     """Coefficient rows of the Lagrange basis polynomials for the x-set,
-    and their packed form (see _rows).
+    then top more, and all of them packed (see _rows).
 
-    Row t is the ascending-degree coefficients of the polynomial that is
-    1 at xs[t] and 0 at the other points. Cached: the protocol
+    Row t < m = len(xs) is the ascending-degree coefficients of the
+    polynomial that is 1 at xs[t] and 0 at the other points, and row m+s
+    those of -(X^(m+s) mod prod (X - x_t)). Cached: the protocol
     interpolates at the same point sets over and over (interpolate asks
     in ascending x, whatever the order of its points).
     """
@@ -69,6 +70,8 @@ def lagrange_basis(field: Field, xs: tuple[int, ...]):
             q[i] = field.add(master[i + 1], field.mul(x, q[i + 1]))
         scale = field.inv(eval_poly(field, q, x))
         rows.append(tuple(field.mul(scale, c) for c in q))
+    for i in range(m, m + top):
+        rows.append(_apply(field, rows[:m], None, [field.neg(field.pow(x, i)) for x in xs]))
     return _rows(field, rows)
 
 
@@ -127,9 +130,10 @@ def _by_x(points: Sequence[tuple[int, int]]):
 
 
 def interpolate(
-    field: Field, points: Sequence[tuple[int, int]], degree_bound: int
+    field: Field, points: Sequence[tuple[int, int]], degree_bound: int, top: Sequence = ()
 ) -> tuple[int, ...]:
-    """Unique polynomial of degree < degree_bound through the given points.
+    """Unique polynomial through the given points of degree < degree_bound
+    plus len(top), whose coefficients from degree_bound up are top.
 
     Requires exactly degree_bound points with pairwise distinct x; the
     strict arity catches protocol bugs upstream.
@@ -139,7 +143,7 @@ def interpolate(
             f"expected exactly {degree_bound} points, got {len(points)}"
         )
     xs, ys = _by_x(points)
-    return _apply(field, *lagrange_basis(field, xs), ys)
+    return _apply(field, *lagrange_basis(field, xs, len(top)), [*ys, *top]) + tuple(top)
 
 
 def resample(field: Field, points: Sequence[tuple[int, int]], targets: tuple[int, ...]):

@@ -24,17 +24,21 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .codec import CodeParams, Share, node_lines, share_from_lines, share_point_nodes, value_at
+from .codec import CodeParams, Share, line_samples, node_lines, share_from_lines
+from .codec import share_point_nodes, value_at
 from .errors import ProtocolError
 from .poly import resample
 
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """The failed set plus an ordered helper set per newcomer."""
+    """An ordered helper set per newcomer, one per failed node."""
 
-    failed: frozenset[int]
     helpers: dict[int, tuple[int, ...]]
+
+    @property
+    def failed(self) -> frozenset[int]:
+        return frozenset(self.helpers)
 
 
 def make_plan(
@@ -51,21 +55,22 @@ def make_plan(
     drawn per newcomer from the survivors with a seeded RNG, so plans are
     reproducible. Helper sets may differ between newcomers.
     """
-    failed_set = frozenset(failed)
-    if len(failed_set) != params.r:
-        raise ProtocolError(
-            f"failed set must have exactly r = {params.r} nodes, got {sorted(failed_set)}"
-        )
-    if not all(1 <= i <= params.n for i in failed_set):
-        raise ProtocolError(f"failed ids out of range: {sorted(failed_set)}")
+    failed = sorted(failed)
+    for i, j in zip(failed, failed[1:]):
+        if i == j:
+            raise ProtocolError(f"failed id {i} is named more than once")
+    if len(failed) != params.r:
+        raise ProtocolError(f"failed set must have exactly r = {params.r} nodes, got {failed}")
+    if not all(1 <= i <= params.n for i in failed):
+        raise ProtocolError(f"failed ids out of range: {failed}")
     everyone = range(1, params.n + 1)
-    survivors = sorted(set(everyone if survivors is None else survivors) - failed_set)
+    survivors = sorted(set(everyone if survivors is None else survivors) - set(failed))
 
     chosen: dict[int, tuple[int, ...]] = {}
     if helpers is not None:
-        if set(helpers) != failed_set:
+        if set(helpers) != set(failed):
             raise ProtocolError("helper map keys must equal the failed set")
-        for i in failed_set:
+        for i in failed:
             hs = tuple(helpers[i])
             if len(hs) != params.d or len(set(hs)) != params.d:
                 raise ProtocolError(
@@ -82,9 +87,9 @@ def make_plan(
                 f"need d = {params.d} survivors to draw helpers from, got {survivors}"
             )
         rng = random.Random(seed)
-        for i in sorted(failed_set):
+        for i in failed:
             chosen[i] = tuple(rng.sample(survivors, params.d))
-    return RepairPlan(failed=failed_set, helpers=chosen)
+    return RepairPlan(chosen)
 
 
 def phase1_points(helper: int, newcomer: int) -> tuple[tuple[int, int], ...]:
@@ -99,9 +104,8 @@ def phase2_point(sender: int, newcomer: int) -> tuple[int, int]:
 
 def phase1_assemble(newcomer: int, received: Mapping, params: CodeParams):
     """g_i at every x-point, from the received values on newcomer i's y-line."""
-    points = params.points
-    g_pts = [(points.x_of(xn), v) for (xn, yn), v in received.items() if yn == newcomer]
-    return resample(params.field, g_pts, points.x)
+    g_pts = line_samples(newcomer, received.items(), params)[1]
+    return resample(params.field, g_pts, params.points)
 
 
 def phase2_send(sender: int, g_line: Sequence[int], newcomer: int):
@@ -114,9 +118,8 @@ def regenerate(newcomer: int, g_line: Sequence[int], received: Mapping, params: 
     received values on its x-line and its own g_i(x_i); g_line is g_i at
     every x-point."""
     i, points = newcomer, params.points
-    f_pts = [(points.y_of(yn), v) for (xn, yn), v in received.items() if xn == i]
-    f_pts.append((points.y_of(i), g_line[i - 1]))
-    return share_from_lines(i, (resample(params.field, f_pts, points.y), g_line), params)
+    f_pts = line_samples(i, received.items(), params)[0] + [(points[i - 1], g_line[i - 1])]
+    return share_from_lines(i, (resample(params.field, f_pts, points), g_line), params)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def run_repair(
 ) -> tuple[dict[int, Share], BandwidthLedger]:
     """Run both phases for all newcomers; returns shares and the ledger."""
     by_id = {s.node_id: s for s in survivor_shares}
-    needed = set().union(*plan.helpers.values()) if plan.helpers else set()
+    needed = set().union(*plan.helpers.values())
     missing = needed - set(by_id)
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
@@ -201,8 +204,7 @@ def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
     """
     n, d, r = params.n, params.d, params.r
     for failed in combinations(range(1, n + 1), r):
-        failed_set = set(failed)
-        survivors = [j for j in range(1, n + 1) if j not in failed_set]
+        survivors = [j for j in range(1, n + 1) if j not in failed]
         for i in failed:
             for j in survivors:
                 stored = set(share_point_nodes(j, params))
@@ -211,6 +213,6 @@ def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
                         continue
                     own = (j,) + tuple(s for s in survivors if s != j)[: d - 1]
                     helpers = {h: own if h == i else survivors[:d] for h in failed}
-                    plan = make_plan(params, failed_set, helpers=helpers)
+                    plan = make_plan(params, failed, helpers=helpers)
                     return ForwardingWitness(plan, helper=j, newcomer=i, point_nodes=pt)
     return None

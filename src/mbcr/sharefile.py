@@ -191,7 +191,8 @@ def to_batches(data: bytes, width: int, params: CodeParams) -> tuple[list[tuple]
     per stripe, and the stripes each call covers. The one place that picks
     the orientation: below d / _CROSSOVER_DIVISOR stripes of a GF(256) file,
     one call per stripe on its symbols (packed constants, see poly); from
-    there, and over a prime field, one call on the columns of all stripes."""
+    there, one call on the columns of all stripes. Over a prime field, one
+    call on columns, which the codec refuses past one stripe (exit 2)."""
     count = stripe_count(len(data), width)
     if params.field.kind != "binary" or count * _CROSSOVER_DIVISOR >= params.d:
         return [to_columns(data, width)], count

@@ -210,10 +210,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 def monomial_row(params: CodeParams, x_node: int, y_node: int) -> tuple[int, ...]:
     """Generator row of the evaluation at (x of x_node, y of y_node)."""
     field, d = params.field, params.d
-    xpow = powers(field, params.points.x, d)[0]
-    ypow = powers(field, params.points.y, d + params.r)[0]
+    pw = powers(field, params.points, d + params.r)[0]
     mul, u, v = field.mul, x_node - 1, y_node - 1
-    return tuple(mul(xpow[i][u], ypow[j][v]) for i, j in coeff_cells(params.k, d, params.r))
+    return tuple(mul(pw[i][u], pw[j][v]) for i, j in coeff_cells(params.k, d, params.r))
 
 
 def node_space(node_id: int, params: CodeParams) -> Subspace:

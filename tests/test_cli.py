@@ -396,6 +396,15 @@ class TestCli:
         assert "newcomer 1 is named twice" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("failed", ["1,1,2", "1,2,2,1"])
+    def test_repair_rejects_a_repeated_failed_id(self, tmp_path, capsys, failed):
+        out = self.encode(tmp_path, b"x" * 12)
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in (3, 4, 5)]
+        rc = main(["repair", *survivors, "--failed", failed, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "is named more than once" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_repair_draws_helpers_from_the_supplied_shares(self, tmp_path, capsys):
         # Nodes 1-3 of (10,4,6,3) failed; shares 4-9 are d = 6 helpers, and
         # no file is given for node 10.

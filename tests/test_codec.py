@@ -56,19 +56,14 @@ def test_validate_params_errors():
 
 def test_derive_points_canonical():
     p = validate_params(3, 1, 1, 1, GF7)
-    pts = derive_points(p)
-    assert pts.x == pts.y == (1, 2, 3)
-    assert p.points == pts
+    assert derive_points(p) == p.points == (1, 2, 3)
     p = validate_params(5, 2, 3, 2, Field.gf256())
-    pts = derive_points(p)
-    assert pts.x == (1, 2, 3, 4, 5)
+    assert derive_points(p) == (1, 2, 3, 4, 5)
 
 
 def test_derive_points_distinct_even_when_n_equals_field_order():
     p = validate_params(7, 2, 3, 2, GF7)
-    pts = derive_points(p)
-    assert len(set(pts.x)) == 7
-    assert len(set(pts.y)) == 7
+    assert len(set(derive_points(p))) == 7
 
 
 def test_shift_node_wraps_into_one_based_range():
@@ -130,11 +125,11 @@ def test_share_polys_round_trip_reproduces_evals():
     for share in encode(data, p):
         f, g = share_polys(share, p)
         expect = [
-            eval_poly(GF7, f, pts.y_of(shift_node(share.node_id, t, p.n)))
+            eval_poly(GF7, f, pts[shift_node(share.node_id, t, p.n) - 1])
             for t in range(p.d + p.r)
         ]
         expect += [
-            eval_poly(GF7, g, pts.x_of(shift_node(share.node_id, s, p.n)))
+            eval_poly(GF7, g, pts[shift_node(share.node_id, s, p.n) - 1])
             for s in range(1, p.d)
         ]
         assert tuple(expect) == share.evals
@@ -149,10 +144,10 @@ def test_node_lines_are_the_nodes_row_and_column_of_the_grid():
             data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
             F = BiPoly.from_coeffs(data, k, d, r)
             for share in encode(data, p):
-                x, y = p.points.x_of(share.node_id), p.points.y_of(share.node_id)
+                x = y = p.points[share.node_id - 1]
                 f_line, g_line = node_lines(share, p)
-                assert f_line == tuple(F.eval(field, x, v) for v in p.points.y)
-                assert g_line == tuple(F.eval(field, u, y) for u in p.points.x)
+                assert f_line == tuple(F.eval(field, x, v) for v in p.points)
+                assert g_line == tuple(F.eval(field, u, y) for u in p.points)
 
 
 def test_encode_matches_the_direct_monomial_sum():
@@ -166,7 +161,7 @@ def test_encode_matches_the_direct_monomial_sum():
             data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
             for share in encode(data, p):
                 for (xn, yn), v in zip(share_point_nodes(share.node_id, p), share.evals):
-                    x, y = pts.x_of(xn), pts.y_of(yn)
+                    x, y = pts[xn - 1], pts[yn - 1]
                     expect = 0
                     for (i, j), c in zip(coeff_cells(k, d, r), data):
                         term = field.mul(c, field.mul(field.pow(x, i), field.pow(y, j)))
@@ -176,7 +171,7 @@ def test_encode_matches_the_direct_monomial_sum():
 
 @pytest.mark.parametrize("node_id", [0, 6])
 def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
-    # x_of(0) would silently read x[-1], node n's point.
+    # points[0 - 1] would silently read node n's point.
     p = validate_params(5, 2, 3, 2, GF7)
     shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     stray = Share(node_id=node_id, evals=shares[4].evals)

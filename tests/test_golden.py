@@ -3,7 +3,7 @@
 Round-trip tests cannot see a change that is consistent between encode
 and decode, such as a new share layout or new evaluation points. These
 digests, recorded once, pin the exact bytes of `mbcr encode`, `repair`
-and `reconstruct` on one seeded input.
+and `reconstruct` on two seeded inputs, one per codec orientation.
 """
 
 import hashlib
@@ -33,31 +33,77 @@ REPAIRED_SHA256 = {
 RECONSTRUCTED_SHA256 = "10d2ec9f90b3c9aae88010806cf9dbd72a35350a82ae491dadfe3dcf4c26b454"
 
 
+# A 2-stripe file at (14,10,10,4) runs through the codec once per stripe
+# (see sharefile.to_batches); 373 stripes at (10,4,6,3) run on columns.
+PER_STRIPE_CODE = ["-n", "14", "-k", "10", "-d", "10", "-r", "4"]
+PER_STRIPE_SHARE_SHA256 = {
+    1: "10f90d2712cf2aa35f6d258f6929de2bf3e2b9684d03f65e79acbc5dcac3f08c",
+    2: "1042c1fb48920d5d8637401b1401300d70abf98ac225cb4c9a07a2f0e4ed97dd",
+    3: "1463fd140e6aa418949f6a1a822545f852fb05f3fcefa11ccd3bb589f7d12e16",
+    4: "09382e13a160f97b1df1a9ad3b0d205206d8e7a9ed5ea3b7d4257cd36006fbf9",
+    5: "afa4a9b08871c2dcb5793fa724237ae36eef5e81913810b061538b5d822875d5",
+    6: "fe1f6aa5cbc40500e1cea587ac6f127bb7a7d79dcb52ff2ebd37e9db6aa88e7e",
+    7: "c764918c54ad58980572917c5dec443bd5482327f6b4e34b33f661520e200c8d",
+    8: "69d38dc7c3fa7508eba983c07692a283536d06f4f75b8edc072bfb640328ed16",
+    9: "72f6e1d45479d002c9ead84200f5b19553b571789c08bbcbc90daab84832ff27",
+    10: "bf3c0fbed90577ebff3a2cf55407ab9861bb67e3caf9cf882874d2d7c1f5c0c0",
+    11: "07bc3528565a853b508a8858d365d7d4183c38e6b436017bf44972b09e254f00",
+    12: "b635a7e6be865826c1e2df394626dcd72c10a4374d4162bc51d67fc370dfacfd",
+    13: "29b0164841de56a3cea328fd553555c7dce545893c65f3b23e7d8601378fed3b",
+    14: "e4c0a1970770170e13af41f28b273a99a02f06ac5aec6e2d995dd490a0939839",
+}
+PER_STRIPE_REPAIRED = (1, 2, 13, 14)
+PER_STRIPE_RECONSTRUCTED_SHA256 = (
+    "b6c253af55863c539386803a17e639147d07804a3875ed084fe17cad30c59c0c"
+)
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_file_commands_match_recorded_digests(tmp_path):
-    # 16 KiB at (10,4,6,3) is 373 stripes of 44 bytes.
-    data = bytes(random.Random(2024).randrange(256) for _ in range(16 * 1024))
+def run_file_commands(tmp_path, code, length, failed, seed, readers):
+    """Encode a seeded input of length bytes, repair the failed shares from
+    the others, and read the readers back: the digests of every file made."""
+    data = bytes(random.Random(2024).randrange(256) for _ in range(length))
     src = tmp_path / "input.bin"
     src.write_bytes(data)
     shares, repaired = tmp_path / "shares", tmp_path / "repaired"
     share = lambda directory, i: directory / f"share_{i:03d}.mbcr"
+    n = int(code[1])
 
-    assert main(["encode", *CODE, str(src), "--out", str(shares)]) == 0
-    assert {i: sha256(share(shares, i)) for i in range(1, 11)} == SHARE_SHA256
+    assert main(["encode", *code, str(src), "--out", str(shares)]) == 0
+    encoded = {i: sha256(share(shares, i)) for i in range(1, n + 1)}
 
-    survivors = [str(share(shares, i)) for i in range(1, 11) if i not in (2, 5, 9)]
-    rc = main(["repair", *survivors, "--failed", "2,5,9", "--seed", "7",
-               "--out", str(repaired)])
+    survivors = [str(share(shares, i)) for i in range(1, n + 1) if i not in failed]
+    rc = main(["repair", *survivors, "--failed", ",".join(map(str, failed)),
+               "--seed", str(seed), "--out", str(repaired)])
     assert rc == 0
-    assert {i: sha256(share(repaired, i)) for i in (2, 5, 9)} == REPAIRED_SHA256
+    regenerated = {i: sha256(share(repaired, i)) for i in failed}
 
     out = tmp_path / "rec.bin"
-    readers = [str(share(shares, i)) for i in (1, 4, 6, 10)]
-    assert main(["reconstruct", *readers, "--out", str(out)]) == 0
-    assert sha256(out) == RECONSTRUCTED_SHA256
+    assert main(["reconstruct", *(str(share(shares, i)) for i in readers),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    return encoded, regenerated, sha256(out)
+
+
+def test_file_commands_match_recorded_digests(tmp_path):
+    # 16 KiB at (10,4,6,3) is 373 stripes of 44 bytes.
+    encoded, regenerated, rec = run_file_commands(
+        tmp_path, CODE, 16 * 1024, (2, 5, 9), 7, (1, 4, 6, 10))
+    assert encoded == SHARE_SHA256
+    assert regenerated == REPAIRED_SHA256
+    assert rec == RECONSTRUCTED_SHA256
+
+
+def test_per_stripe_file_commands_match_recorded_digests(tmp_path):
+    # 275 bytes at (14,10,10,4) is 2 stripes of 140 bytes.
+    encoded, regenerated, rec = run_file_commands(
+        tmp_path, PER_STRIPE_CODE, 2 * 140 - 5, PER_STRIPE_REPAIRED, 5, range(3, 13))
+    assert encoded == PER_STRIPE_SHARE_SHA256
+    assert regenerated == {i: PER_STRIPE_SHARE_SHA256[i] for i in PER_STRIPE_REPAIRED}
+    assert rec == PER_STRIPE_RECONSTRUCTED_SHA256
 
 
 # SHA-256 over (arguments, exit code, stdout) of every `mbcr verify` run

@@ -55,6 +55,20 @@ def test_interpolation_uniqueness():
         assert interpolate(GF7, pts, m) == coeffs
 
 
+def test_interpolate_with_top_coefficients_fits_the_low_ones():
+    # The points fix the coefficients below degree_bound once the ones
+    # above are given: on elements, and on GF(256) columns of 3 stripes.
+    rng = random.Random(6)
+    gf = Field.gf256()
+    for field, top_size, symbol in ((GF7, 2, 7), (gf, 3, 256), (gf, 2, 2**24)):
+        for m in (1, 3):
+            for _ in range(5):
+                coeffs = tuple(rng.randrange(1, symbol) for _ in range(m + top_size))
+                xs = tuple(rng.sample(range(1, field.order), m))
+                pts = list(zip(xs, evaluate(field, coeffs, xs)))
+                assert interpolate(field, pts, m, coeffs[m:]) == coeffs
+
+
 def test_permuted_points_share_one_lagrange_basis():
     # Repair passes its points in seeded helper order; every order of one
     # point set gives the same polynomial from the one cached basis.

@@ -59,6 +59,8 @@ def test_make_plan_errors():
     p = validate_params(5, 2, 3, 2, GF7)
     with pytest.raises(ProtocolError, match="exactly r"):
         make_plan(p, {1}, seed=0)
+    with pytest.raises(ProtocolError, match="failed id 1 is named more than once"):
+        make_plan(p, [1, 1, 2], seed=0)
     with pytest.raises(ProtocolError, match="survivors"):
         make_plan(p, {1, 2}, helpers={1: (2, 3, 4), 2: (3, 4, 5)})
     with pytest.raises(ProtocolError, match="distinct helpers"):
@@ -91,12 +93,12 @@ def test_phase1_send_zero_codeword():
 def test_phase1_payload_matches_ground_truth():
     p, data, shares = make_code(5, 2, 3, 2, GF7, seed=2)
     F = BiPoly.from_coeffs(data, p.k, p.d, p.r)
-    x_of, y_of = p.points.x_of, p.points.y_of
+    point = lambda i: p.points[i - 1]
     for helper in (3, 4, 5):
         for newcomer in (1, 2):
             first, second = phase1_values(shares[helper - 1], newcomer, p).values()
-            assert first == F.eval(GF7, x_of(helper), y_of(newcomer))
-            assert second == F.eval(GF7, x_of(newcomer), y_of(helper))
+            assert first == F.eval(GF7, point(helper), point(newcomer))
+            assert second == F.eval(GF7, point(newcomer), point(helper))
 
 
 def test_phase1_assemble_recovers_g():
@@ -106,7 +108,7 @@ def test_phase1_assemble_recovers_g():
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 1, p))
     g_line = phase1_assemble(1, received, p)
-    assert g_line == tuple(F.eval(GF7, x, p.points.y_of(1)) for x in p.points.x)
+    assert g_line == tuple(F.eval(GF7, x, p.points[0]) for x in p.points)
 
 
 def test_phase2_payload_is_cross_evaluation():
@@ -116,7 +118,7 @@ def test_phase2_payload_is_cross_evaluation():
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 2, p))
     g_line = phase1_assemble(2, received, p)
-    assert phase2_send(2, g_line, 1) == F.eval(GF7, p.points.x_of(1), p.points.y_of(2))
+    assert phase2_send(2, g_line, 1) == F.eval(GF7, p.points[0], p.points[1])
 
 
 def test_regenerate_toy():
@@ -157,7 +159,7 @@ def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
             sent = [pt for pts in (*phase1.values(), *phase2.values()) for pt in pts]
             assert sorted(received[i]) == sorted(sent)
             for (xn, yn), v in received[i].items():
-                assert v == F.eval(p.field, p.points.x_of(xn), p.points.y_of(yn))
+                assert v == F.eval(p.field, p.points[xn - 1], p.points[yn - 1])
             assert ledger.phase1[i] == 2 * d and ledger.phase2[i] == r - 1
             for kind, points in (("s", phase1), ("t", phase2)):
                 for (j, i2), pts in points.items():
