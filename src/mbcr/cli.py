@@ -29,6 +29,7 @@ from .repair import make_plan, run_repair
 from .sharefile import (
     ShareFile,
     atomic_write,
+    file_params,
     from_columns,
     read_share_file,
     to_batches,
@@ -119,17 +120,11 @@ def _read_matching_shares(paths) -> tuple[list[ShareFile], ShareFile]:
     for sf in files[1:]:
         if key(sf) != key(ref):
             raise ShareFormatError("share files carry mismatched parameters")
-    ids = [sf.node_id for sf in files]
-    if len(set(ids)) != len(ids):
-        raise ShareFormatError(f"duplicate node ids among share files: {ids}")
     return files, ref
 
 
 def cmd_encode(args) -> int:
-    field = Field.gf256()
-    if args.n > 256:
-        raise MbcrError("file encoding over GF(256) supports at most n = 256")
-    p = validate_params(args.n, args.k, args.d, args.r, field)
+    p = file_params(args.n, args.k, args.d, args.r)
     with open(args.input, "rb") as fh:
         data = fh.read()
     batches, per_call = to_batches(data, p.block_size, p)

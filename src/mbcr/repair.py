@@ -152,7 +152,11 @@ def run_repair(
     stripes: int = 1,
 ) -> tuple[dict[int, Share], BandwidthLedger]:
     """Run both phases for all newcomers; returns shares and the ledger."""
-    by_id = {s.node_id: s for s in survivor_shares}
+    by_id: dict[int, Share] = {}
+    for s in survivor_shares:
+        if s.node_id in by_id:
+            raise ProtocolError(f"survivor node id {s.node_id} is supplied more than once")
+        by_id[s.node_id] = s
     needed = set().union(*plan.helpers.values())
     missing = needed - set(by_id)
     if missing:

@@ -1,11 +1,11 @@
 """Share file serialization and the stripe/column transpose.
 
 Layout (little-endian, bit-exact):
-  magic "MBCR" (4 bytes), version u8 = 1, field kind u8 (0 prime,
-  1 binary GF(256)), field modulus u16 (a prime of at most 256, or the
-  reduction polynomial 0x11D), n, k, d, r u16 each, node_id u16,
-  stripe_count u32, original_length u64, then the payload: one byte
-  per symbol, stripe-major, each stripe in canonical share order.
+  magic "MBCR" (4 bytes), version u8 = 1, field kind u8 = 1 and modulus
+  u16 = 0x11D (GF(256), the one field of share files; see file_params),
+  n, k, d, r u16 each, node_id u16, stripe_count u32, original_length
+  u64, then the payload: one byte per symbol, stripe-major, each stripe
+  in canonical share order.
 
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
@@ -31,32 +31,15 @@ from .gf import GF256_REDUCTION_POLY, Field
 
 MAGIC = b"MBCR"
 VERSION = 1
-FIELD_KIND_PRIME = 0
-FIELD_KIND_GF256 = 1
+FIELD_CODE = (1, GF256_REDUCTION_POLY)  # (kind, modulus) of GF(256)
 
 _HEADER = struct.Struct("<4sBBHHHHHHIQ")
 HEADER_SIZE = _HEADER.size
 
 
-def field_kind_codes(field: Field) -> tuple[int, int]:
-    if field.kind == "prime":
-        return FIELD_KIND_PRIME, field.modulus
-    return FIELD_KIND_GF256, GF256_REDUCTION_POLY
-
-
-def field_from_codes(kind: int, modulus: int) -> Field:
-    if kind == FIELD_KIND_PRIME:
-        if modulus > 256:
-            raise ShareFormatError(f"prime modulus {modulus} exceeds 256, one byte per symbol")
-        try:
-            return Field.prime(modulus)
-        except ValueError as exc:
-            raise ShareFormatError(str(exc)) from None
-    if kind == FIELD_KIND_GF256:
-        if modulus != GF256_REDUCTION_POLY:
-            raise ShareFormatError(f"unexpected GF(256) modulus {modulus:#x}")
-        return Field.gf256()
-    raise ShareFormatError(f"unknown field kind {kind}")
+def file_params(n: int, k: int, d: int, r: int) -> CodeParams:
+    """Validated share-file parameters: over GF(256), one byte per symbol."""
+    return validate_params(n, k, d, r, Field.gf256())
 
 
 @dataclass(frozen=True)
@@ -77,7 +60,8 @@ class ShareFile:
 
 def pack_share_file(sf: ShareFile) -> bytes:
     p = sf.params
-    kind, modulus = field_kind_codes(p.field)
+    if p.field != Field.gf256():
+        raise ShareFormatError(f"share files hold GF(256) symbols, not {p.field}")
     expected = sf.stripe_count * p.share_size
     if len(sf.payload) != expected:
         raise ShareFormatError(
@@ -86,8 +70,7 @@ def pack_share_file(sf: ShareFile) -> bytes:
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        kind,
-        modulus,
+        *FIELD_CODE,
         p.n,
         p.k,
         p.d,
@@ -100,9 +83,9 @@ def pack_share_file(sf: ShareFile) -> bytes:
 
 
 def parse_share_file(data: bytes) -> ShareFile:
-    """Parse and validate a share file: header parameters, node id,
-    stripe count, recorded length, payload length, and every payload
-    symbol of a prime field (any byte is a GF(256) symbol)."""
+    """Parse and validate a share file: field code, header parameters,
+    node id, stripe count, recorded length and payload length (any byte
+    is a GF(256) symbol)."""
     if len(data) < HEADER_SIZE:
         raise ShareFormatError("file too short for a share header")
     (
@@ -122,8 +105,10 @@ def parse_share_file(data: bytes) -> ShareFile:
         raise ShareFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ShareFormatError(f"unsupported version {version}")
+    if (kind, modulus) != FIELD_CODE:
+        raise ShareFormatError(f"field kind {kind}, modulus {modulus:#x} is not GF(256)")
     try:
-        params = validate_params(n, k, d, r, field_from_codes(kind, modulus))
+        params = file_params(n, k, d, r)
     except ParameterError as exc:
         raise ShareFormatError(f"invalid code parameters in header: {exc}") from None
     if not 1 <= node_id <= n:
@@ -142,8 +127,6 @@ def parse_share_file(data: bytes) -> ShareFile:
             f"payload length {len(payload)} does not match "
             f"{stripe_count} stripes of {params.share_size} symbols"
         )
-    if params.field.kind == "prime":
-        params.field.check_elements(payload)
     return ShareFile(
         params=params,
         node_id=node_id,
@@ -189,12 +172,11 @@ _CROSSOVER_DIVISOR = 2
 def to_batches(data: bytes, width: int, params: CodeParams) -> tuple[list[tuple], int]:
     """The inputs of the codec calls for stripe-major bytes of width symbols
     per stripe, and the stripes each call covers. The one place that picks
-    the orientation: below d / _CROSSOVER_DIVISOR stripes of a GF(256) file,
-    one call per stripe on its symbols (packed constants, see poly); from
-    there, one call on the columns of all stripes. Over a prime field, one
-    call on columns, which the codec refuses past one stripe (exit 2)."""
+    the orientation: below d / _CROSSOVER_DIVISOR stripes, one call per
+    stripe on its symbols (packed constants, see poly); from there, one
+    call on the columns of all stripes."""
     count = stripe_count(len(data), width)
-    if params.field.kind != "binary" or count * _CROSSOVER_DIVISOR >= params.d:
+    if count * _CROSSOVER_DIVISOR >= params.d:
         return [to_columns(data, width)], count
     return file_to_stripes(data, width), 1
 

@@ -62,6 +62,13 @@ class TestShareFile:
         with pytest.raises(ShareFormatError):
             parse_share_file(good[:-1])
 
+    def test_pack_refuses_a_prime_field_share_file(self):
+        # The reader accepts GF(256) only, so the writer never makes another.
+        p = validate_params(5, 2, 3, 2, Field.prime(11))
+        sf = ShareFile(p, 1, 1, p.block_size, bytes(p.share_size))
+        with pytest.raises(ShareFormatError, match=r"GF\(256\) symbols, not GF\(11\)"):
+            pack_share_file(sf)
+
     def test_file_io_atomic(self, tmp_path):
         sf = make_share_file()
         path = str(tmp_path / "s.mbcr")
@@ -261,8 +268,9 @@ class TestCli:
             (16, "<H", (0,), "node id 0 is outside [1, 5]"),
             (16, "<H", (9,), "node id 9 is outside [1, 5]"),
             (10, "<H", (4,), "invalid code parameters in header: k = 4 > d = 3"),
-            (5, "<BH", (0, 6), "modulus 6 is not a prime"),
+            (5, "<BH", (0, 11), "field kind 0, modulus 0xb is not GF(256)"),
             (22, "<Q", (13,), "recorded length 13 exceeds the 12 data symbols"),
+            (5, "<BH", (1, 0x11B), "field kind 1, modulus 0x11b is not GF(256)"),
         ],
     )
     def test_reconstruct_rejects_a_bad_header(
@@ -278,53 +286,38 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
-
-    def test_reconstruct_rejects_a_payload_symbol_outside_the_field(
-        self, tmp_path, capsys
-    ):
-        p = validate_params(5, 2, 3, 2, Field.prime(11))
-        shares = encode(tuple(i % 11 for i in range(p.block_size)), p)
-        paths = []
-        for share in shares[:2]:
-            payload = bytes(share.evals)
-            if share.node_id == 1:
-                payload = payload[:-1] + bytes([11])
-            path = str(tmp_path / f"share_{share.node_id}.mbcr")
-            write_share_file(path, ShareFile(p, share.node_id, 1, p.block_size, payload))
-            paths.append(path)
-        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "11 is not an element of GF(11)" in capsys.readouterr().err
-
-    def test_a_prime_modulus_above_256_is_refused(self, tmp_path, capsys):
-        # One byte per symbol: over GF(257) the data symbol 256 could not
-        # be written back out, so such a file is malformed.
-        p = validate_params(5, 2, 3, 2, Field.prime(257))
-        shares = encode((256, 1) + (0,) * (p.block_size - 2), p)
-        assert all(v < 256 for share in shares[:2] for v in share.evals)
-        paths = []
-        for share in shares[:2]:
-            paths.append(str(tmp_path / f"share_{share.node_id}.mbcr"))
-            sf = ShareFile(p, share.node_id, 1, p.block_size, bytes(share.evals))
-            write_share_file(paths[-1], sf)
-        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "prime modulus 257 exceeds 256" in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
-    def test_prime_field_files_hold_one_stripe(self, tmp_path, capsys):
-        # Prime-field symbols do not pack into columns; encode never
-        # writes such files, and a hand-made one is refused.
-        p = validate_params(5, 2, 3, 2, Field.prime(11))
-        paths = []
-        for i in (1, 2):
-            path = str(tmp_path / f"share_{i}.mbcr")
-            write_share_file(path, ShareFile(p, i, 2, 24, bytes(2 * p.share_size)))
-            paths.append(path)
-        rc = main(["reconstruct", *paths, "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "GF(11) symbols do not pack into columns" in capsys.readouterr().err
+    def test_encode_refuses_more_nodes_than_gf256_has_points(self, tmp_path, capsys):
+        src = tmp_path / "input.bin"
+        src.write_bytes(b"abc")
+        out = tmp_path / "shares"
+        argv = ["encode", "-n", "257", "-k", "2", "-d", "3", "-r", "2", str(src)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n = 257" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("reconstruct", "duplicate node ids in [3, 3]"),
+            ("repair", "survivor node id 3 is supplied more than once"),
+        ],
+    )
+    def test_a_share_file_supplied_twice_is_refused(
+        self, tmp_path, capsys, command, message
+    ):
+        out = self.encode(tmp_path, b"cooperative repair")
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in (3, 3, 4, 5)]
+        if command == "reconstruct":
+            argv = ["reconstruct", *paths[:2], "--out", str(tmp_path / "x")]
+        else:
+            argv = ["repair", *paths, "--failed", "1,2", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists() and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "repair"])
     def test_zero_stripe_share_files_are_rejected(self, tmp_path, capsys, command):

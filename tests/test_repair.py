@@ -199,6 +199,18 @@ def test_run_repair_missing_survivor():
         run_repair(shares[3:], plan, p)
 
 
+def test_run_repair_rejects_a_repeated_survivor_id():
+    # Keeping either copy would be a silent choice, and a corrupt copy
+    # kept would regenerate wrong shares with no error.
+    p, _, shares = make_code(5, 2, 3, 2, Field.gf256(), seed=8)
+    plan = make_plan(p, {1, 2}, seed=0)
+    corrupt = Share(node_id=3, evals=shares[2].evals[:-1] + (shares[2].evals[-1] ^ 1,))
+    for pair in ((corrupt, shares[2]), (shares[2], corrupt), (shares[2], shares[2])):
+        survivors = (s for s in (*pair, shares[3], shares[4]))  # any iterable
+        with pytest.raises(ProtocolError, match="survivor node id 3 is supplied more"):
+            run_repair(survivors, plan, p)
+
+
 def test_run_repair_rejects_a_helper_symbol_outside_the_field():
     p, _, shares = make_code(5, 2, 3, 2, GF7, seed=8)
     plan = make_plan(p, {1, 2}, seed=0)
