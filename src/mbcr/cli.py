@@ -3,9 +3,10 @@
 Subcommands: params | encode | reconstruct | repair | verify | bound |
 simulate. File commands use GF(256) (one byte per symbol) and split a
 file into stripes of block_size bytes; each makes one library call per
-batch of sharefile.to_batches: per stripe, or on the columns of all
-stripes. Verification commands default to the smallest prime field that
-fits n. All randomness flows from --seed.
+file, on the columns of all its stripes (poly picks, per constant map,
+whether the arithmetic runs per stripe or per column). Verification
+commands default to the smallest prime field that fits n. All randomness
+flows from --seed.
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage or
 parameter errors.
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from . import bounds, subspace
 from .codec import Share, encode, reconstruct, validate_params
-from .errors import CorruptShareError, InconsistentShareError, MbcrError
+from .errors import CorruptShareError, MbcrError
 from .errors import ParameterError, ShareFormatError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
@@ -32,7 +33,8 @@ from .sharefile import (
     file_params,
     from_columns,
     read_share_file,
-    to_batches,
+    stripe_count,
+    to_columns,
     write_share_file,
 )
 
@@ -127,14 +129,12 @@ def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.d, args.r)
     with open(args.input, "rb") as fh:
         data = fh.read()
-    batches, per_call = to_batches(data, p.block_size, p)
-    encoded = [encode(batch, p, per_call) for batch in batches]
-    stripes = len(batches) * per_call
+    stripes = stripe_count(len(data), p.block_size)
     os.makedirs(args.out, exist_ok=True)
-    for i in range(1, p.n + 1):
-        payload = b"".join(from_columns(s[i - 1].evals, per_call) for s in encoded)
-        sf = ShareFile(p, i, stripes, len(data), payload)
-        write_share_file(_share_path(args.out, i), sf)
+    for share in encode(to_columns(data, p.block_size), p, stripes):
+        payload = from_columns(share.evals, stripes)
+        sf = ShareFile(p, share.node_id, stripes, len(data), payload)
+        write_share_file(_share_path(args.out, share.node_id), sf)
     print(
         f"encoded {len(data)} bytes into {p.n} shares "
         f"({stripes} stripes of {p.block_size} symbols, "
@@ -143,26 +143,15 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _batches(files: list[ShareFile]) -> tuple[list[tuple[Share, ...]], int]:
-    """The shares of every file for each codec call (see to_batches), and
-    the stripes each call covers."""
-    p = files[0].params
-    split = [to_batches(sf.payload, p.share_size, p) for sf in files]
-    shares = [[Share(sf.node_id, b) for b in bs] for sf, (bs, _) in zip(files, split)]
-    return list(zip(*shares)), split[0][1]
+def _column_shares(files: list[ShareFile]) -> list[Share]:
+    """Each file's share, every symbol a column of all its stripes."""
+    return [Share(sf.node_id, to_columns(sf.payload, sf.params.share_size)) for sf in files]
 
 
 def cmd_reconstruct(args) -> int:
     files, ref = _read_matching_shares(args.shares)
-    batches, per_call = _batches(files)
-    out = []
-    for b, shares in enumerate(batches):
-        try:
-            out.append(reconstruct(shares, ref.params, per_call))
-        except InconsistentShareError as exc:  # name the file's stripe
-            i, ids, stripe = exc.args
-            raise InconsistentShareError(i, ids, b * per_call + stripe) from None
-    data = b"".join(from_columns(c, per_call) for c in out)[: ref.original_length]
+    columns = reconstruct(_column_shares(files), ref.params, ref.stripe_count)
+    data = from_columns(columns, ref.stripe_count)[: ref.original_length]
     _atomic_write(args.out, data)
     print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
     return EXIT_OK
@@ -170,7 +159,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_repair(args) -> int:
     files, ref = _read_matching_shares(args.shares)
-    p = ref.params
+    p, stripes = ref.params, ref.stripe_count
     failed = _parse_failed(args.failed)
     supplied = [sf.node_id for sf in files]
     if set(failed) & set(supplied):
@@ -178,13 +167,11 @@ def cmd_repair(args) -> int:
     helpers = _parse_helpers(args.helpers) if args.helpers else None
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
-    batches, per_call = _batches(files)
-    runs = [run_repair(shares, plan, p, per_call) for shares in batches]
-    ledger, stripes = runs[0][1], ref.stripe_count
+    regenerated, ledger = run_repair(_column_shares(files), plan, p, stripes)
 
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):
-        payload = b"".join(from_columns(run[0][i].evals, per_call) for run in runs)
+        payload = from_columns(regenerated[i].evals, stripes)
         sf = ShareFile(p, i, stripes, ref.original_length, payload)
         write_share_file(_share_path(args.out, i), sf)
 

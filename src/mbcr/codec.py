@@ -21,7 +21,8 @@ and scaled only in poly, through interpolate, evaluate and resample.
 encode, reconstruct, share_polys and node_lines take a stripe count.
 With the default of 1 every data symbol is a field element; with stripes
 = S every one is a GF(256) column of S stripes (see gf), and one call
-covers all S stripes of a file.
+covers all S stripes of a file, whatever S is: poly picks per map whether
+its arithmetic runs per stripe or per column.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ Columns add by XOR and are multiplied by a constant with scale, which
 maps every byte through that constant's 256-byte product table (a
 pure-Python form of table-driven region multiply). A plain element is the
 one-stripe column. The other orientation packs a constant row over its
-outputs and scales it by one data element (see poly); sharefile.to_batches
-picks one per file, from its stripe count. GF(256) uses the storage-coding reduction polynomial
-X^8 + X^4 + X^3 + X^2 + 1 (0x11D); changing it would break the share
-file format.
+outputs and scales it by one data byte per stripe (see poly); poly._apply
+picks one per constant map, from its output count and stripe count.
+GF(256) uses the storage-coding reduction polynomial X^8 + X^4 + X^3 +
+X^2 + 1 (0x11D); changing it would break the share file format.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ data or scaled by a constant built from the points, so every function
 here runs once per file on columns as it does once per stripe on
 elements. interpolate, evaluate and resample (values on one point set
 to values on another) apply such a constant map, cached per point set,
-in one of two forms (_apply), both through Field.scale: per element, one
-call per input and output; or packed, when every input is a GF(256)
-element, one call per input on the constant's row packed over all
-outputs (output i in byte i). sharefile.to_batches picks the orientation
-that makes inputs elements.
+in one of two forms, both through Field.scale: per element, one call per
+input and output on whole columns; or packed, over GF(256) and once per
+stripe, one call per input on the constant's row packed over all outputs
+(output i in byte i), scaled by the input's byte in that stripe. _apply
+picks the form for each map from its output count and the stripes its
+inputs span, and nothing else picks.
 """
 
 from __future__ import annotations
@@ -103,15 +104,33 @@ def lagrange_at(field: Field, xs: tuple[int, ...], targets: tuple[int, ...]):
     return _rows(field, zip(*map(column, targets)))
 
 
+# Packed while a map has more than this many outputs per input stripe:
+# the per-element form costs a scale per input and output, the packed form
+# one per input and stripe and a transpose. 1 is faster for encode and
+# reconstruct but slower for repair, whose resamples copy most outputs,
+# and 3 slows reconstruct (timings in CHANGES.md).
+_OUTPUTS_PER_STRIPE = 2
+
+
 def _apply(field: Field, rows, packed, values: Sequence[int]) -> tuple[int, ...]:
     """The constant map with input s's weight on output o at rows[s][o].
-    Packed if every value is a GF(256) element, else per element: a weight
-    of 0 is skipped and one of 1 copies its input."""
-    if packed and max(values) < 256:
-        acc = reduce(xor, map(field.scale, packed, values))
-        return tuple(acc.to_bytes(len(rows[0]), "little"))
+
+    The one place that picks the form, from the map's output count and the
+    stripes its inputs span. Packed: once per stripe, split each input into
+    its bytes, XOR the packed rows scaled by stripe s's bytes (output o in
+    byte o), and transpose the results back into output columns. Per
+    element: a weight of 0 is skipped and one of 1 copies its input.
+    """
+    width = len(rows[0])
+    size = (max(values).bit_length() + 7) >> 3
+    if packed and size * _OUTPUTS_PER_STRIPE < width:
+        scale = field.scale
+        blob = b"".join([v.to_bytes(size, "little") for v in values])
+        accs = [reduce(xor, map(scale, packed, blob[s::size])) for s in range(size)]
+        buf = b"".join([acc.to_bytes(width, "little") for acc in accs])
+        return tuple([int.from_bytes(buf[o::width], "little") for o in range(width)])
     add, scale = field.add, field.scale
-    out = [0] * len(rows[0])
+    out = [0] * width
     for v, row in zip(values, rows):
         if v:
             for o, c in enumerate(row):

@@ -10,18 +10,17 @@ Layout (little-endian, bit-exact):
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
 
-The codec runs once per stripe on a file with few stripes and once per
-file on columns (see gf) otherwise; to_batches picks which. The transpose
-lives here, in to_columns and from_columns: column t of stripe-major
-bytes with w symbols per stripe is the slice data[t::w], packed
-little-endian, and is written back through the same slice.
+The codec runs once per file, on columns (see gf); poly._apply picks,
+per constant map, whether to run it per stripe or per column. The
+transpose lives here, in to_columns and from_columns: column t of
+stripe-major bytes with w symbols per stripe is the slice data[t::w],
+packed little-endian, and is written back through the same slice.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,11 +136,14 @@ def parse_share_file(data: bytes) -> ShareFile:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write a temp file in the target directory, then rename it onto path."""
+    """Write a temp file in the target directory, then rename it onto path.
+    The temp file is created as open(path, "wb") creates a new file, with
+    mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mbcr-tmp-")
+    tmp = os.path.join(directory, f".mbcr-tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -162,23 +164,6 @@ def read_share_file(path: str) -> ShareFile:
 def stripe_count(length: int, block_size: int) -> int:
     """Stripes of a file of length bytes; an empty file has one."""
     return max(1, -(-length // block_size))
-
-
-# The crossover grows with the code; measured end to end it is about 2
-# stripes at (5,2,3,2), 3 to 4 at (10,4,6,3) and 5 at (14,10,10,4).
-_CROSSOVER_DIVISOR = 2
-
-
-def to_batches(data: bytes, width: int, params: CodeParams) -> tuple[list[tuple], int]:
-    """The inputs of the codec calls for stripe-major bytes of width symbols
-    per stripe, and the stripes each call covers. The one place that picks
-    the orientation: below d / _CROSSOVER_DIVISOR stripes, one call per
-    stripe on its symbols (packed constants, see poly); from there, one
-    call on the columns of all stripes."""
-    count = stripe_count(len(data), width)
-    if count * _CROSSOVER_DIVISOR >= params.d:
-        return [to_columns(data, width)], count
-    return file_to_stripes(data, width), 1
 
 
 def to_columns(data: bytes, width: int) -> tuple[int, ...]:

@@ -6,22 +6,19 @@ from pathlib import Path
 
 import pytest
 
+from mbcr import cli, codec, poly, repair
 from mbcr.cli import main
 from mbcr.codec import encode, validate_params
 from mbcr.errors import ShareFormatError
 from mbcr.gf import Field
-from mbcr import sharefile
 from mbcr.sharefile import (
     HEADER_SIZE,
     ShareFile,
     file_to_stripes,
-    from_columns,
     pack_share_file,
     parse_share_file,
     read_share_file,
     stripes_to_file,
-    to_batches,
-    to_columns,
     write_share_file,
 )
 
@@ -213,23 +210,24 @@ class TestCli:
 
     @pytest.mark.parametrize("code", [(5, 2, 3, 2), (10, 4, 6, 3), (14, 10, 10, 4)])
     def test_both_orientations_match_the_library_column_path(self, tmp_path, code):
-        # Below the crossover the CLI calls the codec once per stripe, from
-        # it on once on columns; share files, read output and regenerated
-        # shares are the same bytes on both sides.
+        # One codec call per file, whose maps run packed or per element by
+        # their output counts (at most n) and the stripe count: from 1
+        # stripe to past the crossover of every map, share files, read
+        # output and regenerated shares hold the per-stripe scalar encoding.
         n, k, d, r = code
         p = validate_params(n, k, d, r, Field.gf256())
-        crossover = -(-d // sharefile._CROSSOVER_DIVISOR)
+        crossover = -(-n // poly._OUTPUTS_PER_STRIPE)
         rng = random.Random(n)
         for count in range(1, crossover + 3):
             data = rng.randbytes(count * p.block_size - rng.randrange(p.block_size))
-            assert to_batches(data, p.block_size, p)[1] == (1 if count < crossover else count)
             work = tmp_path / str(count)
             work.mkdir()
             out = self.encode(work, data, n, k, d, r)
             path = lambda i: str(out / f"share_{i:03d}.mbcr")
-            for share in encode(to_columns(data, p.block_size), p, count):
-                sf = read_share_file(path(share.node_id))
-                assert sf.payload == from_columns(share.evals, count)
+            per_stripe = [encode(s, p) for s in file_to_stripes(data, p.block_size)]
+            for i in range(1, n + 1):
+                sf = read_share_file(path(i))
+                assert sf.payload == b"".join(bytes(s[i - 1].evals) for s in per_stripe)
             readers = [path(i) for i in rng.sample(range(1, n + 1), k + 1)]
             assert main(["reconstruct", *readers, "--out", str(work / "rec.bin")]) == 0
             assert (work / "rec.bin").read_bytes() == data
@@ -240,6 +238,46 @@ class TestCli:
             for i in failed:
                 name = f"share_{i:03d}.mbcr"
                 assert (work / "rep" / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_each_file_command_makes_one_codec_call(self, tmp_path, monkeypatch, count):
+        # At (14,10,10,4), whatever the stripe count.
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args):
+                calls.append((fn.__name__, args[-1]))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "encode", spy(codec.encode))
+        monkeypatch.setattr(cli, "reconstruct", spy(codec.reconstruct))
+        monkeypatch.setattr(cli, "run_repair", spy(repair.run_repair))
+        data = random.Random(count).randbytes(140 * count - 1)
+        out = self.encode(tmp_path, data, 14, 10, 10, 4)
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in range(1, 15)]
+        assert main(["reconstruct", *paths[:10], "--out", str(tmp_path / "rec.bin")]) == 0
+        argv = ["repair", *paths[4:], "--failed", "1,2,3,4", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert calls == [("encode", count), ("reconstruct", count), ("run_repair", count)]
+
+    def test_output_files_get_the_umask_mode(self, tmp_path):
+        # As open(path, "wb") creates a file: 0o666 less the umask, also
+        # when the output replaces a file of another mode.
+        old = os.umask(0o027)
+        try:
+            out = self.encode(tmp_path, b"cooperative repair")
+            dest = tmp_path / "rec.bin"
+            dest.touch(mode=0o600)
+            paths = [str(out / f"share_{i:03d}.mbcr") for i in range(1, 6)]
+            assert main(["reconstruct", *paths[:2], "--out", str(dest)]) == 0
+            argv = ["repair", *paths[2:], "--failed", "1,2", "--out", str(tmp_path / "r")]
+            assert main(argv) == 0
+            outputs = [*out.iterdir(), dest, *(tmp_path / "r").iterdir()]
+        finally:
+            os.umask(old)
+        assert len(outputs) == 8
+        assert {oct(path.stat().st_mode & 0o777) for path in outputs} == {oct(0o640)}
 
     def test_reconstruct_with_too_few_shares(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"hello world")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mbcr import poly
 from mbcr.errors import InterpolationError
 from mbcr.gf import Field
 from mbcr.poly import (
@@ -92,9 +93,8 @@ def by_stripe(fn, values, stripes):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 14, 23])
 def test_packed_and_per_element_forms_agree(m):
-    # Bytes take the packed form, one scale per input on a constant row
-    # packed over the outputs; any value above 255 takes the per-element
-    # form. Some columns are below 256, and in one case all of them are.
+    # Columns of mixed widths: some are below 256, and in one case all of
+    # them are, so the stripes the kernel sees vary from call to call.
     field, rng = Field.gf256(), random.Random(m)
     xs = tuple(rng.sample(range(256), m))
     at = tuple(rng.sample(range(256), 9))
@@ -113,6 +113,28 @@ def test_packed_and_per_element_forms_agree(m):
         assert tuple(evaluate(field, cols, at)) == want
 
 
+def test_each_map_picks_its_form_from_its_outputs_and_stripes():
+    # interpolate (10 outputs), evaluate and resample (14 each) on columns
+    # of 0 stripes (all zero), 1, 2, each map's crossover +- 1 and 40 equal
+    # a per-stripe scalar run, which runs one more stripe, zero in every
+    # column. Below the crossover the packed form runs, from it on the
+    # per-element form.
+    field, rng = Field.gf256(), random.Random(19)
+    xs = tuple(rng.sample(range(1, 256), 10))
+    at = (*xs[:4], *rng.sample([t for t in range(256) if t not in xs], 10))
+    maps = (
+        (10, lambda v: interpolate(field, list(zip(xs, v)), 10)),
+        (14, lambda v: evaluate(field, v, at)),
+        (14, lambda v: resample(field, list(zip(xs, v)), at)),
+    )
+    for outputs, fn in maps:
+        crossover = -(-outputs // poly._OUTPUTS_PER_STRIPE)
+        for stripes in (0, 1, 2, crossover - 1, crossover, crossover + 1, 40):
+            cols = [rng.randrange(256**stripes) for _ in range(10)]
+            cols[rng.randrange(10)] |= 0xFF << 8 * stripes >> 8  # the top stripe is set
+            assert fn(cols) == by_stripe(fn, cols, stripes + 1)
+
+
 def test_interpolate_errors():
     with pytest.raises(InterpolationError):
         interpolate(GF7, [(1, 2)], 2)
@@ -122,8 +144,8 @@ def test_interpolate_errors():
 
 @pytest.mark.parametrize("field", [GF7, Field.prime(257), Field.gf256()])
 def test_resample_is_evaluate_of_interpolate(field):
-    # Targets both inside and outside the point set. Over GF(256), bytes
-    # take the packed form and columns the per-element form.
+    # Targets both inside and outside the point set, on elements and over
+    # GF(256) on 5-stripe columns.
     rng = random.Random(field.order)
     for m in range(1, 7):
         for _ in range(10):
