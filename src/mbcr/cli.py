@@ -4,7 +4,8 @@ Subcommands: params | encode | reconstruct | repair | verify | bound |
 simulate. File commands use GF(256) (one byte per symbol) and split a
 file into stripes of block_size bytes; each makes one library call per
 file, on the columns of all its stripes (poly picks, per constant map,
-whether the arithmetic runs per stripe or per column). Verification
+whether the arithmetic runs per stripe or per column). The stripe count
+is a file fact, used for the transpose and the messages only. Verification
 commands default to the smallest prime field that fits n. All randomness
 flows from --seed.
 
@@ -131,7 +132,7 @@ def cmd_encode(args) -> int:
         data = fh.read()
     stripes = stripe_count(len(data), p.block_size)
     os.makedirs(args.out, exist_ok=True)
-    for share in encode(to_columns(data, p.block_size), p, stripes):
+    for share in encode(to_columns(data, p.block_size), p):
         payload = from_columns(share.evals, stripes)
         sf = ShareFile(p, share.node_id, stripes, len(data), payload)
         write_share_file(_share_path(args.out, share.node_id), sf)
@@ -150,7 +151,7 @@ def _column_shares(files: list[ShareFile]) -> list[Share]:
 
 def cmd_reconstruct(args) -> int:
     files, ref = _read_matching_shares(args.shares)
-    columns = reconstruct(_column_shares(files), ref.params, ref.stripe_count)
+    columns = reconstruct(_column_shares(files), ref.params)
     data = from_columns(columns, ref.stripe_count)[: ref.original_length]
     _atomic_write(args.out, data)
     print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
@@ -167,7 +168,7 @@ def cmd_repair(args) -> int:
     helpers = _parse_helpers(args.helpers) if args.helpers else None
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
-    regenerated, ledger = run_repair(_column_shares(files), plan, p, stripes)
+    regenerated, ledger = run_repair(_column_shares(files), plan, p)
 
     os.makedirs(args.out, exist_ok=True)
     for i in sorted(plan.failed):

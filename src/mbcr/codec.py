@@ -18,11 +18,9 @@ it was given against F's coefficient grid; repair reads a node's row and
 column of the grid resampled from its share (node_lines). Data is added
 and scaled only in poly, through interpolate, evaluate and resample.
 
-encode, reconstruct, share_polys and node_lines take a stripe count.
-With the default of 1 every data symbol is a field element; with stripes
-= S every one is a GF(256) column of S stripes (see gf), and one call
-covers all S stripes of a file, whatever S is: poly picks per map whether
-its arithmetic runs per stripe or per column.
+A data symbol is a GF(p) element or a GF(256) column of any width (see
+gf), so one call covers every stripe of a file: the stripe count belongs
+to the file layer (sharefile), and no function here takes it.
 """
 
 from __future__ import annotations
@@ -135,11 +133,11 @@ def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
     return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
 
 
-def node_lines(share: Share, params: CodeParams, stripes: int = 1):
+def node_lines(share: Share, params: CodeParams):
     """A node's row and column of F's n x n grid, (f at every y-point, g at
     every x-point), resampled from its checked share."""
     field, points = params.field, params.points
-    return tuple(resample(field, s, points) for s in _share_samples(share, params, stripes))
+    return tuple(resample(field, s, points) for s in _share_samples(share, params))
 
 
 def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
@@ -158,7 +156,7 @@ def _coeff_grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
     return grid
 
 
-def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Share]:
+def encode(data: Sequence[int], params: CodeParams) -> list[Share]:
     """Evaluate F on the grid, a Y stage then an X stage, and gather each
     node's share from its row and column of the grid."""
     if len(data) != params.block_size:
@@ -166,7 +164,7 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
     field, points = params.field, params.points
-    field.check_elements(data, stripes)
+    field.check_elements(data)
     at_y = [evaluate(field, row, points) for row in _coeff_grid(data, params)]
     # grid[v][u] = F(x_u, y_v): g_v at every x-point.
     grid = [evaluate(field, g, points) for g in zip(*at_y)]
@@ -176,25 +174,19 @@ def encode(data: Sequence[int], params: CodeParams, stripes: int = 1) -> list[Sh
     ]
 
 
-def _check_consistent(
-    node_id: int,
-    got: Sequence[int],
-    want: Sequence[int],
-    stripes: int,
-    decoded_from: Sequence[int],
-) -> None:
+def _check_consistent(node_id: int, got, want, field: Field, decoded_from) -> None:
     """Raise InconsistentShareError unless got equals want.
 
     A mismatch shows only that share node_id and the shares the data was
     decoded from do not all agree, not which of them is bad, so the
-    message names both sides and the first bad stripe.
+    message names both sides and the first bad stripe: over GF(256) the
+    XOR's lowest non-zero byte, over GF(p) stripe 0 whatever bits differ.
     """
     diff = 0
     for u, v in zip(got, want):
         diff |= u ^ v
     if diff:
-        # Stripe s of a column is its byte s: the XOR's lowest non-zero byte.
-        stripe = ((diff & -diff).bit_length() - 1) >> 3 if stripes > 1 else 0
+        stripe = ((diff & -diff).bit_length() - 1) >> 3 if field.kind == "binary" else 0
         raise InconsistentShareError(node_id, tuple(decoded_from), stripe)
 
 
@@ -211,7 +203,7 @@ def line_samples(node_id: int, values, params: CodeParams):
     return f_pts, g_pts
 
 
-def _share_samples(share: Share, params: CodeParams, stripes: int):
+def _share_samples(share: Share, params: CodeParams):
     """line_samples of the share. Every share enters reconstruct and repair
     here, so it is checked here."""
     i = share.node_id
@@ -219,31 +211,29 @@ def _share_samples(share: Share, params: CodeParams, stripes: int):
         raise CorruptShareError(
             f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
         )
-    params.field.check_elements(share.evals, stripes)
+    params.field.check_elements(share.evals)
     return line_samples(i, zip(share_point_nodes(i, params), share.evals), params)
 
 
-def share_polys(
-    share: Share, params: CodeParams, stripes: int = 1
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def share_polys(share: Share, params: CodeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Recover the restriction polynomials (f_i, g_i) from a share.
 
     f_i(Y) = F(x_i, Y) has degree < d+r and g_i(X) = F(X, y_i) degree
     < d; each is interpolated from its samples in share_point_nodes.
     """
-    f_pts, g_pts = _share_samples(share, params, stripes)
+    f_pts, g_pts = _share_samples(share, params)
     fld = params.field
     return interpolate(fld, f_pts, params.d + params.r), interpolate(fld, g_pts, params.d)
 
 
-def reconstruct(
-    shares: Sequence[Share], params: CodeParams, stripes: int = 1
-) -> tuple[int, ...]:
+def reconstruct(shares: Sequence[Share], params: CodeParams) -> tuple[int, ...]:
     """Recover the data block from k or more shares with distinct node ids.
 
     Decodes from the first k shares, then checks every share against the
     result: InconsistentShareError names the first that disagrees, the k
-    decoded from and its first bad stripe.
+    decoded from and its first bad stripe. Exactly k shares hold little
+    redundancy, so some corrupt symbols among them decode to wrong data
+    with no error; supplying more than k shares lets it check more.
     """
     k, d, r, field = params.k, params.d, params.r, params.field
     if len(shares) < k:
@@ -252,7 +242,7 @@ def reconstruct(
     if len(set(ids)) != len(ids):
         raise CodecError(f"duplicate node ids in {ids}")
 
-    fg = [share_polys(s, params, stripes) for s in shares]
+    fg = [share_polys(s, params) for s in shares]
     pts = tuple(params.points[i - 1] for i in ids)
     # f_coeff[j] and g_coeff[i]: the Y^j coefficient of each decoded f_l
     # and the X^i one of each g_l, as samples at node l's point (x_l = y_l).
@@ -278,5 +268,5 @@ def reconstruct(
         at_x = zip(*(evaluate(field, c, pts[k:]) for c in zip_longest(*grid, fillvalue=0)))
         want[k:] = [g + f for g, f in zip(want[k:], at_x)]
     for l, (i, (f, g)) in enumerate(zip(ids, fg)):
-        _check_consistent(i, g if l < k else g + f, want[l], stripes, ids[:k])
+        _check_consistent(i, g if l < k else g + f, want[l], field, ids[:k])
     return data

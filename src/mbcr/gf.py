@@ -3,14 +3,14 @@
 Two field families are supported: prime fields GF(p) for small,
 hand-checkable parameters, and GF(256) for byte-oriented share files.
 Elements are plain ints in [0, order); the field object carries the
-arithmetic. Data can also be a GF(256) column: the little-endian packed
-int of one symbol position across several stripes (stripe s in byte s).
-Columns add by XOR and are multiplied by a constant with scale, which
-maps every byte through that constant's 256-byte product table (a
-pure-Python form of table-driven region multiply). A plain element is the
-one-stripe column. The other orientation packs a constant row over its
-outputs and scales it by one data byte per stripe (see poly); poly._apply
-picks one per constant map, from its output count and stripe count.
+arithmetic. Over GF(256) data is a column, any non-negative int: one
+symbol position across stripes, stripe s in byte s, so a plain element
+is the one-stripe column (the stripe count is a file fact, see
+sharefile). Columns add by XOR and are multiplied by a constant with
+scale, which maps every byte through that constant's 256-byte product
+table (a pure-Python form of table-driven region multiply). The other
+orientation packs a constant row over its outputs and scales it by one
+data byte per stripe (see poly); poly._apply picks one per map.
 GF(256) uses the storage-coding reduction polynomial X^8 + X^4 + X^3 +
 X^2 + 1 (0x11D); changing it would break the share file format.
 """
@@ -107,17 +107,13 @@ class Field:
     def __repr__(self):
         return f"GF({self.order})"
 
-    def check_elements(self, symbols: Iterable[int], stripes: int = 1) -> None:
-        """Raise FieldMismatchError unless every symbol is a field element,
-        or, for stripes > 1, a GF(256) column of that many stripes."""
-        if stripes == 1:
-            bound, what = self.order, f"an element of {self}"
-        elif self.kind == "binary":
-            bound, what = 256**stripes, f"a {stripes}-stripe column over {self}"
-        else:
-            raise FieldMismatchError(f"{self} symbols do not pack into columns")
+    def check_elements(self, symbols: Iterable[int]) -> None:
+        """Raise FieldMismatchError unless every symbol is data: over GF(p)
+        an element, over GF(256) any non-negative int (a column)."""
+        bound = self.order if self.kind == "prime" else None
         for a in symbols:
-            if not isinstance(a, int) or not 0 <= a < bound:
+            if not isinstance(a, int) or a < 0 or bound and a >= bound:
+                what = f"an element of {self}" if bound else f"a column over {self}"
                 raise FieldMismatchError(f"{a!r} is not {what}")
 
 

@@ -120,6 +120,10 @@ def _apply(field: Field, rows, packed, values: Sequence[int]) -> tuple[int, ...]
     its bytes, XOR the packed rows scaled by stripe s's bytes (output o in
     byte o), and transpose the results back into output columns. Per
     element: a weight of 0 is skipped and one of 1 copies its input.
+    Each form is linear, and max(values) is the only branch on data (the
+    skip of a zero input adds nothing either way), so a procedure built from
+    these maps is exact on every data block once each form is exact on unit
+    blocks: tests/test_exactness.py rests on this linearity.
     """
     width = len(rows[0])
     size = (max(values).bit_length() + 7) >> 3

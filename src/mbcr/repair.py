@@ -12,8 +12,9 @@ f_i to every y-point and re-emits its share. Senders and newcomers read
 values from resampled lines (poly.resample), never from coefficients.
 
 The ledger counts the values sent per newcomer and phase, per stripe.
-With stripes = S each value is a GF(256) column of S stripes (see gf),
-so one run repairs all S stripes of a file with the same counts. The
+Over GF(256) each value is a column of any width (see gf), so one run
+repairs every stripe of a file with the same counts; the stripe count
+belongs to the file layer (sharefile), and nothing here takes it. The
 phase-1 assemblies are independent, as are the phase-2 exchanges.
 """
 
@@ -149,7 +150,6 @@ def run_repair(
     survivor_shares: Iterable[Share],
     plan: RepairPlan,
     params: CodeParams,
-    stripes: int = 1,
 ) -> tuple[dict[int, Share], BandwidthLedger]:
     """Run both phases for all newcomers; returns shares and the ledger."""
     by_id: dict[int, Share] = {}
@@ -162,7 +162,7 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    lines = {j: node_lines(by_id[j], params, stripes) for j in needed}
+    lines = {j: node_lines(by_id[j], params) for j in needed}
     newcomers = sorted(plan.failed)
     received: dict[int, dict[tuple[int, int], int]] = {}
     g: dict[int, Sequence[int]] = {}  # g_i at every x-point

@@ -10,9 +10,9 @@ Layout (little-endian, bit-exact):
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
 
-The codec runs once per file, on columns (see gf); poly._apply picks,
-per constant map, whether to run it per stripe or per column. The
-transpose lives here, in to_columns and from_columns: column t of
+The codec runs once per file, on columns (see gf), and takes no stripe
+count: that is a file fact, known only here and in the CLI's messages.
+The transpose lives here, in to_columns and from_columns: column t of
 stripe-major bytes with w symbols per stripe is the slice data[t::w],
 packed little-endian, and is written back through the same slice.
 """

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import from_columns, parameter_grid, prime_for, to_columns
+from mbcr import codec
 from mbcr.codec import (
     Share,
     derive_points,
@@ -20,6 +21,7 @@ from mbcr.errors import (
     CodecError,
     CorruptShareError,
     FieldMismatchError,
+    InconsistentShareError,
     ParameterError,
 )
 from mbcr.gf import Field
@@ -268,28 +270,16 @@ def test_columns_encode_and_reconstruct_every_stripe_as_scalar_runs_do():
                     tuple(rng.randrange(field.order) for _ in range(p.block_size))
                     for _ in range(count)
                 ]
-                shares = encode(to_columns(blocks), p, count)
+                shares = encode(to_columns(blocks), p)
                 scalar = [encode(block, p) for block in blocks]
                 for i, share in enumerate(shares):
                     expect = [stripe[i].evals for stripe in scalar]
                     assert from_columns(share.evals, count) == expect
                 subset = rng.sample(shares, k)
-                got = reconstruct(subset, p, count)
+                got = reconstruct(subset, p)
                 assert from_columns(got, count) == blocks
                 extra = [s for s in shares if s not in subset]
-                assert reconstruct(subset + extra, p, count) == got
-
-
-def test_prime_field_data_does_not_pack_into_columns():
-    p = validate_params(5, 2, 3, 2, GF7)
-    with pytest.raises(FieldMismatchError, match="do not pack into columns"):
-        encode((1,) * p.block_size, p, stripes=2)
-
-
-def test_encode_rejects_a_column_wider_than_its_stripes():
-    p = validate_params(5, 2, 3, 2, GF256)
-    with pytest.raises(FieldMismatchError, match="2-stripe column"):
-        encode((256**2,) + (0,) * (p.block_size - 1), p, stripes=2)
+                assert reconstruct(subset + extra, p) == got
 
 
 def _flip(share, position, stripes, delta):
@@ -304,7 +294,7 @@ def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
     rng = random.Random(14)
     p = validate_params(5, 2, 3, 2, GF256)
     blocks = [tuple(rng.randrange(256) for _ in range(p.block_size)) for _ in range(7)]
-    shares = encode(to_columns(blocks), p, 7)
+    shares = encode(to_columns(blocks), p)
     # Position 6 samples g_1 away from the diagonal. With exactly k shares
     # only some errors can be detected, so first check on one stripe that
     # this one is.
@@ -313,14 +303,28 @@ def test_corrupt_column_names_the_share_and_its_first_bad_stripe():
         reconstruct([_flip(scalar[0], 6, [0], 0x21), scalar[2]], p)
     bad = _flip(shares[0], 6, [3, 5], 0x21)
     with pytest.raises(CorruptShareError, match="share 1 .*first bad stripe: 3"):
-        reconstruct([bad, shares[2]], p, 7)
+        reconstruct([bad, shares[2]], p)
     # A share past the k decoded from is compared in full.
-    data = reconstruct(shares[1:3], p, 7)
-    assert reconstruct([*shares[1:3], shares[0], *shares[3:]], p, 7) == data
+    data = reconstruct(shares[1:3], p)
+    assert reconstruct([*shares[1:3], shares[0], *shares[3:]], p) == data
     bad = _flip(shares[3], 0, [6], 0x01)
     match = "share 4 .* decoded from shares 2, 3 .*first bad stripe: 6"
     with pytest.raises(CorruptShareError, match=match):
-        reconstruct([*shares[1:3], shares[0], bad], p, 7)
+        reconstruct([*shares[1:3], shares[0], bad], p)
+
+
+def test_a_prime_field_mismatch_is_in_stripe_0_whatever_its_bits():
+    # The stripe index follows the field kind, not the value: GF(65521)
+    # elements 0x100 and 0x200 differ only above bit 7, yet a GF(p) symbol
+    # is one stripe. (Not reachable end to end: the check compares
+    # interpolated coefficients, so one share change spreads over all.)
+    with pytest.raises(InconsistentShareError) as info:
+        codec._check_consistent(2, (0x100,), (0x200,), Field.prime(65521), (1, 3))
+    assert info.value.args == (2, (1, 3), 0)
+    # Over GF(256) the same ints are columns that differ in stripe 1.
+    with pytest.raises(InconsistentShareError) as info:
+        codec._check_consistent(2, (0x100,), (0x200,), GF256, (1, 3))
+    assert info.value.args == (2, (1, 3), 1)
 
 
 @pytest.mark.parametrize(
@@ -336,7 +340,7 @@ def test_every_symbol_change_past_k_names_its_share(field, count):
             tuple(rng.randrange(p.field.order) for _ in range(p.block_size))
             for _ in range(count)
         ]
-        shares = encode(to_columns(blocks), p, count)
+        shares = encode(to_columns(blocks), p)
         rng.shuffle(shares)
         for l in range(k, n):
             for position in range(p.share_size):
@@ -346,4 +350,4 @@ def test_every_symbol_change_past_k_names_its_share(field, count):
                 readers = shares[:l] + [Share(shares[l].node_id, tuple(evals))] + shares[l + 1 :]
                 match = f"share {shares[l].node_id} .*first bad stripe: {count - 1}"
                 with pytest.raises(CorruptShareError, match=match):
-                    reconstruct(readers, p, count)
+                    reconstruct(readers, p)

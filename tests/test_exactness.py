@@ -1,0 +1,73 @@
+"""Exactness on every data block, proved on a basis.
+
+Encode, reconstruct and repair are linear in the data: only poly adds
+data and scales it by constants, and each form of poly._apply is linear.
+So each procedure is exact on all q^B blocks once it is exact on the B
+unit blocks. Over GF(256) one call covers the whole basis: data symbol b
+is the one-hot column 1 << 8*b, which holds unit block b in stripe b.
+Such wide columns run mostly per element, so the unit blocks also run one
+stripe per call, where _apply packs every map with more than 2 outputs.
+GF(p) has no column form: its unit blocks run one per call. The oracle for encode is the monomial sum itself: with unit block b at
+data cell (i, j), F(x, y) = x^i y^j.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from conftest import parameter_grid, prime_for, to_columns
+from mbcr.codec import encode, reconstruct, share_point_nodes, validate_params
+from mbcr.gf import Field
+from mbcr.poly import coeff_cells
+from mbcr.repair import make_plan, run_repair
+
+GF256 = Field.gf256()
+
+
+def unit_shares(p, cell):
+    """Every share of the unit block at data cell (a, c), whose F is X^a Y^c."""
+    field, points, (a, c) = p.field, p.points, cell
+    return [
+        tuple(
+            field.mul(field.pow(points[xn - 1], a), field.pow(points[yn - 1], c))
+            for xn, yn in share_point_nodes(i, p)
+        )
+        for i in range(1, p.n + 1)
+    ]
+
+
+def assert_repairs_every_failed_set(shares, p):
+    # With a seed-0 plan each.
+    for failed in combinations(range(1, p.n + 1), p.r):
+        survivors = [s for s in shares if s.node_id not in failed]
+        regenerated, _ = run_repair(survivors, make_plan(p, failed, seed=0), p)
+        assert all(regenerated[i] == shares[i - 1] for i in failed), (p, failed)
+
+
+def test_one_hot_columns_encode_reconstruct_and_repair_exactly():
+    # On the n <= 7 grid, one call each: encode against the oracle,
+    # reconstruct from every k-subset, repair every failed set.
+    for n, k, d, r in parameter_grid(7):
+        p = validate_params(n, k, d, r, GF256)
+        basis = tuple(1 << 8 * b for b in range(p.block_size))
+        shares = encode(basis, p)
+        by_cell = [unit_shares(p, cell) for cell in coeff_cells(k, d, r)]
+        assert [s.evals for s in shares] == [to_columns(u) for u in zip(*by_cell)]
+        for subset in combinations(shares, k):
+            assert reconstruct(list(subset), p) == basis, (p, subset)
+        assert_repairs_every_failed_set(shares, p)
+
+
+@pytest.mark.parametrize("field", [GF256, None], ids=["GF256", "GFp"])
+def test_unit_blocks_one_stripe_per_call_encode_reconstruct_and_repair_exactly(field):
+    # On the n <= 5 grid, every unit block on its own: over GF(256) one
+    # stripe per call, so the maps run packed; GF(p) has no column form.
+    for n, k, d, r in parameter_grid(5):
+        p = validate_params(n, k, d, r, field or prime_for(n))
+        for b, cell in enumerate(coeff_cells(k, d, r)):
+            unit = tuple(int(c == b) for c in range(p.block_size))
+            shares = encode(unit, p)
+            assert [s.evals for s in shares] == unit_shares(p, cell), (p, b)
+            for subset in combinations(shares, k):
+                assert reconstruct(list(subset), p) == unit, (p, b, subset)
+            assert_repairs_every_failed_set(shares, p)

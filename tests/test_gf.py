@@ -105,16 +105,20 @@ def test_prime_scale_is_mul():
         assert f.scale(a, c) == f.mul(a, c)
 
 
-def test_check_elements_bounds_columns_by_their_stripe_count():
+def test_check_elements_takes_any_gf256_column_and_only_gf_p_elements():
+    # Over GF(256) a symbol is a column of any width, a plain element being
+    # the one-stripe column; over GF(p) it is an element, even for p > 256.
     f = Field.gf256()
-    f.check_elements([0, 255])
-    with pytest.raises(FieldMismatchError, match="256 is not an element of GF"):
-        f.check_elements([256])
-    f.check_elements([256, 256**3 - 1], stripes=3)
-    with pytest.raises(FieldMismatchError, match="3-stripe column"):
-        f.check_elements([256**3], stripes=3)
-    with pytest.raises(FieldMismatchError, match="do not pack into columns"):
-        Field.prime(7).check_elements([1], stripes=2)
+    f.check_elements([0, 255, 256, 256**3 - 1, 256**300])
+    for field, bad in ((f, -1), (f, 1.0), (f, "1"), (Field.prime(7), -1)):
+        with pytest.raises(FieldMismatchError, match="is not a"):
+            field.check_elements([0, bad])
+    for p in (7, 65521):
+        Field.prime(p).check_elements([0, p - 1])
+        with pytest.raises(FieldMismatchError, match=f"{p} is not an element of GF"):
+            Field.prime(p).check_elements([p])
+        with pytest.raises(FieldMismatchError, match="is not an element of GF"):
+            Field.prime(p).check_elements([256**2])
 
 
 def test_prime_inverse():

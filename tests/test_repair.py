@@ -250,9 +250,9 @@ def test_column_repair_matches_per_stripe_scalar_repairs():
                     tuple(rng.randrange(field.order) for _ in range(p.block_size))
                     for _ in range(count)
                 ]
-                shares = encode(to_columns(blocks), p, count)
+                shares = encode(to_columns(blocks), p)
                 survivors = [s for s in shares if s.node_id not in failed]
-                regen, ledger = run_repair(survivors, plan, p, count)
+                regen, ledger = run_repair(survivors, plan, p)
                 per_stripe = []
                 for block in blocks:
                     scalar = [s for s in encode(block, p) if s.node_id not in failed]
@@ -279,11 +279,11 @@ def test_run_repair_builds_no_coefficients(monkeypatch):
                 tuple(rng.randrange(field.order) for _ in range(p.block_size))
                 for _ in range(count)
             ]
-            shares = encode(to_columns(blocks), p, count)
+            shares = encode(to_columns(blocks), p)
             failed = set(rng.sample(range(1, n + 1), r))
             plan = make_plan(p, failed, seed=rng.randrange(1000))
             survivors = [s for s in shares if s.node_id not in failed]
-            regen, _ = run_repair(survivors, plan, p, count)
+            regen, _ = run_repair(survivors, plan, p)
             assert all(regen[i] == shares[i - 1] for i in failed)
 
 
