@@ -4,7 +4,8 @@ Subcommands: params | encode | reconstruct | repair | verify | bound |
 simulate. File commands use GF(256) (one byte per symbol) and split a
 file into stripes of block_size bytes; each makes one library call per
 file, on the columns of all its stripes (poly picks, per constant map,
-whether the arithmetic runs per stripe or per column). The stripe count
+whether the arithmetic runs per stripe or per column); sharefile reads
+and writes the share sets (read_shares, write_shares). The stripe count
 is a file fact, used for the transpose and the messages only. Verification
 commands default to the smallest prime field that fits n. All randomness
 flows from --seed.
@@ -16,27 +17,24 @@ parameter errors.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from . import bounds, subspace
-from .codec import Share, encode, reconstruct, validate_params
-from .errors import CorruptShareError, MbcrError
-from .errors import ParameterError, ShareFormatError
+from .codec import encode, reconstruct, validate_params
+from .errors import CorruptShareError, MbcrError, ParameterError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
 from .sharefile import (
-    ShareFile,
     atomic_write,
     file_params,
     from_columns,
-    read_share_file,
+    read_shares,
     stripe_count,
     to_columns,
-    write_share_file,
+    write_shares,
 )
 
 EXIT_OK = 0
@@ -98,10 +96,6 @@ def _atomic_write(path: str, data: bytes) -> None:
     atomic_write(path, data)
 
 
-def _share_path(out_dir: str, node_id: int) -> str:
-    return os.path.join(out_dir, f"share_{node_id:03d}.mbcr")
-
-
 def cmd_params(args) -> int:
     field = _field_from_args(args, args.n, default="gf256")
     p = validate_params(args.n, args.k, args.d, args.r, field)
@@ -116,26 +110,13 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _read_matching_shares(paths) -> tuple[list[ShareFile], ShareFile]:
-    files = [read_share_file(p) for p in paths]
-    ref = files[0]
-    key = lambda sf: (sf.params, sf.stripe_count, sf.original_length)
-    for sf in files[1:]:
-        if key(sf) != key(ref):
-            raise ShareFormatError("share files carry mismatched parameters")
-    return files, ref
-
-
 def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.d, args.r)
     with open(args.input, "rb") as fh:
         data = fh.read()
     stripes = stripe_count(len(data), p.block_size)
-    os.makedirs(args.out, exist_ok=True)
-    for share in encode(to_columns(data, p.block_size), p):
-        payload = from_columns(share.evals, stripes)
-        sf = ShareFile(p, share.node_id, stripes, len(data), payload)
-        write_share_file(_share_path(args.out, share.node_id), sf)
+    shares = encode(to_columns(data, p.block_size), p)
+    write_shares(args.out, shares, p, stripes, len(data))
     print(
         f"encoded {len(data)} bytes into {p.n} shares "
         f"({stripes} stripes of {p.block_size} symbols, "
@@ -144,39 +125,28 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _column_shares(files: list[ShareFile]) -> list[Share]:
-    """Each file's share, every symbol a column of all its stripes."""
-    return [Share(sf.node_id, to_columns(sf.payload, sf.params.share_size)) for sf in files]
-
-
 def cmd_reconstruct(args) -> int:
-    files, ref = _read_matching_shares(args.shares)
-    columns = reconstruct(_column_shares(files), ref.params)
-    data = from_columns(columns, ref.stripe_count)[: ref.original_length]
+    p, stripes, length, shares = read_shares(args.shares)
+    data = from_columns(reconstruct(shares, p), stripes)[:length]
     _atomic_write(args.out, data)
-    print(f"reconstructed {len(data)} bytes from {len(files)} shares into {args.out}")
+    print(f"reconstructed {len(data)} bytes from {len(shares)} shares into {args.out}")
     return EXIT_OK
 
 
 def cmd_repair(args) -> int:
-    files, ref = _read_matching_shares(args.shares)
-    p, stripes = ref.params, ref.stripe_count
+    p, stripes, length, shares = read_shares(args.shares)
     failed = _parse_failed(args.failed)
-    supplied = [sf.node_id for sf in files]
+    supplied = [s.node_id for s in shares]
     if set(failed) & set(supplied):
         raise MbcrError("a share file was supplied for a failed node")
     helpers = _parse_helpers(args.helpers) if args.helpers else None
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
-    regenerated, ledger = run_repair(_column_shares(files), plan, p)
+    regenerated, ledger = run_repair(shares, plan, p)
+    newcomers = sorted(plan.failed)
+    write_shares(args.out, [regenerated[i] for i in newcomers], p, stripes, length)
 
-    os.makedirs(args.out, exist_ok=True)
-    for i in sorted(plan.failed):
-        payload = from_columns(regenerated[i].evals, stripes)
-        sf = ShareFile(p, i, stripes, ref.original_length, payload)
-        write_share_file(_share_path(args.out, i), sf)
-
-    for i in sorted(plan.failed):
+    for i in newcomers:
         print(
             f"newcomer {i}: phase1 {ledger.phase1[i]} + phase2 {ledger.phase2[i]} "
             f"= {ledger.total_for(i)} symbols/stripe "

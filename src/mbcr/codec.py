@@ -1,7 +1,7 @@
 """Parameter validation, encoding, and data reconstruction.
 
 A data block of block_size symbols is the coefficient sequence of the
-bivariate polynomial F (see poly.BiPoly). Node i has one evaluation
+bivariate polynomial F, in poly.coeff_cells order. Node i has one evaluation
 point, x_i = y_i = CodeParams.points[i-1]. Encoding evaluates F on the
 n x n grid of points (x_u, y_v), then gathers each share from it: node i
 stores the share_size evaluations (layout: share_point_nodes)
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 from typing import Sequence
 
 from .errors import CodecError, CorruptShareError, InconsistentShareError, ParameterError
@@ -265,7 +264,7 @@ def reconstruct(shares: Sequence[Share], params: CodeParams) -> tuple[int, ...]:
     grid = _coeff_grid(data, params)
     want = list(zip(*(evaluate(field, row, pts) for row in grid)))
     if len(shares) > k:
-        at_x = zip(*(evaluate(field, c, pts[k:]) for c in zip_longest(*grid, fillvalue=0)))
+        at_x = zip(*(evaluate(field, c, pts[k:]) for c in cols))
         want[k:] = [g + f for g, f in zip(want[k:], at_x)]
     for l, (i, (f, g)) in enumerate(zip(ids, fg)):
         _check_consistent(i, g if l < k else g + f, want[l], field, ids[:k])

@@ -1,9 +1,10 @@
 """Polynomials over GF(q): evaluation and Lagrange interpolation.
 
 Univariate polynomials are coefficient sequences in ascending degree.
-The code's bivariate polynomial F (BiPoly) is a flat coefficient
-sequence in coeff_cells order, used through its restrictions F(x, Y)
-and F(X, y).
+The code's bivariate polynomial F is a flat coefficient sequence in
+coeff_cells order. BiPoly evaluates F one point at a time; no library
+code calls it: it is the per-point reference the tests compare against,
+kept while bench/tracer.py wraps BiPoly.eval.
 
 Points are field elements; coefficients and sample values are data,
 either elements or GF(256) columns (see gf). Data is only ever added to

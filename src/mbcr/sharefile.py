@@ -14,7 +14,9 @@ The codec runs once per file, on columns (see gf), and takes no stripe
 count: that is a file fact, known only here and in the CLI's messages.
 The transpose lives here, in to_columns and from_columns: column t of
 stripe-major bytes with w symbols per stripe is the slice data[t::w],
-packed little-endian, and is written back through the same slice.
+packed little-endian, and is written back through the same slice. The
+one map between share files and column codec.Shares lives here too:
+read_shares and write_shares.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codec import CodeParams, validate_params
+from .codec import CodeParams, Share, validate_params
 from .errors import ParameterError, ShareFormatError
 from .gf import GF256_REDUCTION_POLY, Field
 
@@ -159,6 +161,31 @@ def write_share_file(path: str, sf: ShareFile) -> None:
 def read_share_file(path: str) -> ShareFile:
     with open(path, "rb") as fh:
         return parse_share_file(fh.read())
+
+
+def read_shares(paths: Sequence[str]) -> tuple[CodeParams, int, int, list[Share]]:
+    """A set of share files as (params, stripe count, recorded length, one
+    column Share per file, in the order of paths). Refused unless every
+    header carries the same three, naming the field that differs."""
+    files = [read_share_file(path) for path in paths]
+    ref = files[0]
+    for attr, what in (("params", "code parameters"), ("stripe_count", "stripe counts"),
+                       ("original_length", "recorded lengths")):
+        if any(getattr(sf, attr) != getattr(ref, attr) for sf in files):
+            raise ShareFormatError(f"share files carry mismatched {what}")
+    a = ref.params.share_size
+    shares = [Share(sf.node_id, to_columns(sf.payload, a)) for sf in files]
+    return ref.params, ref.stripe_count, ref.original_length, shares
+
+
+def write_shares(
+    out_dir: str, shares: Sequence[Share], params: CodeParams, stripes: int, length: int
+) -> None:
+    """Create out_dir and write each column Share there as share_<id>.mbcr."""
+    os.makedirs(out_dir, exist_ok=True)
+    for s in shares:
+        sf = ShareFile(params, s.node_id, stripes, length, from_columns(s.evals, stripes))
+        write_share_file(os.path.join(out_dir, f"share_{s.node_id:03d}.mbcr"), sf)
 
 
 def stripe_count(length: int, block_size: int) -> int:

@@ -317,7 +317,38 @@ class TestCli:
              "--out", str(tmp_path / "x")]
         )
         assert rc == 2
-        assert "mismatched" in capsys.readouterr().err
+        assert "mismatched code parameters" in capsys.readouterr().err
+
+    # The second set differs from a 3-byte (5,2,3,2) encoding in one header
+    # field: 15 bytes span 2 stripes, and its recorded length is patched to 3.
+    @pytest.mark.parametrize("command", ["reconstruct", "repair"])
+    @pytest.mark.parametrize(
+        "other, length, message",
+        [(b"x" * 15, 3, "mismatched stripe counts"),
+         (b"abcd", 4, "mismatched recorded lengths")],
+    )
+    def test_a_set_differing_in_one_header_field_names_it(
+        self, tmp_path, capsys, command, other, length, message
+    ):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        out1 = self.encode(tmp_path / "a", b"abc")
+        out2 = self.encode(tmp_path / "b", other)
+        for path in out2.iterdir():
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<Q", blob, 22, length)
+            path.write_bytes(bytes(blob))
+        if command == "reconstruct":
+            paths = [str(out1 / "share_001.mbcr"), str(out2 / "share_002.mbcr")]
+            argv = ["reconstruct", *paths, "--out", str(tmp_path / "x")]
+        else:
+            paths = [str(out1 / "share_003.mbcr"), str(out1 / "share_004.mbcr"),
+                     str(out2 / "share_005.mbcr")]
+            argv = ["repair", *paths, "--failed", "1,2", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists() and not (tmp_path / "r").exists()
 
     # (byte offset, struct format, values) patched into a (5,2,3,2) header.
     @pytest.mark.parametrize(

@@ -8,10 +8,11 @@ is the one-hot column 1 << 8*b, which holds unit block b in stripe b.
 Such wide columns run mostly per element, so the unit blocks also run one
 stripe per call, where _apply packs every map with more than 2 outputs.
 GF(p) has no column form: its unit blocks run one per call. The oracle for encode is the monomial sum itself: with unit block b at
-data cell (i, j), F(x, y) = x^i y^j.
+data cell (i, j), F(x, y) = x^i y^j. Repair runs on seed-0 plans, and on
+one-hot columns under every helper map at n <= 6.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -71,3 +72,22 @@ def test_unit_blocks_one_stripe_per_call_encode_reconstruct_and_repair_exactly(f
             for subset in combinations(shares, k):
                 assert reconstruct(list(subset), p) == unit, (p, b, subset)
             assert_repairs_every_failed_set(shares, p)
+
+
+def test_one_hot_columns_repair_exactly_under_every_helper_map():
+    # On the n <= 6 grid, every failed set, each newcomer's d helpers drawn
+    # independently from the survivors: 5,206 plans. run_repair keys what a
+    # newcomer receives by point, so helper order cannot change the result.
+    repairs = 0
+    for n, k, d, r in parameter_grid(6):
+        p = validate_params(n, k, d, r, GF256)
+        shares = encode(tuple(1 << 8 * b for b in range(p.block_size)), p)
+        for failed in combinations(range(1, n + 1), r):
+            survivors = [s for s in shares if s.node_id not in failed]
+            choices = list(combinations([s.node_id for s in survivors], d))
+            for helper_sets in product(choices, repeat=r):
+                plan = make_plan(p, failed, helpers=dict(zip(failed, helper_sets)))
+                regenerated, _ = run_repair(survivors, plan, p)
+                assert all(regenerated[i] == shares[i - 1] for i in failed), (p, plan)
+                repairs += 1
+    assert repairs == 5206
