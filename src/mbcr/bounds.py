@@ -24,7 +24,6 @@ class TradeoffPoint:
     node_storage: Fraction
     phase1_per_helper: Fraction
     phase2_per_peer: Fraction
-    file_size: Fraction
 
     def repair_bandwidth(self, d: int, r: int) -> Fraction:
         return d * self.phase1_per_helper + (r - 1) * self.phase2_per_peer
@@ -102,7 +101,6 @@ def mbcr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:
         node_storage=alpha,
         phase1_per_helper=beta1,
         phase2_per_peer=beta2,
-        file_size=B,
     )
 
 
@@ -114,5 +112,4 @@ def mscr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:
         node_storage=B / k,
         phase1_per_helper=beta,
         phase2_per_peer=beta,
-        file_size=B,
     )

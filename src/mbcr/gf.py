@@ -2,6 +2,8 @@
 
 Two field families are supported: prime fields GF(p) for small,
 hand-checkable parameters, and GF(256) for byte-oriented share files.
+Each field is made once per process, by Field.prime or Field.gf256, and
+fields compare by identity.
 Elements are plain ints in [0, order); the field object carries the
 arithmetic. Over GF(256) data is a column, any non-negative int: one
 symbol position across stripes, stripe s in byte s, so a plain element
@@ -18,7 +20,6 @@ X^2 + 1 (0x11D); changing it would break the share file format.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import FieldMismatchError
@@ -48,61 +49,41 @@ def smallest_prime_at_least(n: int) -> int:
 
 
 class Field:
-    """Immutable finite field, either GF(p) or GF(256).
+    """Immutable finite field, either GF(p) or GF(256), one instance per field.
 
-    The arithmetic is bound once, at construction, and trusts its
+    Field.prime(p) and Field.gf256() are the only constructors; each
+    returns the one instance of its field, so fields compare by identity.
+    The arithmetic is bound when the field is made and trusts its
     operands: add, sub, neg, mul, inv and pow take ints in [0, order)
-    and do not check them. scale(v, c) multiplies data v (an element, or
-    over GF(256) a column) by a constant element c; over GF(256) add and
-    sub also take columns. Symbols from outside the
+    and do not range-check them; only inv(0) raises ZeroDivisionError
+    and pow a negative exponent ValueError. scale(v, c) multiplies data v
+    (an element, or over GF(256) a column) by a constant element c; over
+    GF(256) add and sub also take columns. Symbols from outside the
     library are checked where they enter it, with check_elements. All
-    operations are pure; instances are safe to share across threads.
+    operations are pure and fields are safe to share across threads.
     """
 
-    __slots__ = (
-        "kind", "order", "modulus", "add", "sub", "neg", "mul", "inv", "pow", "scale",
-    )
+    __slots__ = ("kind", "order", "add", "sub", "neg", "mul", "inv", "pow", "scale")
 
-    def __init__(self, kind: str, modulus: int):
-        if kind == "prime":
-            if not (2 <= modulus <= _MAX_PRIME) or not is_prime(modulus):
-                raise ValueError(f"modulus {modulus} is not a prime in [2, 2^16]")
-            self.order = modulus
-            ops = _prime_ops(modulus)
-        elif kind == "binary":
-            if modulus != GF256_REDUCTION_POLY:
-                raise ValueError(
-                    f"GF(256) reduction polynomial must be {GF256_REDUCTION_POLY:#x}"
-                )
-            self.order = 256
-            ops = _gf256_ops()
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
+    def __init__(self, kind: str, order: int, ops):
         self.kind = kind
-        self.modulus = modulus
+        self.order = order
         self.add, self.sub, self.neg, self.mul, self.inv, self.pow, self.scale = ops
 
     @classmethod
     def prime(cls, p: int) -> "Field":
-        return cls("prime", p)
+        # Checked before the lookup, where 7.0 would find GF(7) and 256 GF(256).
+        if not isinstance(p, int) or not (2 <= p <= _MAX_PRIME) or not is_prime(p):
+            raise ValueError(f"modulus {p!r} is not a prime int in [2, 2^16]")
+        return _FIELDS.get(p) or _FIELDS.setdefault(p, cls("prime", p, _prime_ops(p)))
 
     @classmethod
     def gf256(cls) -> "Field":
-        return cls("binary", GF256_REDUCTION_POLY)
+        return _FIELDS.get(256) or _FIELDS.setdefault(256, cls("binary", 256, _gf256_ops()))
 
     def __reduce__(self):
-        # The bound closures do not pickle; rebuild the field from its data.
-        return (Field, (self.kind, self.modulus))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
+        # copy, deepcopy and pickle give back the one instance of the field.
+        return (Field.prime, (self.order,)) if self.kind == "prime" else (Field.gf256, ())
 
     def __repr__(self):
         return f"GF({self.order})"
@@ -115,6 +96,11 @@ class Field:
             if not isinstance(a, int) or a < 0 or bound and a >= bound:
                 what = f"an element of {self}" if bound else f"a column over {self}"
                 raise FieldMismatchError(f"{a!r} is not {what}")
+
+
+# order -> the one Field of that order. Two threads that make a field at
+# once may both build it; setdefault keeps one, and both return that one.
+_FIELDS: dict[int, Field] = {}
 
 
 def _prime_ops(p: int):
@@ -144,13 +130,9 @@ def _prime_ops(p: int):
     )
 
 
-@lru_cache(maxsize=1)
 def _gf256_ops():
     """(add, sub, neg, mul, inv, pow, scale) of GF(256), from log/exp tables
-    and, for scale, one 256-byte product table per constant.
-
-    Built once per process.
-    """
+    and, for scale, one 256-byte product table per constant."""
     exp = [0] * 510
     log = [0] * 256
     x = 1

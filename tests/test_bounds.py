@@ -124,7 +124,7 @@ def test_max_file_size_matches_the_enumeration_on_the_grid():
 
     def random_point():
         a, b1, b2 = (Fraction(rng.randrange(1, 40), rng.randrange(1, 6)) for _ in range(3))
-        return TradeoffPoint(a, b1, b2, file_size=Fraction(1))
+        return TradeoffPoint(a, b1, b2)
 
     for n, k, d, r in parameter_grid(8):
         comps = list(enumerate_compositions(k, r))

@@ -1,8 +1,13 @@
+import copy
+import pickle
 import random
+import threading
+import time
 from itertools import product
 
 import pytest
 
+from mbcr import gf
 from mbcr.errors import FieldMismatchError
 from mbcr.gf import (
     GF256_REDUCTION_POLY,
@@ -184,10 +189,49 @@ def test_pow_matches_repeated_mul():
 def test_field_constructor_validation():
     with pytest.raises(ValueError):
         Field.prime(6)
+    # A float is refused before the lookup, though 7.0 == 7 and hashes alike.
     with pytest.raises(ValueError):
-        Field("binary", 0x11B)
+        Field.prime(7.5)
     with pytest.raises(ValueError):
-        Field("tower", 9)
+        Field.prime(7.0)
+    # 256 is not prime, so it does not find GF(256) in the field table.
+    with pytest.raises(ValueError):
+        Field.prime(256)
+
+
+def test_each_field_is_made_once():
+    assert Field.prime(11) is Field.prime(11)
+    assert Field.gf256() is Field.gf256()
+    assert Field.prime(11) != Field.prime(13)
+
+
+@pytest.mark.parametrize("make", [lambda: Field.prime(11), Field.gf256])
+def test_copies_and_pickles_are_the_same_field(make):
+    field = make()
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    assert pickle.loads(pickle.dumps(field)) is field
+
+
+def test_threads_making_one_field_get_one_object(monkeypatch):
+    # Both threads miss the field table while the ops are slowly built.
+    monkeypatch.delitem(gf._FIELDS, 65519, raising=False)
+    prime_ops = gf._prime_ops
+
+    def slow_prime_ops(p):
+        time.sleep(0.05)
+        return prime_ops(p)
+
+    monkeypatch.setattr(gf, "_prime_ops", slow_prime_ops)
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(Field.prime(65519))) for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(got) == 2 and got[0] is got[1]
 
 
 def test_prime_helpers():
