@@ -2,8 +2,8 @@
 
 A data block of block_size symbols is the coefficient sequence of the
 bivariate polynomial F, in poly.coeff_cells order. Node i has one evaluation
-point, x_i = y_i = CodeParams.points[i-1]. Encoding evaluates F on the
-n x n grid of points (x_u, y_v), then gathers each share from it: node i
+point, x_i = y_i = CodeParams.points[i-1]. grid evaluates F on the n x n
+grid of points (x_u, y_v), and encode gathers each share from it: node i
 stores the share_size evaluations (layout: share_point_nodes)
 
     F(x_i, y_i), F(x_i, y_{i(+)1}), ..., F(x_i, y_{i(+)(d+r-1)}),
@@ -155,20 +155,25 @@ def _coeff_grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
     return grid
 
 
+def grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
+    """F on the n x n grid of points, a Y stage then an X stage: row v is
+    g_v at every x-point, so grid[v][u] = F(x_u, y_v)."""
+    field, points = params.field, params.points
+    at_y = [evaluate(field, row, points) for row in _coeff_grid(data, params)]
+    return [evaluate(field, g, points) for g in zip(*at_y)]
+
+
 def encode(data: Sequence[int], params: CodeParams) -> list[Share]:
-    """Evaluate F on the grid, a Y stage then an X stage, and gather each
-    node's share from its row and column of the grid."""
+    """Evaluate F on the grid and gather each node's share from its row
+    and column of the grid."""
     if len(data) != params.block_size:
         raise CodecError(
             f"data block must have {params.block_size} symbols, got {len(data)}"
         )
-    field, points = params.field, params.points
-    field.check_elements(data)
-    at_y = [evaluate(field, row, points) for row in _coeff_grid(data, params)]
-    # grid[v][u] = F(x_u, y_v): g_v at every x-point.
-    grid = [evaluate(field, g, points) for g in zip(*at_y)]
+    params.field.check_elements(data)
+    values = grid(data, params)
     return [
-        share_from_lines(i, ([col[i - 1] for col in grid], grid[i - 1]), params)
+        share_from_lines(i, ([col[i - 1] for col in values], values[i - 1]), params)
         for i in range(1, params.n + 1)
     ]
 

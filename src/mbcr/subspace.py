@@ -1,13 +1,13 @@
 """Subspace linear algebra over GF(q) and the code's property checks.
 
-Every stored or transmitted symbol is a fixed linear functional of the
-data block; its coefficient row is the monomial vector (x^a * y^b over
-the canonical coefficient cells) at the symbol's evaluation point. Node
-subspaces, phase-1 transfer spaces, and phase-2 exchange spaces are row
-spans of such vectors, which lets the dimension identities of the code
-be checked numerically: per-node dimension, pairwise intersections,
-direct-sum decomposition under a repair plan, and the helper-set
-dimension inequality.
+Every stored or transmitted symbol is F at an (x-node, y-node) point, a
+fixed linear functional of the data block; its coefficient row holds its
+value in codec.grid of each of the B unit data blocks, so the rows come
+from the shipped encoder. Node subspaces, phase-1 transfer spaces, and
+phase-2 exchange spaces are row spans of such vectors, which lets the
+dimension identities of the code be checked numerically: per-node
+dimension, pairwise intersections, direct-sum decomposition under a
+repair plan, and the helper-set dimension inequality.
 
 All elimination goes through one kernel, _Basis: a row-echelon basis
 grown one row at a time, each row one int with entry c in fixed-width
@@ -42,15 +42,14 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from struct import Struct, calcsize
 from typing import Callable, Hashable, Iterable, Optional
 
-from .codec import CodeParams, share_point_nodes
+from .codec import CodeParams, grid, share_point_nodes
 from .errors import MbcrError
 from .gf import Field
-from .poly import coeff_cells, powers
 from .repair import RepairPlan, phase1_points, phase2_point
 
 
@@ -207,19 +206,24 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(field, width, rows)
 
 
-def monomial_row(params: CodeParams, x_node: int, y_node: int) -> tuple[int, ...]:
-    """Generator row of the evaluation at (x of x_node, y of y_node)."""
-    field, d = params.field, params.d
-    pw = powers(field, params.points, d + params.r)[0]
-    mul, u, v = field.mul, x_node - 1, y_node - 1
-    return tuple(mul(pw[i][u], pw[j][v]) for i, j in coeff_cells(params.k, d, params.r))
+@lru_cache(maxsize=64)
+def _unit_grids(params: CodeParams) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """codec.grid of each of the B unit data blocks, as tuples."""
+    B = params.block_size
+    units = (tuple(int(c == b) for c in range(B)) for b in range(B))
+    return tuple(tuple(map(tuple, grid(unit, params))) for unit in units)
+
+
+def _span_of(points: Iterable[tuple[int, int]], params: CodeParams) -> Subspace:
+    """The span of F at the (x-node, y-node) points: the row of a point
+    is its value under each unit data block."""
+    unit_grids = _unit_grids(params)
+    rows = tuple(tuple(g[yn - 1][xn - 1] for g in unit_grids) for xn, yn in points)
+    return Subspace(params.field, params.block_size, rows)
 
 
 def node_space(node_id: int, params: CodeParams) -> Subspace:
-    rows = tuple(
-        monomial_row(params, xi, yi) for xi, yi in share_point_nodes(node_id, params)
-    )
-    return Subspace(params.field, params.block_size, rows)
+    return _span_of(share_point_nodes(node_id, params), params)
 
 
 def _transfer_labels(plan: RepairPlan) -> list[tuple[str, int, int]]:
@@ -236,12 +240,10 @@ def transfer_spaces(plan: RepairPlan, params: CodeParams) -> dict[tuple, Subspac
     ("s", j, i) is spanned by the rows of repair.phase1_points(j, i),
     ("t", j, i) by the row of repair.phase2_point(j, i)."""
 
-    def span(kind, j, i):
-        points = phase1_points(j, i) if kind == "s" else [phase2_point(j, i)]
-        rows = tuple(monomial_row(params, *pt) for pt in points)
-        return Subspace(params.field, params.block_size, rows)
+    def points(kind, j, i):
+        return phase1_points(j, i) if kind == "s" else [phase2_point(j, i)]
 
-    return {label: span(*label) for label in _transfer_labels(plan)}
+    return {label: _span_of(points(*label), params) for label in _transfer_labels(plan)}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 from mbcr.gf import Field, smallest_prime_at_least
+from mbcr.poly import coeff_cells
 
 
 def parameter_grid(n_max):
@@ -12,6 +13,16 @@ def parameter_grid(n_max):
 
 def prime_for(n):
     return Field.prime(smallest_prime_at_least(n))
+
+
+def monomial_row(p, x_node, y_node):
+    """The reference generator row of F at (x of x_node, y of y_node),
+    independent of the encoder: x^a * y^b for each data cell (a, b) in
+    coeff_cells order, F's value there on each unit data block."""
+    field, x, y = p.field, p.points[x_node - 1], p.points[y_node - 1]
+    return tuple(
+        field.mul(field.pow(x, a), field.pow(y, b)) for a, b in coeff_cells(p.k, p.d, p.r)
+    )
 
 
 def to_columns(stripes):

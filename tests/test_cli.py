@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mbcr import cli, codec, poly, repair
+from mbcr import cli, codec, poly, repair, subspace
 from mbcr.cli import main
 from mbcr.codec import encode, validate_params
 from mbcr.errors import ShareFormatError
@@ -360,6 +360,7 @@ class TestCli:
             (5, "<BH", (0, 11), "field kind 0, modulus 0xb is not GF(256)"),
             (22, "<Q", (13,), "recorded length 13 exceeds the 12 data symbols"),
             (5, "<BH", (1, 0x11B), "field kind 1, modulus 0x11b is not GF(256)"),
+            (4, "<B", (2,), "unsupported version 2"),
         ],
     )
     def test_reconstruct_rejects_a_bad_header(
@@ -376,6 +377,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+        assert not list(tmp_path.rglob(".mbcr-tmp-*"))
+
+    def test_reconstruct_into_an_existing_directory_is_refused(self, tmp_path, capsys):
+        # The temp file is written, then cannot be renamed onto the
+        # directory: it is removed and the error re-raised.
+        out = self.encode(tmp_path, b"hello world")
+        target = tmp_path / "x"
+        target.mkdir()
+        rc = main(["reconstruct", str(out / "share_001.mbcr"), str(out / "share_002.mbcr"),
+                   "--out", str(target)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and err.count("\n") == 1
+        assert list(target.iterdir()) == []
+        assert not list(tmp_path.rglob(".mbcr-tmp-*"))
 
     def test_encode_refuses_more_nodes_than_gf256_has_points(self, tmp_path, capsys):
         src = tmp_path / "input.bin"
@@ -487,6 +503,31 @@ class TestCli:
         assert "is named more than once" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    # Survivors 3, 4 and 5 of (5,2,3,2) are given with each of these.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--failed", "x,y"], "cannot parse failed-node list 'x,y'"),
+            (["--failed", "1,2", "--helpers", "1=3"], "cannot parse helper map '1=3'"),
+            (["--failed", "2,3"], "a share file was supplied for a failed node"),
+            (["--failed", "1,9"], "failed ids out of range: [1, 9]"),
+            (["--failed", "1,2", "--helpers", "1:3+4+5;3:3+4+5"],
+             "helper map keys must equal the failed set"),
+        ],
+        ids=["failed-ids", "helper-map", "failed-share", "failed-range", "helper-keys"],
+    )
+    def test_repair_refuses_a_bad_failed_set_or_helper_map(
+        self, tmp_path, capsys, argv, message
+    ):
+        out = self.encode(tmp_path, b"x" * 12)
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in (3, 4, 5)]
+        rc = main(["repair", *survivors, *argv, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+        assert not list(tmp_path.rglob(".mbcr-tmp-*"))
+
     def test_repair_draws_helpers_from_the_supplied_shares(self, tmp_path, capsys):
         # Nodes 1-3 of (10,4,6,3) failed; shares 4-9 are d = 6 helpers, and
         # no file is given for node 10.
@@ -525,6 +566,27 @@ class TestCli:
                    "--inject-fault"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_reads_the_shipped_encoder(self, monkeypatch, capsys):
+        # A coefficient layout bug: every row of codec._coeff_grid is d + r
+        # long, and cell (a, b) with a >= k is stored at (a, b + r). verify's
+        # rows come from codec.grid, so it must fail; a second model of F
+        # beside the encoder passes all 58 checks.
+        def mutant(data, params):
+            k, d, r = params.k, params.d, params.r
+            grid = [[0] * (d + r) for _ in range(d)]
+            for (a, b), c in zip(poly.coeff_cells(k, d, r), data):
+                grid[a][b + r if a >= k else b] = c
+            return grid
+
+        monkeypatch.setattr(codec, "_coeff_grid", mutant)
+        subspace._unit_grids.cache_clear()
+        try:
+            rc = main(["verify", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--seed", "7"])
+        finally:
+            subspace._unit_grids.cache_clear()
+        assert rc == 1
+        assert "57/58 checks passed" in capsys.readouterr().out
 
     def test_verify_passes_at_k1(self, capsys):
         # k = 1: every node spans the whole block, so pairwise intersections

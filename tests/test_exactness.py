@@ -7,32 +7,29 @@ unit blocks. Over GF(256) one call covers the whole basis: data symbol b
 is the one-hot column 1 << 8*b, which holds unit block b in stripe b.
 Such wide columns run mostly per element, so the unit blocks also run one
 stripe per call, where _apply packs every map with more than 2 outputs.
-GF(p) has no column form: its unit blocks run one per call. The oracle for encode is the monomial sum itself: with unit block b at
-data cell (i, j), F(x, y) = x^i y^j. Repair runs on seed-0 plans, and on
-one-hot columns under every helper map at n <= 6.
+GF(p) has no column form: its unit blocks run one per call. The oracle
+for encode is the monomial sum itself (conftest.monomial_row): with unit
+block b at data cell (i, j), F(x, y) = x^i y^j. Repair runs on seed-0
+plans, and on one-hot columns under every helper map at n <= 6.
 """
 
 from itertools import combinations, product
 
 import pytest
 
-from conftest import parameter_grid, prime_for, to_columns
+from conftest import monomial_row, parameter_grid, prime_for, to_columns
 from mbcr.codec import encode, reconstruct, share_point_nodes, validate_params
 from mbcr.gf import Field
-from mbcr.poly import coeff_cells
 from mbcr.repair import make_plan, run_repair
 
 GF256 = Field.gf256()
 
 
-def unit_shares(p, cell):
-    """Every share of the unit block at data cell (a, c), whose F is X^a Y^c."""
-    field, points, (a, c) = p.field, p.points, cell
+def share_rows(p):
+    """The reference rows of every share, one per stored point: entry b of
+    a row is that symbol on unit block b."""
     return [
-        tuple(
-            field.mul(field.pow(points[xn - 1], a), field.pow(points[yn - 1], c))
-            for xn, yn in share_point_nodes(i, p)
-        )
+        [monomial_row(p, *pt) for pt in share_point_nodes(i, p)]
         for i in range(1, p.n + 1)
     ]
 
@@ -52,8 +49,7 @@ def test_one_hot_columns_encode_reconstruct_and_repair_exactly():
         p = validate_params(n, k, d, r, GF256)
         basis = tuple(1 << 8 * b for b in range(p.block_size))
         shares = encode(basis, p)
-        by_cell = [unit_shares(p, cell) for cell in coeff_cells(k, d, r)]
-        assert [s.evals for s in shares] == [to_columns(u) for u in zip(*by_cell)]
+        assert [s.evals for s in shares] == [to_columns(zip(*rows)) for rows in share_rows(p)]
         for subset in combinations(shares, k):
             assert reconstruct(list(subset), p) == basis, (p, subset)
         assert_repairs_every_failed_set(shares, p)
@@ -65,10 +61,13 @@ def test_unit_blocks_one_stripe_per_call_encode_reconstruct_and_repair_exactly(f
     # stripe per call, so the maps run packed; GF(p) has no column form.
     for n, k, d, r in parameter_grid(5):
         p = validate_params(n, k, d, r, field or prime_for(n))
-        for b, cell in enumerate(coeff_cells(k, d, r)):
+        rows = share_rows(p)
+        for b in range(p.block_size):
             unit = tuple(int(c == b) for c in range(p.block_size))
             shares = encode(unit, p)
-            assert [s.evals for s in shares] == unit_shares(p, cell), (p, b)
+            assert [s.evals for s in shares] == [
+                tuple(row[b] for row in share) for share in rows
+            ], (p, b)
             for subset in combinations(shares, k):
                 assert reconstruct(list(subset), p) == unit, (p, b, subset)
             assert_repairs_every_failed_set(shares, p)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_columns, parameter_grid, prime_for, to_columns
+from conftest import from_columns, monomial_row, parameter_grid, prime_for, to_columns
 from mbcr import codec, poly, repair
 from mbcr.codec import Share, encode, node_lines, share_point_nodes, validate_params, value_at
 from mbcr.errors import FieldMismatchError, ProtocolError
@@ -19,7 +19,7 @@ from mbcr.repair import (
     regenerate,
     run_repair,
 )
-from mbcr.subspace import monomial_row, transfer_spaces
+from mbcr.subspace import transfer_spaces
 
 GF7 = Field.prime(7)
 
@@ -132,8 +132,8 @@ def test_regenerate_toy():
 
 def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
     # Every value run_repair transmits is F at phase1_points or
-    # phase2_point, and the rows of transfer_spaces are monomial_row at
-    # exactly those points.
+    # phase2_point, and the rows of transfer_spaces are the reference
+    # rows (conftest.monomial_row) at exactly those points.
     rng = random.Random(16)
     received = {}
 

@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import parameter_grid, prime_for, reference_rank, reference_rref
-from mbcr.codec import validate_params
+from conftest import monomial_row, parameter_grid, prime_for, reference_rank, reference_rref
+from mbcr.codec import share_point_nodes, validate_params
 from mbcr.errors import MbcrError
 from mbcr.gf import Field
 from mbcr.repair import make_plan
@@ -14,7 +14,6 @@ from mbcr.subspace import (
     check_property3,
     format_report,
     intersect,
-    monomial_row,
     node_space,
     pair_intersection_dim,
     rank,
@@ -25,6 +24,7 @@ from mbcr.subspace import (
 
 GF5 = Field.prime(5)
 GF7 = Field.prime(7)
+GF256 = Field.gf256()
 
 
 def span_vectors(space):
@@ -115,6 +115,17 @@ def test_node_space_rank_is_share_size():
     p = validate_params(5, 2, 3, 2, GF7)
     for i in range(1, 6):
         assert rank(node_space(i, p)) == 7
+
+
+@pytest.mark.parametrize("field", [GF256, None], ids=["GF256", "GFp"])
+def test_node_space_rows_are_the_reference_rows(field):
+    # The rows come from codec.grid of the unit blocks; the reference
+    # builds each from the monomials, without the encoder.
+    for n, k, d, r in parameter_grid(5):
+        p = validate_params(n, k, d, r, field or prime_for(n))
+        for i in range(1, n + 1):
+            want = tuple(monomial_row(p, *pt) for pt in share_point_nodes(i, p))
+            assert node_space(i, p).rows == want, (p, i)
 
 
 def test_pairwise_intersection_dim():
