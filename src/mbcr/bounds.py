@@ -6,8 +6,9 @@ The max-flow necessary condition bounds the file size by
 
 minimized over all ordered compositions l_1 + ... + l_s = k with parts
 in [1, r]. max_file_size takes that minimum by a recurrence; cutset_rhs
-of each of enumerate_compositions is its reference. All arithmetic is
-exact (Fraction); no floating point.
+of each of enumerate_compositions is its reference. The bound and both
+operating points depend on k, d and r only, so no function here takes
+the node count n. All arithmetic is exact (Fraction); no floating point.
 """
 
 from __future__ import annotations
@@ -42,12 +43,7 @@ def enumerate_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
 
 
 def cutset_rhs(
-    n: int,
-    k: int,
-    d: int,
-    r: int,
-    point: TradeoffPoint,
-    composition: Sequence[int],
+    k: int, d: int, r: int, point: TradeoffPoint, composition: Sequence[int]
 ) -> Fraction:
     if sum(composition) != k or any(not 1 <= l <= r for l in composition):
         raise ValueError(f"invalid composition {composition} for k={k}, r={r}")
@@ -72,7 +68,7 @@ def composition_count(k: int, r: int) -> int:
     return count[k]
 
 
-def max_file_size(n: int, k: int, d: int, r: int, point: TradeoffPoint) -> Fraction:
+def max_file_size(k: int, d: int, r: int, point: TradeoffPoint) -> Fraction:
     """Tightest upper bound on the file size over all compositions.
 
     A part's term depends only on the part and on the count c the parts
@@ -91,7 +87,7 @@ def max_file_size(n: int, k: int, d: int, r: int, point: TradeoffPoint) -> Fract
     return best[k]
 
 
-def mbcr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:
+def mbcr_point(k: int, d: int, r: int, file_size) -> TradeoffPoint:
     """Minimum repair bandwidth: storage equals bandwidth, beta1 = 2*beta2."""
     B = Fraction(file_size)
     beta2 = B / (k * (2 * d + r - k))
@@ -104,7 +100,7 @@ def mbcr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:
     )
 
 
-def mscr_point(n: int, k: int, d: int, r: int, file_size) -> TradeoffPoint:
+def mscr_point(k: int, d: int, r: int, file_size) -> TradeoffPoint:
     """Minimum storage: alpha = B/k, beta1 = beta2."""
     B = Fraction(file_size)
     beta = B / (k * (d - k + r))

@@ -55,7 +55,7 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gf256", action="store_true", help="use GF(256)")
 
 
-def _field_from_args(args, n: int, default: str) -> Field:
+def _field_from_args(args, default: str) -> Field:
     if args.q is not None:
         try:
             return Field.prime(args.q)
@@ -63,9 +63,9 @@ def _field_from_args(args, n: int, default: str) -> Field:
             raise ParameterError(str(exc)) from None
     if args.gf256 or default == "gf256":
         return Field.gf256()
-    if n > 65521:  # the largest prime Field accepts
-        raise ParameterError(f"n = {n} needs a prime field larger than GF(65521)")
-    return Field.prime(smallest_prime_at_least(n))
+    if args.n > 65521:  # the largest prime Field accepts
+        raise ParameterError(f"n = {args.n} needs a prime field larger than GF(65521)")
+    return Field.prime(smallest_prime_at_least(args.n))
 
 
 def _parse_failed(text: str) -> list[int]:
@@ -97,7 +97,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def cmd_params(args) -> int:
-    field = _field_from_args(args, args.n, default="gf256")
+    field = _field_from_args(args, default="gf256")
     p = validate_params(args.n, args.k, args.d, args.r, field)
     overhead = Fraction(p.n * p.share_size, p.block_size)
     print(f"n={p.n} k={p.k} d={p.d} r={p.r} field={p.field}")
@@ -116,7 +116,7 @@ def cmd_encode(args) -> int:
         data = fh.read()
     stripes = stripe_count(len(data), p.block_size)
     shares = encode(to_columns(data, p.block_size), p)
-    write_shares(args.out, shares, p, stripes, len(data))
+    write_shares(args.out, shares, p, len(data))
     print(
         f"encoded {len(data)} bytes into {p.n} shares "
         f"({stripes} stripes of {p.block_size} symbols, "
@@ -144,7 +144,7 @@ def cmd_repair(args) -> int:
 
     regenerated, ledger = run_repair(shares, plan, p)
     newcomers = sorted(plan.failed)
-    write_shares(args.out, [regenerated[i] for i in newcomers], p, stripes, length)
+    write_shares(args.out, [regenerated[i] for i in newcomers], p, length)
 
     for i in newcomers:
         print(
@@ -160,7 +160,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field = _field_from_args(args, args.n, default="prime")
+    field = _field_from_args(args, default="prime")
     p = validate_params(args.n, args.k, args.d, args.r, field)
     rng = random.Random(args.seed)
     failed = rng.sample(range(1, p.n + 1), p.r)
@@ -177,12 +177,12 @@ def cmd_verify(args) -> int:
         node_spaces[1] = subspace.Subspace(field, w1.width, tuple(map(tuple, rows)))
 
     results = subspace.run_all_checks(p, plan, node_spaces)
-    point = bounds.mbcr_point(p.n, p.k, p.d, p.r, p.block_size)
+    point = bounds.mbcr_point(p.k, p.d, p.r, p.block_size)
     results.append(
         subspace.CheckResult(
             "cutset_bound_equality",
             f"n={p.n},k={p.k},d={p.d},r={p.r}",
-            bounds.max_file_size(p.n, p.k, p.d, p.r, point) == p.block_size,
+            bounds.max_file_size(p.k, p.d, p.r, point) == p.block_size,
         )
     )
     print(subspace.format_report(results))
@@ -192,14 +192,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    field = _field_from_args(args, args.n, default="prime")
+    field = _field_from_args(args, default="prime")
     p = validate_params(args.n, args.k, args.d, args.r, field)
     if args.file_size is not None and args.file_size <= 0:
         raise ParameterError(f"--file-size must be positive, got {args.file_size}")
     B = Fraction(p.block_size if args.file_size is None else args.file_size)
-    mbcr = bounds.mbcr_point(p.n, p.k, p.d, p.r, B)
-    mscr = bounds.mscr_point(p.n, p.k, p.d, p.r, B)
-    best = bounds.max_file_size(p.n, p.k, p.d, p.r, mbcr)
+    mbcr = bounds.mbcr_point(p.k, p.d, p.r, B)
+    mscr = bounds.mscr_point(p.k, p.d, p.r, B)
+    best = bounds.max_file_size(p.k, p.d, p.r, mbcr)
     print(f"file size B = {B}, {bounds.composition_count(p.k, p.r)} compositions")
     print(
         f"MBCR point: alpha={mbcr.node_storage} beta1={mbcr.phase1_per_helper} "
@@ -215,7 +215,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    field = _field_from_args(args, args.n, default="gf256")
+    field = _field_from_args(args, default="gf256")
     p = validate_params(args.n, args.k, args.d, args.r, field)
     if args.stages < 0:
         raise ParameterError(f"--stages must not be negative, got {args.stages}")

@@ -227,7 +227,7 @@ def share_polys(share: Share, params: CodeParams) -> tuple[tuple[int, ...], tupl
     """
     f_pts, g_pts = _share_samples(share, params)
     fld = params.field
-    return interpolate(fld, f_pts, params.d + params.r), interpolate(fld, g_pts, params.d)
+    return interpolate(fld, f_pts), interpolate(fld, g_pts)
 
 
 def reconstruct(shares: Sequence[Share], params: CodeParams) -> tuple[int, ...]:
@@ -254,12 +254,12 @@ def reconstruct(shares: Sequence[Share], params: CodeParams) -> tuple[int, ...]:
 
     # Stage 1: only cells with j < k carry X^i for i >= k, so the X^i
     # coefficient of g_l is a degree-<k polynomial in Y sampled at y_l.
-    high = [interpolate(field, g_coeff[i], k) for i in range(k, d)]
+    high = [interpolate(field, g_coeff[i]) for i in range(k, d)]
 
     # Stage 2: the Y^j coefficient of f_l is column j of the grid, a
     # polynomial in X, at x_l: of degree < k, or for j < k of degree < d
     # with its X^i coefficients for i >= k from stage 1.
-    cols = [interpolate(field, f_coeff[j], k, [row[j] for row in high] if j < k else ())
+    cols = [interpolate(field, f_coeff[j], [row[j] for row in high] if j < k else ())
             for j in range(d + r)]
     data = tuple(cols[j][i] for i, j in coeff_cells(k, d, r))
 

@@ -14,7 +14,7 @@ class ParameterError(MbcrError):
 
 
 class InterpolationError(MbcrError):
-    """Bad interpolation input (wrong point count or duplicate x)."""
+    """Bad interpolation input (duplicate x)."""
 
 
 class CodecError(MbcrError):

@@ -154,18 +154,11 @@ def _by_x(points: Sequence[tuple[int, int]]):
 
 
 def interpolate(
-    field: Field, points: Sequence[tuple[int, int]], degree_bound: int, top: Sequence = ()
+    field: Field, points: Sequence[tuple[int, int]], top: Sequence = ()
 ) -> tuple[int, ...]:
-    """Unique polynomial through the given points of degree < degree_bound
-    plus len(top), whose coefficients from degree_bound up are top.
-
-    Requires exactly degree_bound points with pairwise distinct x; the
-    strict arity catches protocol bugs upstream.
-    """
-    if len(points) != degree_bound:
-        raise InterpolationError(
-            f"expected exactly {degree_bound} points, got {len(points)}"
-        )
+    """Unique polynomial through the given points (pairwise distinct x) of
+    degree < len(points) + len(top), whose coefficients from degree
+    len(points) up are top."""
     xs, ys = _by_x(points)
     return _apply(field, *lagrange_basis(field, xs, len(top)), [*ys, *top]) + tuple(top)
 

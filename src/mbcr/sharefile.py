@@ -5,7 +5,9 @@ Layout (little-endian, bit-exact):
   u16 = 0x11D (GF(256), the one field of share files; see file_params),
   n, k, d, r u16 each, node_id u16, stripe_count u32, original_length
   u64, then the payload: one byte per symbol, stripe-major, each stripe
-  in canonical share order.
+  in canonical share order. The stripe count follows from the length: it
+  must equal ceil(original_length / B), at least 1 (an empty file is one
+  zero stripe), and the reader refuses any other.
 
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
@@ -85,8 +87,8 @@ def pack_share_file(sf: ShareFile) -> bytes:
 
 def parse_share_file(data: bytes) -> ShareFile:
     """Parse and validate a share file: field code, header parameters,
-    node id, stripe count, recorded length and payload length (any byte
-    is a GF(256) symbol)."""
+    node id, stripe count against recorded length, and payload length
+    (any byte is a GF(256) symbol)."""
     if len(data) < HEADER_SIZE:
         raise ShareFormatError("file too short for a share header")
     (
@@ -99,7 +101,7 @@ def parse_share_file(data: bytes) -> ShareFile:
         d,
         r,
         node_id,
-        stripe_count,
+        stripes,
         original_length,
     ) = _HEADER.unpack_from(data)
     if magic != MAGIC:
@@ -114,24 +116,22 @@ def parse_share_file(data: bytes) -> ShareFile:
         raise ShareFormatError(f"invalid code parameters in header: {exc}") from None
     if not 1 <= node_id <= n:
         raise ShareFormatError(f"node id {node_id} is outside [1, {n}]")
-    if stripe_count == 0:
-        raise ShareFormatError("stripe count is 0; an encoded file has at least one")
-    capacity = stripe_count * params.block_size
-    if original_length > capacity:
+    fills = stripe_count(original_length, params.block_size)
+    if stripes != fills:
         raise ShareFormatError(
-            f"recorded length {original_length} exceeds the {capacity} "
-            f"data symbols its stripes hold"
+            f"stripe count is {stripes}, but a recorded length of "
+            f"{original_length} fills {fills}"
         )
     payload = data[HEADER_SIZE:]
-    if len(payload) != stripe_count * params.share_size:
+    if len(payload) != stripes * params.share_size:
         raise ShareFormatError(
             f"payload length {len(payload)} does not match "
-            f"{stripe_count} stripes of {params.share_size} symbols"
+            f"{stripes} stripes of {params.share_size} symbols"
         )
     return ShareFile(
         params=params,
         node_id=node_id,
-        stripe_count=stripe_count,
+        stripe_count=stripes,
         original_length=original_length,
         payload=payload,
     )
@@ -166,10 +166,11 @@ def read_share_file(path: str) -> ShareFile:
 def read_shares(paths: Sequence[str]) -> tuple[CodeParams, int, int, list[Share]]:
     """A set of share files as (params, stripe count, recorded length, one
     column Share per file, in the order of paths). Refused unless every
-    header carries the same three, naming the field that differs."""
+    header carries the same code parameters and recorded length, naming
+    the field that differs; the length fixes the stripe count."""
     files = [read_share_file(path) for path in paths]
     ref = files[0]
-    for attr, what in (("params", "code parameters"), ("stripe_count", "stripe counts"),
+    for attr, what in (("params", "code parameters"),
                        ("original_length", "recorded lengths")):
         if any(getattr(sf, attr) != getattr(ref, attr) for sf in files):
             raise ShareFormatError(f"share files carry mismatched {what}")
@@ -179,9 +180,11 @@ def read_shares(paths: Sequence[str]) -> tuple[CodeParams, int, int, list[Share]
 
 
 def write_shares(
-    out_dir: str, shares: Sequence[Share], params: CodeParams, stripes: int, length: int
+    out_dir: str, shares: Sequence[Share], params: CodeParams, length: int
 ) -> None:
-    """Create out_dir and write each column Share there as share_<id>.mbcr."""
+    """Create out_dir and write each column Share of a file of length bytes
+    there as share_<id>.mbcr."""
+    stripes = stripe_count(length, params.block_size)
     os.makedirs(out_dir, exist_ok=True)
     for s in shares:
         sf = ShareFile(params, s.node_id, stripes, length, from_columns(s.evals, stripes))

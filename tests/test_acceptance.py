@@ -80,8 +80,8 @@ def test_criterion_4_cutset_bound_equality():
     with criterion(4, "cut-set bound met with equality (grid n<=8)"):
         for n, k, d, r in parameter_grid(8):
             B = k * (2 * d + r - k)
-            pt = bounds.mbcr_point(n, k, d, r, B)
-            assert bounds.max_file_size(n, k, d, r, pt) == B, (n, k, d, r)
+            pt = bounds.mbcr_point(k, d, r, B)
+            assert bounds.max_file_size(k, d, r, pt) == B, (n, k, d, r)
 
 
 def test_criterion_5_subspace_property_suite():

@@ -2,6 +2,7 @@ import os
 import random
 import shlex
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,22 @@ class TestShareFile:
             parse_share_file(b"XXXX" + good[4:])
         with pytest.raises(ShareFormatError):
             parse_share_file(good[:-1])
+
+    @pytest.mark.parametrize("node_id", [0, 6])
+    def test_parse_refuses_a_node_id_outside_the_code(self, node_id):
+        # codec.share_point_nodes refuses such an id too, later, so the CLI
+        # cases of test_reconstruct_rejects_a_bad_header do not show this check.
+        blob = bytearray(pack_share_file(make_share_file()))
+        struct.pack_into("<H", blob, 16, node_id)
+        message = rf"node id {node_id} is outside \[1, 5\]"
+        with pytest.raises(ShareFormatError, match=message):
+            parse_share_file(bytes(blob))
+
+    def test_pack_refuses_a_payload_one_symbol_short(self):
+        sf = make_share_file()
+        short = replace(sf, payload=sf.payload[:-1])
+        with pytest.raises(ShareFormatError, match="payload has 13 symbols, expected 14"):
+            pack_share_file(short)
 
     def test_pack_refuses_a_prime_field_share_file(self):
         # The reader accepts GF(256) only, so the writer never makes another.
@@ -320,11 +337,12 @@ class TestCli:
         assert "mismatched code parameters" in capsys.readouterr().err
 
     # The second set differs from a 3-byte (5,2,3,2) encoding in one header
-    # field: 15 bytes span 2 stripes, and its recorded length is patched to 3.
+    # field: 15 bytes span 2 stripes, and its recorded length is patched to 3,
+    # which fills 1, so each of its files is refused as it is parsed.
     @pytest.mark.parametrize("command", ["reconstruct", "repair"])
     @pytest.mark.parametrize(
         "other, length, message",
-        [(b"x" * 15, 3, "mismatched stripe counts"),
+        [(b"x" * 15, 3, "stripe count is 2, but a recorded length of 3 fills 1"),
          (b"abcd", 4, "mismatched recorded lengths")],
     )
     def test_a_set_differing_in_one_header_field_names_it(
@@ -358,7 +376,7 @@ class TestCli:
             (16, "<H", (9,), "node id 9 is outside [1, 5]"),
             (10, "<H", (4,), "invalid code parameters in header: k = 4 > d = 3"),
             (5, "<BH", (0, 11), "field kind 0, modulus 0xb is not GF(256)"),
-            (22, "<Q", (13,), "recorded length 13 exceeds the 12 data symbols"),
+            (22, "<Q", (13,), "stripe count is 1, but a recorded length of 13 fills 2"),
             (5, "<BH", (1, 0x11B), "field kind 1, modulus 0x11b is not GF(256)"),
             (4, "<B", (2,), "unsupported version 2"),
         ],
@@ -659,6 +677,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--stages must not be negative, got -1" in captured.err
+
+    # simulate checks its own work each stage: a regenerated share that is
+    # not the original, or a reconstruction that is not the data, exits 1
+    # with one stderr line and no report.
+    def test_simulate_exits_1_on_a_regenerated_share_that_differs(
+        self, monkeypatch, capsys
+    ):
+        real = cli.run_repair
+
+        def run_repair(shares, plan, params):
+            regenerated, ledger = real(shares, plan, params)
+            i = min(regenerated)
+            evals = regenerated[i].evals
+            regenerated[i] = codec.Share(i, (evals[0] ^ 1, *evals[1:]))
+            return regenerated, ledger
+
+        monkeypatch.setattr(cli, "run_repair", run_repair)
+        argv = ["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stage 1: regenerated share ")
+        assert captured.err.endswith(" differs from original\n")
+        assert captured.err.count("\n") == 1
+
+    def test_simulate_exits_1_on_a_reconstruction_that_differs(self, monkeypatch, capsys):
+        real = cli.reconstruct
+
+        def reconstruct(shares, params):
+            data = real(shares, params)
+            return (data[0] ^ 1, *data[1:])
+
+        monkeypatch.setattr(cli, "reconstruct", reconstruct)
+        argv = ["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stage 1: reconstruction from nodes [")
+        assert captured.err.endswith("] failed\n")
+        assert captured.err.count("\n") == 1
 
     def test_simulate_twenty_stages(self, capsys):
         rc = main(["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2",

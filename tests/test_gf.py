@@ -186,6 +186,21 @@ def test_pow_matches_repeated_mul():
             assert f.pow(a, e) == expect
 
 
+@pytest.mark.parametrize("field", [Field.prime(11), Field.gf256()], ids=str)
+def test_pow_refuses_a_negative_exponent(field):
+    # Python's pow(3, -1, 11) is the inverse of 3; Field.pow does not pass
+    # a negative exponent on.
+    with pytest.raises(ValueError, match="negative exponent"):
+        field.pow(3, -1)
+
+
+def test_gf256_zero_to_a_positive_power_is_zero():
+    # 0 has no logarithm, so the log table cannot give its powers.
+    gf256 = Field.gf256()
+    assert gf256.pow(0, 0) == 1
+    assert [gf256.pow(0, e) for e in (1, 2, 255, 256)] == [0, 0, 0, 0]
+
+
 def test_field_constructor_validation():
     with pytest.raises(ValueError):
         Field.prime(6)

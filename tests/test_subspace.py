@@ -94,6 +94,17 @@ def test_intersect_self_and_oracle():
         assert span_vectors(got) == expect
 
 
+def test_a_row_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="row length 2 != width 3"):
+        Subspace(GF7, 3, ((1, 0, 0), (1, 0)))
+
+
+def test_space_sum_of_no_spaces_is_refused():
+    # Without its own check this is an IndexError.
+    with pytest.raises(ValueError, match="at least one subspace"):
+        space_sum()
+
+
 def test_mismatched_widths_rejected():
     a = Subspace(GF7, 3, ((1, 0, 0),))
     b = Subspace(GF7, 2, ((1, 0),))
