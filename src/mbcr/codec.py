@@ -187,7 +187,7 @@ def _check_consistent(node_id: int, got, want, field: Field, decoded_from) -> No
     XOR's lowest non-zero byte, over GF(p) stripe 0 whatever bits differ.
     """
     diff = 0
-    for u, v in zip(got, want):
+    for u, v in zip(got, want, strict=True):
         diff |= u ^ v
     if diff:
         stripe = ((diff & -diff).bit_length() - 1) >> 3 if field.kind == "binary" else 0

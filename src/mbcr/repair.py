@@ -2,8 +2,9 @@
 
 Each transmitted symbol is a value of F at an (x-node, y-node) point,
 named once here (phase1_points, phase2_point; subspace.transfer_spaces
-and find_forwarding_witness read them too), and each sender reads it
-with codec.value_at from its f and g at every point (codec.node_lines).
+reads them too, and find_forwarding_witness builds its witness from
+them), and each sender reads it with codec.value_at from its f and g at
+every point (codec.node_lines).
 Phase 1: newcomer i gets F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j)
 from each of its d helpers j and resamples g_i to every x-point. Phase 2:
 newcomer j sends newcomer i F(x_i, y_j) = g_j(x_i). With its own
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .codec import CodeParams, Share, line_samples, node_lines, share_from_lines
@@ -134,16 +134,8 @@ class BandwidthLedger:
         return self.phase1[newcomer] + self.phase2[newcomer]
 
     @property
-    def phase1_total(self) -> int:
-        return sum(self.phase1.values())
-
-    @property
-    def phase2_total(self) -> int:
-        return sum(self.phase2.values())
-
-    @property
     def total(self) -> int:
-        return self.phase1_total + self.phase2_total
+        return sum(self.phase1.values()) + sum(self.phase2.values())
 
 
 def run_repair(
@@ -200,23 +192,17 @@ class ForwardingWitness:
     point_nodes: tuple[int, int]
 
 
-def find_forwarding_witness(params: CodeParams) -> Optional[ForwardingWitness]:
-    """Search repair scenarios for a transmitted symbol the helper does not store.
+def find_forwarding_witness(params: CodeParams) -> ForwardingWitness:
+    """A repair scenario where a helper must compute its payload.
 
-    Enumerates failed sets, newcomers, and helpers; for each candidate the
-    helper's phase1_points are tested against its stored point set.
+    Nodes 1..r fail and every newcomer gets helpers r+1..r+d. Helper r+1
+    never stores F(x_1, y_{r+1}): node 1 is (r+1) shifted by n - r >= d,
+    outside the helper's g-line. The witness point is the first of
+    phase1_points(r + 1, 1) that the helper does not store.
     """
-    n, d, r = params.n, params.d, params.r
-    for failed in combinations(range(1, n + 1), r):
-        survivors = [j for j in range(1, n + 1) if j not in failed]
-        for i in failed:
-            for j in survivors:
-                stored = set(share_point_nodes(j, params))
-                for pt in phase1_points(j, i):
-                    if pt in stored:
-                        continue
-                    own = (j,) + tuple(s for s in survivors if s != j)[: d - 1]
-                    helpers = {h: own if h == i else survivors[:d] for h in failed}
-                    plan = make_plan(params, failed, helpers=helpers)
-                    return ForwardingWitness(plan, helper=j, newcomer=i, point_nodes=pt)
-    return None
+    r, d = params.r, params.d
+    failed = range(1, r + 1)
+    plan = make_plan(params, failed, helpers=dict.fromkeys(failed, range(r + 1, r + d + 1)))
+    stored = share_point_nodes(r + 1, params)
+    point = next(pt for pt in phase1_points(r + 1, 1) if pt not in stored)
+    return ForwardingWitness(plan, helper=r + 1, newcomer=1, point_nodes=point)

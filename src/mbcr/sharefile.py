@@ -1,13 +1,16 @@
 """Share file serialization and the stripe/column transpose.
 
-Layout (little-endian, bit-exact):
+A record (ShareFile) holds code parameters, node id, recorded length L
+and payload. Layout (little-endian, bit-exact):
   magic "MBCR" (4 bytes), version u8 = 1, field kind u8 = 1 and modulus
   u16 = 0x11D (GF(256), the one field of share files; see file_params),
-  n, k, d, r u16 each, node_id u16, stripe_count u32, original_length
+  n, k, d, r u16 each, node_id u16, stripe count u32, original_length
   u64, then the payload: one byte per symbol, stripe-major, each stripe
-  in canonical share order. The stripe count follows from the length: it
-  must equal ceil(original_length / B), at least 1 (an empty file is one
-  zero stripe), and the reader refuses any other.
+  in canonical share order. A record stores no stripe count: it is
+  ceil(L / B), at least 1 (an empty file is one zero stripe), and the
+  payload is that many stripes of alpha bytes. The writer refuses what
+  the reader refuses: both check the node id and the payload size by one
+  rule, _check_record.
 
 Evaluation points are never serialized; they are recomputed
 deterministically from the parameters.
@@ -49,27 +52,39 @@ def file_params(n: int, k: int, d: int, r: int) -> CodeParams:
 class ShareFile:
     params: CodeParams
     node_id: int
-    stripe_count: int
     original_length: int
-    payload: bytes  # stripe_count * share_size symbols, one per byte
+    payload: bytes  # alpha symbols per stripe, one per byte
 
     def stripes(self) -> list[tuple[int, ...]]:
         a = self.params.share_size
-        return [
-            tuple(self.payload[s * a : (s + 1) * a])
-            for s in range(self.stripe_count)
-        ]
+        return [tuple(self.payload[s : s + a]) for s in range(0, len(self.payload), a)]
+
+
+def _check_record(params: CodeParams, node_id: int, length: int, payload_size: int) -> int:
+    """The stripe count of a record of length bytes, refused unless the
+    node id is in [1, n] and the payload holds alpha symbols per stripe."""
+    if not 1 <= node_id <= params.n:
+        raise ShareFormatError(f"node id {node_id} is outside [1, {params.n}]")
+    stripes = stripe_count(length, params.block_size)
+    if payload_size != stripes * params.share_size:
+        raise ShareFormatError(
+            f"payload length {payload_size} does not match "
+            f"{stripes} stripes of {params.share_size} symbols"
+        )
+    return stripes
 
 
 def pack_share_file(sf: ShareFile) -> bytes:
+    """The bytes of a record, refused unless parse_share_file reads them
+    back as sf."""
     p = sf.params
     if p.field != Field.gf256():
         raise ShareFormatError(f"share files hold GF(256) symbols, not {p.field}")
-    expected = sf.stripe_count * p.share_size
-    if len(sf.payload) != expected:
+    if not 0 <= sf.original_length < 2**64:
         raise ShareFormatError(
-            f"payload has {len(sf.payload)} symbols, expected {expected}"
+            f"recorded length {sf.original_length} is outside [0, 2^64)"
         )
+    stripes = _check_record(p, sf.node_id, sf.original_length, len(sf.payload))
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -79,7 +94,7 @@ def pack_share_file(sf: ShareFile) -> bytes:
         p.d,
         p.r,
         sf.node_id,
-        sf.stripe_count,
+        stripes,
         sf.original_length,
     )
     return header + sf.payload
@@ -87,7 +102,7 @@ def pack_share_file(sf: ShareFile) -> bytes:
 
 def parse_share_file(data: bytes) -> ShareFile:
     """Parse and validate a share file: field code, header parameters,
-    node id, stripe count against recorded length, and payload length
+    stripe count against recorded length, node id and payload length
     (any byte is a GF(256) symbol)."""
     if len(data) < HEADER_SIZE:
         raise ShareFormatError("file too short for a share header")
@@ -114,27 +129,14 @@ def parse_share_file(data: bytes) -> ShareFile:
         params = file_params(n, k, d, r)
     except ParameterError as exc:
         raise ShareFormatError(f"invalid code parameters in header: {exc}") from None
-    if not 1 <= node_id <= n:
-        raise ShareFormatError(f"node id {node_id} is outside [1, {n}]")
     fills = stripe_count(original_length, params.block_size)
     if stripes != fills:
         raise ShareFormatError(
             f"stripe count is {stripes}, but a recorded length of "
             f"{original_length} fills {fills}"
         )
-    payload = data[HEADER_SIZE:]
-    if len(payload) != stripes * params.share_size:
-        raise ShareFormatError(
-            f"payload length {len(payload)} does not match "
-            f"{stripes} stripes of {params.share_size} symbols"
-        )
-    return ShareFile(
-        params=params,
-        node_id=node_id,
-        stripe_count=stripes,
-        original_length=original_length,
-        payload=payload,
-    )
+    _check_record(params, node_id, original_length, len(data) - HEADER_SIZE)
+    return ShareFile(params, node_id, original_length, data[HEADER_SIZE:])
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -174,9 +176,9 @@ def read_shares(paths: Sequence[str]) -> tuple[CodeParams, int, int, list[Share]
                        ("original_length", "recorded lengths")):
         if any(getattr(sf, attr) != getattr(ref, attr) for sf in files):
             raise ShareFormatError(f"share files carry mismatched {what}")
-    a = ref.params.share_size
-    shares = [Share(sf.node_id, to_columns(sf.payload, a)) for sf in files]
-    return ref.params, ref.stripe_count, ref.original_length, shares
+    p, length = ref.params, ref.original_length
+    shares = [Share(sf.node_id, to_columns(sf.payload, p.share_size)) for sf in files]
+    return p, stripe_count(length, p.block_size), length, shares
 
 
 def write_shares(
@@ -187,7 +189,7 @@ def write_shares(
     stripes = stripe_count(length, params.block_size)
     os.makedirs(out_dir, exist_ok=True)
     for s in shares:
-        sf = ShareFile(params, s.node_id, stripes, length, from_columns(s.evals, stripes))
+        sf = ShareFile(params, s.node_id, length, from_columns(s.evals, stripes))
         write_share_file(os.path.join(out_dir, f"share_{s.node_id:03d}.mbcr"), sf)
 
 
@@ -224,11 +226,5 @@ def file_to_stripes(data: bytes, block_size: int) -> list[tuple[int, ...]]:
 
 
 def stripes_to_file(stripes: list[tuple[int, ...]], original_length: int) -> bytes:
-    flat = bytearray()
-    for stripe in stripes:
-        flat.extend(stripe)
-    if original_length > len(flat):
-        raise ShareFormatError(
-            f"recorded length {original_length} exceeds decoded data {len(flat)}"
-        )
-    return bytes(flat[:original_length])
+    """The first original_length bytes of the stripes, in order."""
+    return b"".join(map(bytes, stripes))[:original_length]

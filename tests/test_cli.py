@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mbcr import cli, codec, poly, repair, subspace
+from conftest import parameter_grid
+from mbcr import bounds, cli, codec, poly, repair, subspace
 from mbcr.cli import main
 from mbcr.codec import encode, validate_params
 from mbcr.errors import ShareFormatError
@@ -24,15 +25,20 @@ from mbcr.sharefile import (
 )
 
 
-def make_share_file(node_id=1, stripes=2, alpha=7):
+def make_share_file(node_id=1, alpha=7):
+    # 17 bytes at (5,2,3,2), where B = 12, fill 2 stripes.
     rng = random.Random(node_id)
     return ShareFile(
         params=validate_params(5, 2, 3, 2, Field.gf256()),
         node_id=node_id,
-        stripe_count=stripes,
         original_length=17,
-        payload=bytes(rng.randrange(256) for _ in range(stripes * alpha)),
+        payload=bytes(rng.randrange(256) for _ in range(2 * alpha)),
     )
+
+
+def header_stripe_count(path):
+    """The stripe count a share file's header carries (bytes 18-21)."""
+    return int.from_bytes(Path(path).read_bytes()[18:22], "little")
 
 
 class TestShareFile:
@@ -73,15 +79,48 @@ class TestShareFile:
     def test_pack_refuses_a_payload_one_symbol_short(self):
         sf = make_share_file()
         short = replace(sf, payload=sf.payload[:-1])
-        with pytest.raises(ShareFormatError, match="payload has 13 symbols, expected 14"):
+        message = "payload length 13 does not match 2 stripes of 7 symbols"
+        with pytest.raises(ShareFormatError, match=message):
             pack_share_file(short)
 
     def test_pack_refuses_a_prime_field_share_file(self):
         # The reader accepts GF(256) only, so the writer never makes another.
         p = validate_params(5, 2, 3, 2, Field.prime(11))
-        sf = ShareFile(p, 1, 1, p.block_size, bytes(p.share_size))
+        sf = ShareFile(p, 1, p.block_size, bytes(p.share_size))
         with pytest.raises(ShareFormatError, match=r"GF\(256\) symbols, not GF\(11\)"):
             pack_share_file(sf)
+
+    def test_writer_and_reader_agree_on_every_record(self):
+        # Every code on the n <= 7 grid, every node id, and recorded lengths
+        # 0, 1, B - 1, B, B + 1 and 3B + 1, each with the payload that
+        # length fills: the reader reads back what the writer writes, and
+        # the writer writes back what the reader reads.
+        rng = random.Random(28)
+        for n, k, d, r in parameter_grid(7):
+            p = validate_params(n, k, d, r, Field.gf256())
+            B = p.block_size
+            for length in sorted({0, 1, B - 1, B, B + 1, 3 * B + 1}):
+                size = max(1, -(-length // B)) * p.share_size
+                for i in range(1, n + 1):
+                    sf = ShareFile(p, i, length, rng.randbytes(size))
+                    blob = pack_share_file(sf)
+                    assert parse_share_file(blob) == sf
+                    assert pack_share_file(parse_share_file(blob)) == blob
+
+    # Each record is one the reader would refuse: 17 bytes at (5,2,3,2)
+    # fill 2 stripes of 7 symbols, and a length is a u64.
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"node_id": 0}, r"node id 0 is outside \[1, 5\]"),
+         ({"node_id": 6}, r"node id 6 is outside \[1, 5\]"),
+         ({"payload": bytes(7)}, "payload length 7 does not match 2 stripes of 7 symbols"),
+         ({"original_length": -1}, r"recorded length -1 is outside \[0, 2\^64\)"),
+         ({"original_length": 2**64}, r"recorded length \d+ is outside \[0, 2\^64\)")],
+        ids=["node-0", "node-n+1", "one-stripe-short", "negative-length", "length-2^64"],
+    )
+    def test_pack_refuses_what_parse_refuses(self, change, message):
+        with pytest.raises(ShareFormatError, match=message):
+            pack_share_file(replace(make_share_file(), **change))
 
     def test_file_io_atomic(self, tmp_path):
         sf = make_share_file()
@@ -119,6 +158,10 @@ class TestCli:
         assert "block size (B)            : 12" in out
         assert "repair bandwidth (gamma)  : 7" in out
 
+    def test_params_defaults_to_gf256(self, capsys):
+        assert main(["params", "-n", "5", "-k", "2", "-d", "3", "-r", "2"]) == 0
+        assert "n=5 k=2 d=3 r=2 field=GF(256)\n" in capsys.readouterr().out
+
     def test_params_k_gt_d_is_usage_error(self, capsys):
         assert main(["params", "-n", "4", "-k", "3", "-d", "2", "-r", "2"]) == 2
         assert "k = 3 > d = 2" in capsys.readouterr().err
@@ -135,7 +178,7 @@ class TestCli:
         assert files == [f"share_{i:03d}.mbcr" for i in range(1, 6)]
         for f in files:
             sf = read_share_file(str(out / f))
-            assert sf.stripe_count == 2
+            assert header_stripe_count(out / f) == 2
             assert len(sf.payload) == 14
 
     def test_encode_reconstruct_round_trip(self, tmp_path):
@@ -158,7 +201,7 @@ class TestCli:
         per_stripe = [encode(s, p) for s in file_to_stripes(data, p.block_size)]
         for i in range(1, 6):
             sf = read_share_file(str(out / f"share_{i:03d}.mbcr"))
-            assert sf.stripe_count == len(per_stripe)
+            assert header_stripe_count(out / f"share_{i:03d}.mbcr") == len(per_stripe)
             assert sf.payload == b"".join(bytes(s[i - 1].evals) for s in per_stripe)
         dest = tmp_path / "rec.bin"
         readers = [str(out / "share_005.mbcr"), str(out / "share_002.mbcr")]
@@ -445,11 +488,15 @@ class TestCli:
     @pytest.mark.parametrize("command", ["reconstruct", "repair"])
     def test_zero_stripe_share_files_are_rejected(self, tmp_path, capsys, command):
         # encode writes at least one stripe, so a file with none is malformed.
+        # pack_share_file refuses to write one: patch the header's count to 0
+        # in valid records of an empty file and cut their payloads.
+        p = make_share_file().params
         paths = []
         for i in range(1, 6):
-            sf = ShareFile(make_share_file().params, i, 0, 0, b"")
+            blob = bytearray(pack_share_file(ShareFile(p, i, 0, bytes(p.share_size))))
+            struct.pack_into("<I", blob, 18, 0)
             paths.append(str(tmp_path / f"share_{i:03d}.mbcr"))
-            write_share_file(paths[-1], sf)
+            Path(paths[-1]).write_bytes(bytes(blob[:HEADER_SIZE]))
         if command == "reconstruct":
             argv = ["reconstruct", *paths[:2], "--out", str(tmp_path / "x")]
         else:
@@ -502,6 +549,21 @@ class TestCli:
         assert (rep / "share_001.mbcr").read_bytes() == (
             out / "share_001.mbcr"
         ).read_bytes()
+
+    # Empty items of --failed and --helpers are skipped.
+    @pytest.mark.parametrize(
+        "argv",
+        [["--failed", "1,2,"],
+         ["--failed", "1,2", "--helpers", "1:3+4+5;2:3+4+5;"],
+         ["--failed", "1,2", "--helpers", "1:3++4+5;2:3+4+5"]],
+        ids=["failed-trailing-comma", "helpers-trailing-semicolon", "helpers-double-plus"],
+    )
+    def test_repair_skips_empty_list_items(self, tmp_path, argv):
+        out = self.encode(tmp_path, b"x" * 12)
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in (3, 4, 5)]
+        assert main(["repair", *survivors, *argv, "--out", str(tmp_path / "r")]) == 0
+        for name in ("share_001.mbcr", "share_002.mbcr"):
+            assert (tmp_path / "r" / name).read_bytes() == (out / name).read_bytes()
 
     def test_repair_rejects_a_newcomer_named_twice_in_helpers(self, tmp_path, capsys):
         out = self.encode(tmp_path, b"x" * 12)
@@ -663,6 +725,27 @@ class TestCli:
         assert "cut-set max file size at MBCR point: 12" in out
         assert "bound met with equality: True" in out
 
+    def test_bound_at_the_largest_prime_field_n(self, capsys):
+        # n = 65521 still has a default prime field: GF(65521) itself.
+        assert main(["bound", "-n", "65521", "-k", "2", "-d", "3", "-r", "2"]) == 0
+        assert "bound met with equality: True" in capsys.readouterr().out
+
+    def test_bound_with_a_file_size(self, capsys):
+        # Twice the block size doubles every point: alpha = 2 * 7.
+        argv = ["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--file-size", "24"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "file size B = 24," in out and "MBCR point: alpha=14 " in out
+        assert "bound met with equality: True" in out
+
+    def test_bound_exits_1_when_the_bound_is_not_met(self, monkeypatch, capsys):
+        real = bounds.max_file_size
+        monkeypatch.setattr(bounds, "max_file_size", lambda *args: real(*args) - 1)
+        assert main(["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "cut-set max file size at MBCR point: 11" in out
+        assert "bound met with equality: False" in out
+
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_bound_rejects_a_file_size_below_one(self, capsys, size):
         argv = ["bound", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--file-size", size]
@@ -717,6 +800,30 @@ class TestCli:
         assert captured.err.startswith("stage 1: reconstruction from nodes [")
         assert captured.err.endswith("] failed\n")
         assert captured.err.count("\n") == 1
+
+    def test_simulate_exits_1_when_the_ledger_is_off(self, monkeypatch, capsys):
+        # One extra phase-1 symbol per stage: 3 stages send 45, not r*gamma*3 = 42.
+        real = cli.run_repair
+
+        def run_repair(shares, plan, params):
+            regenerated, ledger = real(shares, plan, params)
+            i = min(ledger.phase1)
+            phase1 = {**ledger.phase1, i: ledger.phase1[i] + 1}
+            return regenerated, repair.BandwidthLedger(phase1, ledger.phase2)
+
+        monkeypatch.setattr(cli, "run_repair", run_repair)
+        argv = ["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "3"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "cumulative repair bandwidth: 45 symbols/stripe" in out
+        assert "(theoretical r*gamma*stages = 42)" in out
+
+    def test_simulate_with_no_stages(self, capsys):
+        argv = ["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "0 stages complete" in out
+        assert "cumulative repair bandwidth: 0 symbols/stripe" in out
 
     def test_simulate_twenty_stages(self, capsys):
         rc = main(["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2",

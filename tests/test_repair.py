@@ -188,7 +188,7 @@ def test_run_repair_r1_has_no_phase2():
     plan = make_plan(p, {3}, seed=1)
     regen, ledger = run_repair([s for s in shares if s.node_id != 3], plan, p)
     assert regen[3] == shares[2]
-    assert ledger.phase2_total == 0
+    assert sum(ledger.phase2.values()) == 0
     assert ledger.total == p.repair_bandwidth
 
 
