@@ -14,9 +14,10 @@ where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
 them shared); line_samples tells which line a point lies on. reconstruct
 decodes from the first k of its shares by staged interpolation on the
 coefficients of their f_i and g_i (share_polys), then checks every share
-it was given against F's coefficient grid; repair reads a node's row and
-column of the grid resampled from its share (node_lines). Data is added
-and scaled only in poly, through interpolate, evaluate and resample.
+it was given against F's coefficient grid; a repair helper reads F at
+the points it sends from its share, resampling only the points it does
+not store (line_values). Data is added and scaled only in poly, through
+interpolate, evaluate and resample.
 
 A data symbol is a GF(p) element or a GF(256) column of any width (see
 gf), so one call covers every stripe of a file: the stripe count belongs
@@ -125,18 +126,30 @@ class Share:
 
 
 def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
-    """F at point = (x-node, y-node) from node node_id's lines (see
-    node_lines): f at the y-node when the x-node is node_id, otherwise g
-    at the x-node."""
+    """F at point = (x-node, y-node) from node node_id's lines, (f at every
+    y-point, g at every x-point): f at the y-node when the x-node is
+    node_id, otherwise g at the x-node."""
     xn, yn = point
     return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
 
 
-def node_lines(share: Share, params: CodeParams):
-    """A node's row and column of F's n x n grid, (f at every y-point, g at
-    every x-point), resampled from its checked share."""
-    field, points = params.field, params.points
-    return tuple(resample(field, s, points) for s in _share_samples(share, params))
+def line_values(node_id: int, known, points, params: CodeParams) -> tuple[int, ...]:
+    """F at each (x-node, y-node) point on node i's lines, from the values
+    known there (a point -> value map): read where known, otherwise
+    resampled from the known values on the point's line (line_samples),
+    each line once and at only its missing points, in node order so that
+    one set of points has one poly.lagrange_at entry. A missing point
+    whose y-node is i, (i, i) too, is resampled on g_i."""
+    i, xy, found = node_id, params.points, dict(known)
+    missing = sorted({pt for pt in points if pt not in known})
+    f_pts, g_pts = line_samples(i, known.items(), params)
+    lines = ((f_pts, [pt for pt in missing if pt[1] != i], 1),
+             (g_pts, [pt for pt in missing if pt[1] == i], 0))
+    for samples, on_line, other in lines:
+        if on_line:
+            at = tuple(xy[pt[other] - 1] for pt in on_line)
+            found.update(zip(on_line, resample(params.field, samples, at)))
+    return tuple(found[pt] for pt in points)
 
 
 def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
@@ -207,16 +220,16 @@ def line_samples(node_id: int, values, params: CodeParams):
     return f_pts, g_pts
 
 
-def _share_samples(share: Share, params: CodeParams):
-    """line_samples of the share. Every share enters reconstruct and repair
-    here, so it is checked here."""
+def stored_values(share: Share, params: CodeParams) -> dict[tuple[int, int], int]:
+    """The share's values by (x-node, y-node) point. Every share enters
+    reconstruct and repair here, so it is checked here."""
     i = share.node_id
     if len(share.evals) != params.share_size:
         raise CorruptShareError(
             f"share {i} has {len(share.evals)} symbols, expected {params.share_size}"
         )
     params.field.check_elements(share.evals)
-    return line_samples(i, zip(share_point_nodes(i, params), share.evals), params)
+    return dict(zip(share_point_nodes(i, params), share.evals))
 
 
 def share_polys(share: Share, params: CodeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -225,7 +238,7 @@ def share_polys(share: Share, params: CodeParams) -> tuple[tuple[int, ...], tupl
     f_i(Y) = F(x_i, Y) has degree < d+r and g_i(X) = F(X, y_i) degree
     < d; each is interpolated from its samples in share_point_nodes.
     """
-    f_pts, g_pts = _share_samples(share, params)
+    f_pts, g_pts = line_samples(share.node_id, stored_values(share, params).items(), params)
     fld = params.field
     return interpolate(fld, f_pts), interpolate(fld, g_pts)
 

@@ -8,11 +8,12 @@ Elements are plain ints in [0, order); the field object carries the
 arithmetic. Over GF(256) data is a column, any non-negative int: one
 symbol position across stripes, stripe s in byte s, so a plain element
 is the one-stripe column (the stripe count is a file fact, see
-sharefile). Columns add by XOR and are multiplied by a constant with
-scale, which maps every byte through that constant's 256-byte product
-table (a pure-Python form of table-driven region multiply). The other
-orientation packs a constant row over its outputs and scales it by one
-data byte per stripe (see poly); poly._apply picks one per map.
+sharefile). Columns add by XOR and are multiplied by a constant c by
+mapping every byte through c's 256-byte product table, Field.tables[c]
+(a pure-Python form of table-driven region multiply): scale does it for
+one value, and poly._apply translates through the tables directly, a
+column's bytes by a constant or a constant row's bytes by one data byte
+per stripe. Over GF(p) tables is None.
 GF(256) uses the storage-coding reduction polynomial X^8 + X^4 + X^3 +
 X^2 + 1 (0x11D); changing it would break the share file format.
 """
@@ -58,17 +59,19 @@ class Field:
     and do not range-check them; only inv(0) raises ZeroDivisionError
     and pow a negative exponent ValueError. scale(v, c) multiplies data v
     (an element, or over GF(256) a column) by a constant element c; over
-    GF(256) add and sub also take columns. Symbols from outside the
+    GF(256) add and sub also take columns, and tables[c] is c's product
+    table for bytes.translate (None over GF(p)). Symbols from outside the
     library are checked where they enter it, with check_elements. All
     operations are pure and fields are safe to share across threads.
     """
 
-    __slots__ = ("kind", "order", "add", "sub", "neg", "mul", "inv", "pow", "scale")
+    __slots__ = ("kind", "order", "add", "sub", "neg", "mul", "inv", "pow", "scale", "tables")
 
-    def __init__(self, kind: str, order: int, ops):
+    def __init__(self, kind: str, order: int, ops, tables=None):
         self.kind = kind
         self.order = order
         self.add, self.sub, self.neg, self.mul, self.inv, self.pow, self.scale = ops
+        self.tables = tables
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -79,7 +82,7 @@ class Field:
 
     @classmethod
     def gf256(cls) -> "Field":
-        return _FIELDS.get(256) or _FIELDS.setdefault(256, cls("binary", 256, _gf256_ops()))
+        return _FIELDS.get(256) or _FIELDS.setdefault(256, cls("binary", 256, *_gf256_ops()))
 
     def __reduce__(self):
         # copy, deepcopy and pickle give back the one instance of the field.
@@ -132,7 +135,8 @@ def _prime_ops(p: int):
 
 def _gf256_ops():
     """(add, sub, neg, mul, inv, pow, scale) of GF(256), from log/exp tables
-    and, for scale, one 256-byte product table per constant."""
+    and, for scale, one 256-byte product table per constant; and those
+    tables."""
     exp = [0] * 510
     log = [0] * 256
     x = 1
@@ -168,9 +172,9 @@ def _gf256_ops():
     # log order, go to exp[i + log c].
     exp_bytes = bytes(exp)
     units = exp_bytes[:255]
-    tables = [bytes(256)] + [
+    tables = (bytes(256), *(
         bytes.maketrans(units, exp_bytes[log[c] : log[c] + 255]) for c in range(1, 256)
-    ]
+    ))
     from_bytes = int.from_bytes
 
     def scale(v: int, c: int) -> int:
@@ -179,4 +183,4 @@ def _gf256_ops():
         size = (v.bit_length() + 7) >> 3
         return from_bytes(v.to_bytes(size, "little").translate(tables[c]), "little")
 
-    return operator.xor, operator.xor, lambda a: a, mul, inv, power, scale
+    return (operator.xor, operator.xor, lambda a: a, mul, inv, power, scale), tables

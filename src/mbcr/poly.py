@@ -11,20 +11,21 @@ either elements or GF(256) columns (see gf). Data is only ever added to
 data or scaled by a constant built from the points, so every function
 here runs once per file on columns as it does once per stripe on
 elements. interpolate, evaluate and resample (values on one point set
-to values on another) apply such a constant map, cached per point set,
-in one of two forms, both through Field.scale: per element, one call per
-input and output on whole columns; or packed, over GF(256) and once per
-stripe, one call per input on the constant's row packed over all outputs
-(output i in byte i), scaled by the input's byte in that stripe. _apply
-picks the form for each map from its output count and the stripes its
-inputs span, and nothing else picks.
+to values on another) apply such a constant map, cached per point set as
+one tuple of rows (bytes over GF(256), tuples over GF(p)), with each
+product computed once. Over GF(p) through Field.scale; over GF(256) by one
+bytes.translate through Field.tables, in one of two forms: per element,
+each input column split into bytes once and translated by each weight;
+or packed, once per stripe, each cached row (output i in byte i)
+translated by the input's byte in that stripe. _apply picks the form for
+each map from its output count and the stripes its inputs span, and
+nothing else picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from operator import xor
 from typing import Sequence
 
 from .errors import InterpolationError
@@ -43,7 +44,7 @@ def eval_poly(field: Field, coeffs: Sequence[int], x: int) -> int:
 @lru_cache(maxsize=4096)
 def lagrange_basis(field: Field, xs: tuple[int, ...], top: int = 0):
     """Coefficient rows of the Lagrange basis polynomials for the x-set,
-    then top more, and all of them packed (see _rows).
+    then top more (see _rows).
 
     Row t < m = len(xs) is the ascending-degree coefficients of the
     polynomial that is 1 at xs[t] and 0 at the other points, and row m+s
@@ -71,28 +72,25 @@ def lagrange_basis(field: Field, xs: tuple[int, ...], top: int = 0):
         for i in range(m - 2, -1, -1):
             q[i] = field.add(master[i + 1], field.mul(x, q[i + 1]))
         scale = field.inv(eval_poly(field, q, x))
-        rows.append(tuple(field.mul(scale, c) for c in q))
-    for i in range(m, m + top):
-        rows.append(_apply(field, rows[:m], None, [field.neg(field.pow(x, i)) for x in xs]))
-    return _rows(field, rows)
+        rows.append([field.mul(scale, c) for c in q])
+    rows = _rows(field, rows)
+    high = [[field.neg(field.pow(x, i)) for x in xs] for i in range(m, m + top)]
+    return rows + _rows(field, [_apply(field, rows, h, m) for h in high])
 
 
 def _rows(field: Field, rows):
-    """Constant rows as cached: over GF(256) bytes, and each also packed
-    into an int (entry i in byte i); over GF(p) tuples, and no packed form."""
-    if field.kind == "binary":
-        rows = tuple(map(bytes, rows))
-        return rows, tuple(int.from_bytes(r, "little") for r in rows)
-    return tuple(map(tuple, rows)), None
+    """Constant rows as cached: over GF(256) bytes, over GF(p) tuples."""
+    return tuple(map(bytes if field.tables else tuple, rows))
 
 
 @lru_cache(maxsize=4096)
 def lagrange_at(field: Field, xs: tuple[int, ...], targets: tuple[int, ...]):
     """Row s: the Lagrange polynomial that is 1 at xs[s] and 0 at the other
-    points, at every target; and the rows packed (see _rows). Barycentric,
-    L_s(z) = l(z) w_s / (z - xs[s]) with l(z) = prod (z - x_t) and w_s = 1 /
-    prod over t != s of (xs[s] - x_t): O(m^2 + n m) operations. A target in
-    xs gets a unit column, so its value is copied. Cached like lagrange_basis."""
+    points, at every target (see _rows). Barycentric, L_s(z) = l(z) w_s /
+    (z - xs[s]) with l(z) = prod (z - x_t) and w_s = 1 / prod over t != s
+    of (xs[s] - x_t): O(m^2 + n m) operations. A target in xs gets a unit
+    column, so its value is copied. Cached like lagrange_basis; callers
+    sort their targets so that one target set has one entry."""
     sub, mul, inv = field.sub, field.mul, field.inv
     w = [inv(reduce(mul, (sub(x, t) for t in xs if t != x), 1)) for x in xs]
 
@@ -100,47 +98,67 @@ def lagrange_at(field: Field, xs: tuple[int, ...], targets: tuple[int, ...]):
         diffs = [sub(z, x) for x in xs]
         if 0 in diffs:
             return [int(not dz) for dz in diffs]
-        lz = reduce(mul, diffs)
+        lz = reduce(mul, diffs, 1)
         return [mul(mul(lz, ws), inv(dz)) for ws, dz in zip(w, diffs)]
     return _rows(field, zip(*map(column, targets)))
 
 
 # Packed while a map has more than this many outputs per input stripe:
-# the per-element form costs a scale per input and output, the packed form
-# one per input and stripe and a transpose. 1 is faster for encode and
-# reconstruct but slower for repair, whose resamples copy most outputs,
-# and 3 slows reconstruct (timings in CHANGES.md).
+# the per-element form costs a multiply per input and output, the packed
+# form one per input and stripe and a transpose. Chosen with Field.scale
+# as the multiply, when 1 slowed repair and 3 slowed reconstruct; with
+# the translate kernel 1 measured faster at (14,10,10,4) (CHANGES.md).
 _OUTPUTS_PER_STRIPE = 2
 
 
-def _apply(field: Field, rows, packed, values: Sequence[int]) -> tuple[int, ...]:
-    """The constant map with input s's weight on output o at rows[s][o].
+def _apply(field: Field, rows, values: Sequence[int], width: int) -> tuple[int, ...]:
+    """The constant map with input s's weight on output o at rows[s][o],
+    on width outputs.
 
-    The one place that picks the form, from the map's output count and the
-    stripes its inputs span. Packed: once per stripe, split each input into
-    its bytes, XOR the packed rows scaled by stripe s's bytes (output o in
-    byte o), and transpose the results back into output columns. Per
-    element: a weight of 0 is skipped and one of 1 copies its input.
-    Each form is linear, and max(values) is the only branch on data (the
-    skip of a zero input adds nothing either way), so a procedure built from
-    these maps is exact on every data block once each form is exact on unit
-    blocks: tests/test_exactness.py rests on this linearity.
+    The one place that picks the form, over GF(256) from the map's output
+    count and the stripes its inputs span. Each multiply there is one
+    translate through Field.tables. Packed: once per stripe, translate
+    each row by that stripe's byte of its input, skipping a zero byte, and
+    XOR the results (output o in byte o), then transpose them back into
+    output columns. Per element, as over GF(p) by Field.scale: split each
+    nonzero input into bytes once and translate them by each weight; a
+    weight of 0 is skipped and one of 1 copies. Each form is linear, and
+    max(values) is the only branch on data (a skipped zero adds nothing
+    either way), so a procedure built from these maps is exact on every
+    data block once each form is exact on unit blocks:
+    tests/test_exactness.py rests on this linearity.
     """
-    width = len(rows[0])
-    size = (max(values).bit_length() + 7) >> 3
-    if packed and size * _OUTPUTS_PER_STRIPE < width:
-        scale = field.scale
-        blob = b"".join([v.to_bytes(size, "little") for v in values])
-        accs = [reduce(xor, map(scale, packed, blob[s::size])) for s in range(size)]
-        buf = b"".join([acc.to_bytes(width, "little") for acc in accs])
-        return tuple([int.from_bytes(buf[o::width], "little") for o in range(width)])
-    add, scale = field.add, field.scale
     out = [0] * width
+    tables = field.tables
+    if tables is None:
+        add, scale = field.add, field.scale
+        for v, row in zip(values, rows):
+            if v:
+                for o, c in enumerate(row):
+                    if c:
+                        out[o] = add(out[o], v if c == 1 else scale(v, c))
+        return tuple(out)
+    size = (max(values, default=0).bit_length() + 7) >> 3
+    from_bytes = int.from_bytes
+    if size * _OUTPUTS_PER_STRIPE < width:
+        blob = b"".join([v.to_bytes(size, "little") for v in values])
+        accs = []
+        for s in range(size):
+            acc = 0
+            for row, b in zip(rows, blob[s::size]):
+                if b:
+                    acc ^= from_bytes(row.translate(tables[b]), "little")
+            accs.append(acc)
+        buf = b"".join([acc.to_bytes(width, "little") for acc in accs])
+        return tuple([from_bytes(buf[o::width], "little") for o in range(width)])
     for v, row in zip(values, rows):
         if v:
+            split = v.to_bytes(size, "little")
             for o, c in enumerate(row):
-                if c:
-                    out[o] = add(out[o], v if c == 1 else scale(v, c))
+                if c > 1:
+                    out[o] ^= from_bytes(split.translate(tables[c]), "little")
+                elif c:
+                    out[o] ^= v
     return tuple(out)
 
 
@@ -160,19 +178,19 @@ def interpolate(
     degree < len(points) + len(top), whose coefficients from degree
     len(points) up are top."""
     xs, ys = _by_x(points)
-    return _apply(field, *lagrange_basis(field, xs, len(top)), [*ys, *top]) + tuple(top)
+    return _apply(field, lagrange_basis(field, xs, len(top)), [*ys, *top], len(xs)) + tuple(top)
 
 
 def resample(field: Field, points: Sequence[tuple[int, int]], targets: tuple[int, ...]):
     """The values at targets of the polynomial of degree < len(points)
     through the points (pairwise distinct x), with no coefficients."""
     xs, ys = _by_x(points)
-    return _apply(field, *lagrange_at(field, xs, targets), ys)
+    return _apply(field, lagrange_at(field, xs, targets), ys, len(targets))
 
 
 def evaluate(field: Field, coeffs: Sequence[int], xs: tuple[int, ...]) -> tuple[int, ...]:
     """The polynomial with these ascending coefficients at every point of xs."""
-    return _apply(field, *powers(field, xs, len(coeffs)), coeffs)
+    return _apply(field, powers(field, xs, len(coeffs)), coeffs, len(xs))
 
 
 @cache
@@ -190,9 +208,9 @@ def coeff_cells(k: int, d: int, r: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=4096)
 def powers(field: Field, xs: tuple[int, ...], count: int):
-    """Per degree i < count, x^i at every point of xs, and those rows
-    packed over the points. Cached: the code raises its evaluation points
-    to the same few powers over and over."""
+    """Per degree i < count, x^i at every point of xs (see _rows). Cached:
+    the code raises its evaluation points to the same few powers over and
+    over."""
     return _rows(field, ((field.pow(x, i) for x in xs) for i in range(count)))
 
 
@@ -219,7 +237,7 @@ class BiPoly:
     def f_at(self, field: Field, x: int) -> tuple[int, ...]:
         """Ascending Y-coefficients of F(x, Y), degree < d+r."""
         add, scale = field.add, field.scale
-        xpow = powers(field, (x,), self.d)[0]
+        xpow = powers(field, (x,), self.d)
         out = [0] * (self.d + self.r)
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[j] = add(out[j], scale(c, xpow[i][0]))
@@ -228,7 +246,7 @@ class BiPoly:
     def g_at(self, field: Field, y: int) -> tuple[int, ...]:
         """Ascending X-coefficients of F(X, y), degree < d."""
         add, scale = field.add, field.scale
-        ypow = powers(field, (y,), self.d + self.r)[0]
+        ypow = powers(field, (y,), self.d + self.r)
         out = [0] * self.d
         for (i, j), c in zip(coeff_cells(self.k, self.d, self.r), self.coeffs):
             out[i] = add(out[i], scale(c, ypow[j][0]))

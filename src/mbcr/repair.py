@@ -3,14 +3,15 @@
 Each transmitted symbol is a value of F at an (x-node, y-node) point,
 named once here (phase1_points, phase2_point; subspace.transfer_spaces
 reads them too, and find_forwarding_witness builds its witness from
-them), and each sender reads it with codec.value_at from its f and g at
-every point (codec.node_lines).
+them). A helper reads the sends its share stores and resamples its f or
+g line at only the others (codec.line_values).
 Phase 1: newcomer i gets F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j)
 from each of its d helpers j and resamples g_i to every x-point. Phase 2:
-newcomer j sends newcomer i F(x_i, y_j) = g_j(x_i). With its own
-F(x_i, y_i) = g_i(x_i) (computed, never received or counted), i resamples
-f_i to every y-point and re-emits its share. Senders and newcomers read
-values from resampled lines (poly.resample), never from coefficients.
+newcomer j sends newcomer i F(x_i, y_j) = g_j(x_i), read with
+codec.value_at. With its own F(x_i, y_i) = g_i(x_i) (computed, never
+received or counted), i resamples f_i to every y-point and re-emits its
+share. Senders and newcomers read values from resampled lines
+(poly.resample), never from coefficients.
 
 The ledger counts the values sent per newcomer and phase, per stripe.
 Over GF(256) each value is a column of any width (see gf), so one run
@@ -25,8 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .codec import CodeParams, Share, line_samples, node_lines, share_from_lines
-from .codec import share_point_nodes, value_at
+from .codec import CodeParams, Share, line_samples, line_values, share_from_lines
+from .codec import share_point_nodes, stored_values, value_at
 from .errors import ProtocolError
 from .poly import resample
 
@@ -154,16 +155,16 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    lines = {j: node_lines(by_id[j], params) for j in needed}
     newcomers = sorted(plan.failed)
+    # A phase-1 point names its helper and newcomer, so one map holds every send.
+    sent: dict[tuple[int, int], int] = {}
+    for j in sorted(needed):
+        pts = [pt for i in newcomers if j in plan.helpers[i] for pt in phase1_points(j, i)]
+        sent.update(zip(pts, line_values(j, stored_values(by_id[j], params), pts, params)))
     received: dict[int, dict[tuple[int, int], int]] = {}
     g: dict[int, Sequence[int]] = {}  # g_i at every x-point
     for i in newcomers:
-        received[i] = {
-            pt: value_at(j, lines[j], pt)
-            for j in plan.helpers[i]
-            for pt in phase1_points(j, i)
-        }
+        received[i] = {pt: sent[pt] for j in plan.helpers[i] for pt in phase1_points(j, i)}
         g[i] = phase1_assemble(i, received[i], params)
     phase1 = {i: len(received[i]) for i in newcomers}
 

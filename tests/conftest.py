@@ -1,5 +1,6 @@
+from mbcr.codec import line_samples, share_point_nodes
 from mbcr.gf import Field, smallest_prime_at_least
-from mbcr.poly import coeff_cells
+from mbcr.poly import coeff_cells, resample
 
 
 def parameter_grid(n_max):
@@ -23,6 +24,14 @@ def monomial_row(p, x_node, y_node):
     return tuple(
         field.mul(field.pow(x, a), field.pow(y, b)) for a, b in coeff_cells(p.k, p.d, p.r)
     )
+
+
+def node_lines(share, p):
+    """The per-node reference: a node's row and column of F's n x n grid,
+    (f at every y-point, g at every x-point), each line resampled whole
+    from its share, unchecked. codec.value_at reads a point from them."""
+    pts = zip(share_point_nodes(share.node_id, p), share.evals)
+    return tuple(resample(p.field, s, p.points) for s in line_samples(share.node_id, pts, p))
 
 
 def to_columns(stripes):

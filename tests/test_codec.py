@@ -3,18 +3,19 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_columns, parameter_grid, prime_for, to_columns
+from conftest import from_columns, node_lines, parameter_grid, prime_for, to_columns
 from mbcr import codec
 from mbcr.codec import (
     Share,
     derive_points,
     encode,
+    line_values,
     reconstruct,
-    node_lines,
     share_from_lines,
     share_point_nodes,
     share_polys,
     shift_node,
+    stored_values,
     validate_params,
 )
 from mbcr.errors import (
@@ -150,6 +151,14 @@ def test_node_lines_are_the_nodes_row_and_column_of_the_grid():
                 f_line, g_line = node_lines(share, p)
                 assert f_line == tuple(F.eval(field, x, v) for v in p.points)
                 assert g_line == tuple(F.eval(field, u, y) for u in p.points)
+                # line_values reads or resamples the same values, in any order.
+                i, nodes = share.node_id, list(range(1, n + 1))
+                rng.shuffle(nodes)
+                stored = stored_values(share, p)
+                assert line_values(i, stored, [(i, v) for v in nodes], p) == tuple(
+                    f_line[v - 1] for v in nodes)
+                assert line_values(i, stored, [(u, i) for u in nodes], p) == tuple(
+                    g_line[u - 1] for u in nodes)
 
 
 def test_encode_matches_the_direct_monomial_sum():
@@ -177,7 +186,7 @@ def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
     p = validate_params(5, 2, 3, 2, GF7)
     shares = encode(tuple(i % 7 for i in range(1, 13)), p)
     stray = Share(node_id=node_id, evals=shares[4].evals)
-    for read in (share_polys, node_lines):
+    for read in (share_polys, stored_values):
         with pytest.raises(CodecError, match=f"node id {node_id} is outside"):
             read(stray, p)
     for readers in ([stray, shares[1]], [shares[0], shares[1], stray]):
@@ -187,7 +196,7 @@ def test_share_polys_rejects_a_node_id_outside_the_code(node_id):
 
 def test_share_polys_rejects_wrong_length():
     p = validate_params(5, 2, 3, 2, GF7)
-    for read in (share_polys, node_lines):
+    for read in (share_polys, stored_values):
         with pytest.raises(CorruptShareError):
             read(Share(node_id=1, evals=(0,) * 6), p)
 

@@ -115,8 +115,11 @@ def test_check_elements_takes_any_gf256_column_and_only_gf_p_elements():
     # the one-stripe column; over GF(p) it is an element, even for p > 256.
     f = Field.gf256()
     f.check_elements([0, 255, 256, 256**3 - 1, 256**300])
-    for field, bad in ((f, -1), (f, 1.0), (f, "1"), (Field.prime(7), -1)):
-        with pytest.raises(FieldMismatchError, match="is not a"):
+    for field, bad, what in (
+        (f, -1, "a column over GF"), (f, 1.0, "a column over GF"), (f, "1", "a column over GF"),
+        (Field.prime(7), -1, "an element of GF"),
+    ):
+        with pytest.raises(FieldMismatchError, match=f"is not {what}"):
             field.check_elements([0, bad])
     for p in (7, 65521):
         Field.prime(p).check_elements([0, p - 1])

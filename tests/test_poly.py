@@ -135,6 +135,83 @@ def test_each_map_picks_its_form_from_its_outputs_and_stripes():
             assert fn(cols) == by_stripe(fn, cols, stripes + 1)
 
 
+@pytest.mark.parametrize("field", [GF7, Field.gf256()], ids=str)
+def test_maps_with_no_inputs_or_no_outputs(field):
+    # No targets give no values; no coefficients are the zero polynomial,
+    # as are no points; and no points fit a polynomial with no coefficients.
+    assert resample(field, [(1, 3), (2, 5)], ()) == ()
+    assert evaluate(field, (), (1, 2, 3)) == (0, 0, 0)
+    assert resample(field, [], (1, 2)) == (0, 0)
+    assert interpolate(field, []) == ()
+
+
+@pytest.mark.parametrize("rule", [0, None, 10**9], ids=["packed", "picked", "per-element"])
+def test_gf256_kernel_is_the_sum_of_scale_products(monkeypatch, rule):
+    # poly._apply on random maps, a third of whose weights are 0 and a third
+    # 1, of widths 1-24, on columns of 0-40 stripes (so across the crossover
+    # of every width), against the plain sum of Field.scale products. A rule
+    # of 0 outputs per stripe packs every map and 10^9 none.
+    field, rng = Field.gf256(), random.Random(29)
+    if rule is not None:
+        monkeypatch.setattr(poly, "_OUTPUTS_PER_STRIPE", rule)
+    for width in range(1, 25):
+        for stripes in range(41):
+            m = rng.randrange(1, 9)
+            rows = [
+                bytes(rng.choice((0, 1, rng.randrange(2, 256))) for _ in range(width))
+                for _ in range(m)
+            ]
+            values = [rng.randrange(256 ** rng.randrange(stripes + 1)) for _ in range(m)]
+            values[rng.randrange(m)] = rng.randrange(256**stripes)
+            want = [0] * width
+            for v, row in zip(values, rows):
+                for o, c in enumerate(row):
+                    want[o] ^= field.scale(v, c)
+            assert poly._apply(field, rows, values, width) == tuple(want)
+
+
+class CountingTables:
+    """Field.tables that counts its lookups: one per multiply."""
+
+    def __init__(self, tables):
+        self.tables, self.lookups = tables, 0
+
+    def __getitem__(self, c):
+        self.lookups += 1
+        return self.tables[c]
+
+
+def test_the_kernel_multiplies_only_nonzero_inputs_by_weights_above_1(monkeypatch):
+    # Per element, one multiply per nonzero input and weight > 1: a weight
+    # of 0 and a zero input add nothing, and a weight of 1 copies. Packed,
+    # over GF(256), one per nonzero byte of an input, while the map has
+    # more than 2 outputs per stripe its inputs span. GF(p) multiplies by
+    # Field.scale, GF(256) by a lookup in Field.tables.
+    gf256, rng = Field.gf256(), random.Random(31)
+    tables = CountingTables(gf256.tables)
+    monkeypatch.setattr(gf256, "tables", tables)
+    scales = []
+    monkeypatch.setattr(GF7, "scale", lambda v, c: scales.append(c) or GF7.mul(v, c))
+    for field, count, top in ((GF7, lambda: len(scales), 7), (gf256, lambda: tables.lookups, 256)):
+        for width in range(1, 13):
+            for stripes in range(1 if field is GF7 else 8):
+                m = rng.randrange(1, 6)
+                rows = [[rng.choice((0, 1, rng.randrange(2, top))) for _ in range(width)]
+                        for _ in range(m)]
+                if field is gf256:
+                    rows = list(map(bytes, rows))
+                values = [rng.choice((0, rng.randrange(top ** (stripes + 1)))) for _ in range(m)]
+                size = (max(values).bit_length() + 7) >> 3
+                if field is gf256 and 2 * size < width:
+                    splits = (v.to_bytes(size, "little") for v in values)
+                    want = sum(b != 0 for split in splits for b in split)
+                else:
+                    want = sum(v != 0 and c > 1 for v, row in zip(values, rows) for c in row)
+                before = count()
+                poly._apply(field, rows, values, width)
+                assert count() - before == want
+
+
 def test_interpolate_errors():
     with pytest.raises(InterpolationError):
         interpolate(GF7, [(1, 2), (1, 3)])

@@ -3,12 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_columns, monomial_row, parameter_grid, prime_for, to_columns
+from conftest import from_columns, monomial_row, node_lines, parameter_grid, prime_for, to_columns
 from mbcr import codec, poly, repair
-from mbcr.codec import Share, encode, node_lines, share_point_nodes, validate_params, value_at
+from mbcr.codec import Share, encode, share_point_nodes, validate_params, value_at
 from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
-from mbcr.poly import BiPoly
+from mbcr.poly import BiPoly, resample
 from mbcr.repair import (
     find_forwarding_witness,
     make_plan,
@@ -285,6 +285,43 @@ def test_run_repair_builds_no_coefficients(monkeypatch):
             survivors = [s for s in shares if s.node_id not in failed]
             regen, _ = run_repair(survivors, plan, p)
             assert all(regen[i] == shares[i - 1] for i in failed)
+
+
+def test_a_helper_resamples_only_the_sends_it_does_not_store(monkeypatch):
+    # A helper reads the sends it stores from its share and resamples only
+    # the others (codec.line_values). On 40-stripe random columns each
+    # value it resamples is also found among the values sent.
+    resampled = []
+
+    def spy(field, points, targets):
+        values = resample(field, points, targets)
+        resampled.extend(values)
+        return values
+
+    def regenerate_spy(newcomer, g_line, values, params):
+        received[newcomer] = dict(values)
+        return regenerate(newcomer, g_line, values, params)
+
+    monkeypatch.setattr(codec, "resample", spy)
+    monkeypatch.setattr(repair, "regenerate", regenerate_spy)
+    rng, field = random.Random(30), Field.gf256()
+    for n, k, d, r in parameter_grid(5):
+        p = validate_params(n, k, d, r, field)
+        for stripes in (1, 40):
+            shares = encode(tuple(rng.randrange(256**stripes) for _ in range(p.block_size)), p)
+            failed = set(rng.sample(range(1, n + 1), r))
+            plan = make_plan(p, failed, seed=rng.randrange(1000))
+            resampled.clear()
+            received = {}
+            regen, _ = run_repair([s for s in shares if s.node_id not in failed], plan, p)
+            assert all(regen[i] == shares[i - 1] for i in failed)
+            computed = 0
+            for j in set().union(*plan.helpers.values()):
+                sends = {pt for i in failed if j in plan.helpers[i] for pt in phase1_points(j, i)}
+                computed += len(sends - set(share_point_nodes(j, p)))
+            assert len(resampled) == computed, (n, k, d, r, stripes)
+            if stripes > 1:
+                assert set(resampled) <= {v for i in failed for v in received[i].values()}
 
 
 def test_multi_stage_stability():
