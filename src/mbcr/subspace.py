@@ -14,13 +14,18 @@ grown one row at a time, each row one int with entry c in fixed-width
 slot c (little-endian), so a row operation is one big-int operation.
 Over GF(256) slots are bytes and the operation is v ^= Field.scale(row,
 f), the data plane's multiply-by-constant. Over GF(p) it is
-v += (q - f) * row with no per-slot reduction: a slot is the narrowest
-struct integer (B, H, I or Q) holding (q-1) + width*(q-1)^2, the most a
-slot reaches from reduced entries in width operations, and each reduced
-row gets one % q pass. Pivot rows stay unnormalized, each kept with its
-pivot's inverse. rank is the basis length. intersect is Zassenhaus's
-algorithm on the same kernel: eliminate the rows [a | a] and [b | 0];
-the echelon rows whose pivot falls in the right half span a cap b.
+v += (q - f) * row with no per-slot reduction, and a reduced row returns
+to [0, q) in a few whole-row operations: a slot value x <= bound, the
+most a slot reaches from reduced entries in width operations, has
+x mod q = x - q*((x*M) >> s) for a fixed M and s (Granlund and
+Montgomery's division by an invariant integer), applied to the even and
+the odd slots apart so that x*M has two slots of room. The slot is the
+narrowest struct integer (B, H, I or Q) that holds bound and keeps both
+steps exact (_Packing). Pivot rows stay unnormalized, each kept with its
+pivot's bit shift and inverse. rank is the basis length. intersect is
+Zassenhaus's algorithm on the same kernel: eliminate the rows [a | a]
+and [b | 0]; the echelon rows whose pivot falls in the right half span
+a cap b.
 
 run_all_checks is the one entry point to the checks. It builds the node
 spaces, the transfer spaces and one memo over both, dim(labels): the
@@ -44,11 +49,11 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
-from struct import Struct, calcsize
+from struct import Struct, calcsize, error as StructError
 from typing import Callable, Hashable, Iterable, Optional
 
 from .codec import CodeParams, grid, share_point_nodes
-from .errors import MbcrError
+from .errors import FieldMismatchError, MbcrError
 from .gf import Field
 from .repair import RepairPlan, phase1_points, phase2_point
 
@@ -72,43 +77,75 @@ class _Packing:
     """Rows of GF(q)^width as ints, entry c in fixed-width slot c; one
     instance per (field, width).
 
-    A slot is the narrowest struct integer (B, H, I, Q) holding every
-    value a packed row reaches: over GF(p) a row of reduced entries gains
-    at most (q-1)^2 per slot in each of at most width row operations
-    before its next % q pass; GF(256) rows add by XOR and stay bytes.
+    Over GF(p) a row of reduced entries gains at most (q-1)^2 per slot in
+    each of at most width row operations before it is reduced, so a slot
+    value x never exceeds bound = (q-1) + width*(q-1)^2; GF(256) rows add
+    by XOR and stay bytes. x returns to [0, q) as x - q*((x*M) >> s), with
+    M = ceil(2^s / q) for the least s with bound*(M*q - 2^s) < 2^s. x*M
+    needs two slots of room, so the even and the odd slots are reduced
+    apart, each half in one multiply, shift, mask, multiply and subtract
+    over the whole row. The slot is the narrowest struct integer (B, H, I,
+    Q) whose bits hold bound and keep both halves exact. bound*M <
+    2^(2*bits) keeps x*M inside its double slot; bound // q <
+    2^(2*bits - s) keeps the quotient x // q = (x*M) >> s inside the mask
+    of the low 2*bits - s bits of each double slot, and follows from the
+    first. A slot that holds bound can still be too narrow: at q = 23 and
+    width 128, bound < 2^16 but the slot is 32 bits.
 
-    pack(row) packs reduced entries; reduce(v, rows) clears v at the
-    pivot of each echelon row (c, row, inv) in turn with one row
-    operation, then reduces every slot mod q, so the result is 0 iff v
-    lies in their span.
+    pack(row) packs a row of field elements and refuses any other entry:
+    the reduction is exact only on slots up to bound. reduce(v, rows)
+    clears v at the pivot of each echelon row (shift, row, inv) in turn
+    with one row operation, then brings every slot into [0, q), so the
+    result is 0 iff v lies in their span.
     """
 
     def __init__(self, field: Field, width: int):
         q, mul, scale = field.order, field.mul, field.scale
         bound = (q - 1) + width * (q - 1) ** 2 if field.kind == "prime" else q - 1
-        slot = next(t for t in "BHIQ" if bound < 1 << 8 * calcsize("<" + t))
-        layout = Struct(f"<{width}{slot}")
+        s = 0
+        while bound * (-(1 << s) % q) >= 1 << s:
+            s += 1
+        M = -(-(1 << s) // q)
+
+        def exact(slot: str) -> bool:
+            bits = 8 * calcsize("<" + slot)
+            return bound < 1 << bits and bound * M < 1 << 2 * bits
+
+        layout = Struct(f"<{width}{next(filter(exact, 'BHIQ'))}")
         bits = self.bits = 8 * layout.size // width
         mask = self.mask = (1 << bits) - 1
+        # The bit shift of each slot. Echelon rows keep their pivot's shift
+        # and share these ints, so a row holds no int of its own for it.
+        self.shifts = tuple(range(0, width * bits, bits))
 
         def pack(row):
-            return int.from_bytes(layout.pack(*row), "little")
+            try:
+                if 0 <= min(row) and max(row) < q:
+                    return int.from_bytes(layout.pack(*row), "little")
+            except (TypeError, StructError):
+                pass
+            raise FieldMismatchError(f"row {row!r} has an entry outside {field}")
 
         if field.kind == "prime":
+            # One bit in the lowest place of each double slot.
+            ones = sum(1 << 2 * bits * t for t in range((width + 1) // 2))
+            even, low = ones * mask, ones * ((1 << 2 * bits - s) - 1)
 
             def reduce(v, rows):
-                for c, row, inv in rows:
-                    f = (v >> c * bits & mask) * inv % q
+                for shift, row, inv in rows:
+                    f = (v >> shift & mask) * inv % q
                     if f:
                         v += (q - f) * row
-                slots = layout.unpack(v.to_bytes(layout.size, "little"))
-                return pack([e % q for e in slots])
+                a, b = v & even, v >> bits & even
+                a -= q * (a * M >> s & low)
+                b -= q * (b * M >> s & low)
+                return a | b << bits
 
         else:
 
             def reduce(v, rows):
-                for c, row, inv in rows:
-                    f = v >> c * bits & mask
+                for shift, row, inv in rows:
+                    f = v >> shift & mask
                     if f:
                         v ^= scale(row, mul(f, inv))
                 return v
@@ -119,9 +156,9 @@ class _Packing:
 class _Basis:
     """Row-echelon basis of a subspace of GF(q)^width, grown row by row.
 
-    rows holds (pivot column, packed row, inverse of the pivot entry) by
-    increasing pivot; a row is reduced, so zero before its pivot, but not
-    normalized. Methods take rows packed by self.packing.
+    rows holds (bit shift of the pivot slot, packed row, inverse of the
+    pivot entry) by increasing pivot; a row is reduced, so zero before its
+    pivot, but not normalized. Methods take rows packed by self.packing.
     """
 
     __slots__ = ("field", "width", "packing", "rows")
@@ -143,23 +180,19 @@ class _Basis:
         other.rows = self.rows[:]
         return other
 
-    def add(self, v: int) -> bool:
-        """Absorb v; return whether it was independent of the basis."""
-        p = self.packing
-        v = p.reduce(v, self.rows)
-        if not v:
-            return False
-        c = ((v & -v).bit_length() - 1) // p.bits
-        inv = self.field.inv(v >> c * p.bits & p.mask)
-        self.rows.insert(bisect(self.rows, (c,)), (c, v, inv))
-        return True
-
     def extend(self, rows: Iterable[int]) -> "_Basis":
         """Absorb rows until the basis spans the whole space."""
+        basis, width, inv, p = self.rows, self.width, self.field.inv, self.packing
+        reduce, bits, mask, shifts = p.reduce, p.bits, p.mask, p.shifts
         for v in rows:
-            if self.full:
+            if len(basis) == width:
                 break
-            self.add(v)
+            v = reduce(v, basis)
+            if v:
+                shift = shifts[((v & -v).bit_length() - 1) // bits]
+                basis.insert(
+                    bisect(basis, (shift,)), (shift, v, inv(v >> shift & mask))
+                )
         return self
 
 
@@ -170,7 +203,7 @@ def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
 
 def rank(space: Subspace) -> int:
     basis = _Basis(space.field, space.width)
-    return len(basis.extend(map(basis.packing.pack, space.rows)))
+    return len(basis.extend([basis.packing.pack(row) for row in space.rows]))
 
 
 def space_sum(*spaces: Subspace) -> Subspace:
@@ -196,30 +229,31 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     field, width = a.field, a.width
     stacked = _Basis(field, 2 * width)
     p, zeros = stacked.packing, (0,) * width
-    stacked.extend(p.pack(tuple(row) + zeros) for row in b.rows)
-    stacked.extend(p.pack(tuple(row) * 2) for row in a.rows)
+    # Every row is packed, and so checked, even past a full basis.
+    stacked.extend([p.pack(tuple(row) + zeros) for row in b.rows])
+    stacked.extend([p.pack(tuple(row) * 2) for row in a.rows])
     rows = tuple(
         tuple(v >> t * p.bits & p.mask for t in range(width, 2 * width))
-        for c, v, _ in stacked.rows
-        if c >= width
+        for shift, v, _ in stacked.rows
+        if shift >= width * p.bits
     )
     return Subspace(field, width, rows)
 
 
 @lru_cache(maxsize=64)
 def _unit_grids(params: CodeParams) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """codec.grid of each of the B unit data blocks, as tuples."""
+    """The row of each grid point, at rows[yn - 1][xn - 1]: its value in
+    codec.grid of each of the B unit data blocks."""
     B = params.block_size
-    units = (tuple(int(c == b) for c in range(B)) for b in range(B))
-    return tuple(tuple(map(tuple, grid(unit, params))) for unit in units)
+    grids = [grid(tuple(int(c == b) for c in range(B)), params) for b in range(B)]
+    return tuple(tuple(zip(*lines)) for lines in zip(*grids))
 
 
 def _span_of(points: Iterable[tuple[int, int]], params: CodeParams) -> Subspace:
-    """The span of F at the (x-node, y-node) points: the row of a point
-    is its value under each unit data block."""
-    unit_grids = _unit_grids(params)
-    rows = tuple(tuple(g[yn - 1][xn - 1] for g in unit_grids) for xn, yn in points)
-    return Subspace(params.field, params.block_size, rows)
+    """The span of F at the (x-node, y-node) points."""
+    rows = _unit_grids(params)
+    span = tuple(rows[yn - 1][xn - 1] for xn, yn in points)
+    return Subspace(params.field, params.block_size, span)
 
 
 def node_space(node_id: int, params: CodeParams) -> Subspace:

@@ -149,3 +149,23 @@ def test_verify_report_digest_wide_slots(capsys):
                 out = capsys.readouterr().out
                 digest.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
     assert digest.hexdigest() == VERIFY_WIDE_SLOTS_SHA256
+
+
+# SHA-256 over (arguments, exit code, stdout) of both `mbcr verify` runs in
+# test_verify_report_digest_wide_code, recorded before GF(p) rows were
+# reduced by a multiply-shift.
+VERIFY_WIDE_CODE_SHA256 = "abecb7e36d7b6fac95d8d9105ae41ace55481c8f16a7f81c827ec90121a4091f"
+
+
+def test_verify_report_digest_wide_code(capsys):
+    """Pins `mbcr verify`, passing and fault-injected, at (12,6,8,3) over
+    GF(17): B = 78, so every row is 78 entries wide, wider than any code
+    the two digests above run (at most 44)."""
+    digest = hashlib.sha256()
+    for fault in ([], ["--inject-fault"]):
+        argv = ["verify", "-n", "12", "-k", "6", "-d", "8", "-r", "3",
+                "-q", "17", "--seed", "1", *fault]
+        rc = main(argv)
+        out = capsys.readouterr().out
+        digest.update(f"{' '.join(argv)}\n{rc}\n{out}".encode())
+    assert digest.hexdigest() == VERIFY_WIDE_CODE_SHA256

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import monomial_row, parameter_grid, prime_for, reference_rank, reference_rref
 from mbcr.codec import share_point_nodes, validate_params
-from mbcr.errors import MbcrError
+from mbcr.errors import FieldMismatchError, MbcrError
 from mbcr.gf import Field
 from mbcr.repair import make_plan
 from mbcr.subspace import (
     Subspace,
     _dims,
+    _Packing,
     check_property3,
     format_report,
     intersect,
@@ -484,3 +485,85 @@ def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
     # short lies in full with codimension 1.
     dim = _dims({"full": full, "short": short})
     assert dim(("full", "short")) == dim(("full",)) == dim(("short",)) + 1
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [(GF7, -1), (GF7, 7), (GF7, 250), (GF7, 1.0), (GF256, 256), (GF256, -1)],
+)
+def test_an_entry_outside_the_field_is_refused(field, entry):
+    # Packed, -1 and 256 overflow or underflow a slot, 7 is a multiple of
+    # q that reads as 0, and 250 = 5 mod 7 sits in [q, 2^bits), where the
+    # multiply-shift reduction of a packed row is not exact. The bad row
+    # comes first, and after rows that already span the whole space.
+    for rows in (((entry, 3), (5, 3)), ((1, 0), (0, 1), (1, 1), (entry, 3))):
+        bad = Subspace(field, 2, rows)
+        with pytest.raises(FieldMismatchError, match="outside GF"):
+            rank(bad)
+        with pytest.raises(FieldMismatchError, match="outside GF"):
+            intersect(bad, Subspace(field, 2, ((1, 0), (0, 1))))
+        with pytest.raises(FieldMismatchError, match="outside GF"):
+            intersect(Subspace(field, 2, ((1, 0), (0, 1))), bad)
+    p = validate_params(5, 2, 3, 2, field)
+    W = {i: node_space(i, p) for i in range(1, 6)}
+    rows = [list(row) for row in W[1].rows]
+    rows[0][0] = entry
+    W[1] = Subspace(field, p.block_size, tuple(map(tuple, rows)))
+    with pytest.raises(FieldMismatchError, match="outside GF"):
+        run_all_checks(p, make_plan(p, {1, 2}, seed=0), W)
+
+
+def multiply_shift(q, bound):
+    """(s, M): M = ceil(2^s / q) for the least s with
+    bound * (M*q - 2^s) < 2^s."""
+    s = 0
+    while True:
+        M = -(-(2**s) // q)
+        if bound * (M * q - 2**s) < 2**s:
+            return s, M
+        s += 1
+
+
+# Width 280 is intersect's doubled width at (14,10,10,4). At (23, 128)
+# and (173, 2) a 16-bit slot holds the bound but x*M overflows its 32-bit
+# double slot, so the slot is 32 bits.
+@pytest.mark.parametrize(
+    "q, width",
+    [
+        *product([2, 3, 11, 17, 251, 257, 65521], [1, 2, 27, 78, 140, 280]),
+        (23, 128),
+        (173, 2),
+    ],
+)
+def test_packed_rows_reduce_exactly_at_the_slot_bound(q, width):
+    """A GF(p) slot value x <= bound returns to x mod q by a multiply-shift
+    over the even and the odd slots apart."""
+    packing = _Packing(Field.prime(q), width)
+    bits = packing.bits
+    bound = (q - 1) + width * (q - 1) ** 2
+    s, M = multiply_shift(q, bound)
+
+    def exact(b):
+        return bound < 2**b and bound * M < 2 ** (2 * b) and bound // q < 2 ** (2 * b - s)
+
+    # The narrowest struct slot that holds bound and keeps both halves exact.
+    assert exact(bits)
+    assert not any(exact(b) for b in (8, 16, 32, 64) if b < bits)
+
+    def packed(slots):
+        return sum(x << c * bits for c, x in enumerate(slots))
+
+    def reduced(slots):
+        return packing.reduce(packed(slots), [])
+
+    # Each extreme at even and at odd slots.
+    cycle = [0, 1, q - 1, q, bound - 1, bound]
+    for start in range(len(cycle)):
+        slots = [cycle[(start + c) % len(cycle)] for c in range(width)]
+        assert reduced(slots) == packed([x % q for x in slots])
+    if bound < 10**5:
+        for x in range(bound + 1):
+            assert x - q * (x * M >> s) == x % q
+        for lo in range(0, bound + 1, width):
+            slots = range(lo, min(lo + width, bound + 1))
+            assert reduced(slots) == packed([x % q for x in slots])
