@@ -10,8 +10,9 @@ dimension, pairwise intersections, direct-sum decomposition under a
 repair plan, and the helper-set dimension inequality.
 
 All elimination goes through one kernel, _Basis: a row-echelon basis
-grown one row at a time, each row one int with entry c in fixed-width
-slot c (little-endian), so a row operation is one big-int operation.
+grown in levels, one level per batch of rows, each row one int with
+entry c in fixed-width slot c (little-endian), so a row operation is one
+big-int operation.
 Over GF(256) slots are bytes and the operation is v ^= Field.scale(row,
 f), the data plane's multiply-by-constant. Over GF(p) it is
 v += (q - f) * row with no per-slot reduction, and a reduced row returns
@@ -22,14 +23,21 @@ Montgomery's division by an invariant integer), applied to the even and
 the odd slots apart so that x*M has two slots of room. The slot is the
 narrowest struct integer (B, H, I or Q) that holds bound and keeps both
 steps exact (_Packing). Pivot rows stay unnormalized, each kept with its
-pivot's bit shift and inverse. rank is the basis length. intersect is
-Zassenhaus's algorithm on the same kernel: eliminate the rows [a | a]
-and [b | 0]; the echelon rows whose pivot falls in the right half span
-a cap b.
+pivot's bit shift and inverse. A level's rows are reduced by every
+earlier level, so one walk down the rows in order clears every pivot.
+rank is the length of a one-level basis. intersect is Zassenhaus's
+algorithm on the same kernel: eliminate the rows [b | 0], then [a | a],
+as two levels; the echelon rows whose pivot falls in the right half
+span a cap b.
 
 run_all_checks is the one entry point to the checks. It builds the node
 spaces, the transfer spaces and one memo over both, dim(labels): the
-dimension of the sum of the labelled spaces (_dims). Every check
+dimension of the sum of the labelled spaces (_dims). A sum's basis
+extends its prefix's by one level per label, and the memo keeps, for a
+label and a prefix, the label's rows reduced by the prefix's basis: a
+residual. So within one call a label's rows are reduced by each level
+of a prefix at most once, and the sums that Lemma 1 grows one label at
+a time reuse what their shorter sums reduced. Every check
 compares such dimensions: X lies in W iff dim(W + X) = dim W; a sum is
 direct iff its dimension is the sum of its parts'; spans are equal iff
 each contains the other; and an intersection is sized by the modular
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from struct import Struct, calcsize, error as StructError
 from typing import Callable, Hashable, Iterable, Optional
@@ -67,6 +75,8 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.width, int) or self.width < 1:
+            raise ValueError(f"width {self.width!r} is not a positive int")
         for row in self.rows:
             if len(row) != self.width:
                 raise ValueError(f"row length {len(row)} != width {self.width}")
@@ -151,48 +161,60 @@ class _Packing:
                 return v
 
         self.pack, self.reduce = pack, reduce
+        # A pivot's inverse: a table over fields of at most 256 elements,
+        # else one pow.
+        self.inverse = (
+            [0, *map(field.inv, range(1, q))].__getitem__
+            if q <= 256
+            else partial(pow, exp=q - 2, mod=q)
+        )
 
 
 class _Basis:
-    """Row-echelon basis of a subspace of GF(q)^width, grown row by row.
+    """Row-echelon basis of a subspace of GF(q)^width, grown level by level.
 
     rows holds (bit shift of the pivot slot, packed row, inverse of the
-    pivot entry) by increasing pivot; a row is reduced, so zero before its
-    pivot, but not normalized. Methods take rows packed by self.packing.
+    pivot entry) in levels: the rows that one extend call adds, sorted by
+    pivot and placed after the rows already there. A row is reduced, so
+    zero before its pivot and at the pivot of every row ahead of it, but
+    not normalized; reduce(v, rows) walks the list in order and clears
+    every pivot. A copy's rows begin with the rows of its original.
+    Methods take rows packed by self.packing.
     """
 
-    __slots__ = ("field", "width", "packing", "rows")
+    __slots__ = ("width", "packing", "rows")
 
     def __init__(self, field: Field, width: int):
-        self.field, self.width = field, width
+        self.width = width
         self.packing = _Packing(field, width)
         self.rows: list[tuple[int, int, int]] = []
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rows) == self.width
-
     def copy(self) -> "_Basis":
-        other = _Basis(self.field, self.width)
-        other.rows = self.rows[:]
+        other = _Basis.__new__(_Basis)
+        other.width, other.packing, other.rows = self.width, self.packing, self.rows[:]
         return other
 
-    def extend(self, rows: Iterable[int]) -> "_Basis":
-        """Absorb rows until the basis spans the whole space."""
-        basis, width, inv, p = self.rows, self.width, self.field.inv, self.packing
-        reduce, bits, mask, shifts = p.reduce, p.bits, p.mask, p.shifts
+    def extend(self, rows: Iterable[int], skip: int = 0) -> "_Basis":
+        """Absorb rows as one level, until the basis spans the whole space.
+
+        Each row is already reduced by the first skip rows of the basis,
+        so it is reduced only by the tail after them, which grows as rows
+        are inserted.
+        """
+        basis, width, p = self.rows, self.width, self.packing
+        reduce, bits, mask, shifts, inverse = p.reduce, p.bits, p.mask, p.shifts, p.inverse
+        start, tail = len(basis), basis[skip:]
         for v in rows:
             if len(basis) == width:
                 break
-            v = reduce(v, basis)
+            if tail:
+                v = reduce(v, tail)
             if v:
                 shift = shifts[((v & -v).bit_length() - 1) // bits]
-                basis.insert(
-                    bisect(basis, (shift,)), (shift, v, inv(v >> shift & mask))
-                )
+                row = (shift, v, inverse(v >> shift & mask))
+                at = bisect(basis, (shift,), start)
+                basis.insert(at, row)
+                tail.insert(at - skip, row)
         return self
 
 
@@ -203,7 +225,7 @@ def _check_ambient(a: Subspace, b: Subspace, what: str) -> None:
 
 def rank(space: Subspace) -> int:
     basis = _Basis(space.field, space.width)
-    return len(basis.extend([basis.packing.pack(row) for row in space.rows]))
+    return len(basis.extend([basis.packing.pack(row) for row in space.rows]).rows)
 
 
 def space_sum(*spaces: Subspace) -> Subspace:
@@ -395,31 +417,56 @@ def _dims(spaces: dict[Hashable, Subspace]) -> _Dim:
     """dim(labels): the dimension of the sum of the spaces with the given
     labels, memoized by the label tuple as given; no labels give 0.
 
-    Each space's rows are packed once. A tuple's basis extends the
-    memoized basis of its longest prefix by the remaining spaces' rows,
-    one space at a time, memoizing every prefix on the way. Every sum
-    that spans the whole space shares one basis: a full basis is never
-    copied, and the first one found stands for all.
+    A tuple's basis extends the memoized basis of its longest prefix by
+    the remaining spaces' rows, one space, and so one level, at a time,
+    memoizing every prefix on the way. residuals[(prefix, label)] holds
+    the label's packed rows reduced by the basis of prefix, settled, with
+    zeros dropped; ((), label) holds the rows as packed. An entry is built
+    from the longest prefix already there, one level at a time, and kept
+    on the way. Extending P by a label starts from its residual against
+    P[:1], so that pairs serve every longer sum, or against P[:-1] for a
+    node label (an int) after three or more labels, which every
+    (P[:-1], x, label) shares; only the rest of P is left to reduce by.
+    Every sum that spans the whole space shares one basis: a full basis
+    is never copied, and the first one found stands for all.
     """
     w = next(iter(spaces.values()))
-    memo: dict[tuple, _Basis] = {(): _Basis(w.field, w.width)}
-    pack = memo[()].packing.pack
-    rows = {label: list(map(pack, space.rows)) for label, space in spaces.items()}
+    width, memo = w.width, {(): _Basis(w.field, w.width)}
+    pack, reduce = memo[()].packing.pack, memo[()].packing.reduce
+    residuals = {
+        ((), label): [v for v in map(pack, space.rows) if v]
+        for label, space in spaces.items()
+    }
     whole: Optional[_Basis] = None
+
+    def residual(prefix: tuple, label: Hashable) -> list[int]:
+        j = len(prefix)
+        while (prefix[:j], label) not in residuals:
+            j -= 1
+        rows = residuals[prefix[:j], label]
+        for j in range(j + 1, len(prefix) + 1):
+            level = memo[prefix[:j]].rows[len(memo[prefix[: j - 1]].rows) :]
+            rows = [v for v in (reduce(v, level) for v in rows) if v]
+            residuals[prefix[:j], label] = rows
+        return rows
 
     def dim(labels: tuple) -> int:
         nonlocal whole
-        known = len(labels)
+        if labels in memo:
+            return len(memo[labels].rows)
+        known = len(labels) - 1
         while labels[:known] not in memo:
             known -= 1
         basis = memo[labels[:known]]
         for m in range(known, len(labels)):
-            if not basis.full:
-                basis = basis.copy().extend(rows[labels[m]])
-            if basis.full:
+            if len(basis.rows) < width:
+                prefix, label = labels[:m], labels[m]
+                base = prefix[:-1] if m > 2 and isinstance(label, int) else prefix[:1]
+                basis = basis.copy().extend(residual(base, label), len(memo[base].rows))
+            if len(basis.rows) == width:
                 whole = basis = whole or basis
             memo[labels[: m + 1]] = basis
-        return len(basis)
+        return len(basis.rows)
 
     return dim
 

@@ -1,9 +1,11 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 
 from conftest import monomial_row, parameter_grid, prime_for, reference_rank, reference_rref
+from mbcr import cli
 from mbcr.codec import share_point_nodes, validate_params
 from mbcr.errors import FieldMismatchError, MbcrError
 from mbcr.gf import Field
@@ -98,6 +100,16 @@ def test_intersect_self_and_oracle():
 def test_a_row_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError, match="row length 2 != width 3"):
         Subspace(GF7, 3, ((1, 0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("width", [0, -1, 2.0])
+def test_a_width_that_is_not_a_positive_int_is_refused(width):
+    # Without the check, width 0 ends in a ZeroDivisionError and widths -1
+    # and 2.0 in a struct.error, where the rows are packed.
+    with pytest.raises(ValueError, match=re.escape(f"width {width!r} is not")):
+        Subspace(GF7, width, ())
+    # Width 1 is accepted; oracle_spaces checks its algebra.
+    assert rank(Subspace(GF7, 1, ((3,), (5,)))) == 1
 
 
 def test_space_sum_of_no_spaces_is_refused():
@@ -452,6 +464,49 @@ def test_node_sum_ranks_match_the_rank_of_every_sum(field):
         assert dim(()) == 0
 
 
+@pytest.mark.parametrize(
+    "field", [GF7, Field.gf256(), Field.prime(65521)], ids=["GF7", "GF256", "GF65521"]
+)
+def test_residuals_at_every_depth_match_the_rank_of_every_sum(field):
+    """_dims reduces a label's rows against a prefix once and keeps the
+    result, then extends longer sums from it; int labels after three or
+    more labels start from the prefix that drops the last label. Spaces
+    of rank at most 4 drawn from one pool of 20 vectors overlap, and no
+    sum of six of them fills width 27, so every level and residual is met
+    below full rank. Pool vectors start with up to 20 zeros, so a level's
+    pivots can fall before an earlier level's."""
+    rng = random.Random(36)
+    width = 27
+    pool = []
+    for _ in range(20):
+        zeros = rng.randrange(21)
+        pool.append((0,) * zeros + tuple(rng.randrange(field.order) for _ in range(width - zeros)))
+    labels = [*range(1, 7), *(("s", j, 1) for j in range(2, 5)), ("t", 2, 1)]
+
+    def space():
+        """Up to 5 random vectors, one of them zero, in the span of up to
+        4 pool vectors."""
+        span = Subspace(field, width, tuple(rng.sample(pool, rng.randrange(1, 5))))
+        rows = [random_combination(rng, span) for _ in range(rng.randrange(1, 6))]
+        rows[rng.randrange(len(rows))] = (0,) * width
+        return Subspace(field, width, tuple(rows))
+
+    spaces = {label: space() for label in labels}
+    queries = []
+    for _ in range(60):
+        sample = tuple(rng.sample(labels, rng.randrange(1, 7)))
+        # The sum, backwards, and the sum with its last label swapped, so
+        # tuples share every prefix length.
+        queries += [sample, sample[::-1]]
+        queries += [sample[:-1] + (x,) for x in rng.sample(labels, 3) if x not in sample]
+    rng.shuffle(queries)
+    dim = _dims(spaces)
+    for query in queries:
+        expect = reference_rank(space_sum(*[spaces[x] for x in query]))
+        assert expect < width
+        assert dim(query) == expect, query
+
+
 @pytest.mark.parametrize("field", [Field.prime(2), Field.prime(65521)], ids=["GF2", "GF65521"])
 @pytest.mark.parametrize("width", [27, 60])
 def test_dense_tall_stacks_do_not_overflow_a_slot(field, width):
@@ -567,3 +622,27 @@ def test_packed_rows_reduce_exactly_at_the_slot_bound(q, width):
         for lo in range(0, bound + 1, width):
             slots = range(lo, min(lo + width, bound + 1))
             assert reduced(slots) == packed([x % q for x in slots])
+
+
+# (n, k, d, r, q, bound): the most basis rows _Packing.reduce may visit in
+# one verify run at seed 1. A sum's basis grows a level per label, and a
+# label's rows are reduced by each level of a prefix once per run, so
+# the runs visit 9,574 and 466,798 rows; re-reducing every label's raw
+# rows against every prefix visits 14,654 and 1,454,222.
+@pytest.mark.parametrize(
+    "n, k, d, r, q, bound", [(8, 3, 5, 2, 11, 10_000), (12, 6, 8, 3, 17, 600_000)]
+)
+def test_verify_reduces_each_row_once_per_level(monkeypatch, capsys, n, k, d, r, q, bound):
+    field = Field.prime(q)
+    packing = _Packing(field, validate_params(n, k, d, r, field).block_size)
+    plain, visited = packing.reduce, []
+
+    def counting(v, rows):
+        visited.append(len(rows))
+        return plain(v, rows)
+
+    monkeypatch.setattr(packing, "reduce", counting)
+    argv = ["verify", *map(str, ("-n", n, "-k", k, "-d", d, "-r", r, "-q", q)), "--seed", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith(" checks passed\n")
+    assert 0 < sum(visited) <= bound
