@@ -14,10 +14,11 @@ where (+) is node-index addition modulo n mapped back into [1, n]: f_i(Y)
 them shared); line_samples tells which line a point lies on. reconstruct
 decodes from the first k of its shares by staged interpolation on the
 coefficients of their f_i and g_i (share_polys), then checks every share
-it was given against F's coefficient grid; a repair helper reads F at
-the points it sends from its share, resampling only the points it does
-not store (line_values). Data is added and scaled only in poly, through
-interpolate, evaluate and resample.
+it was given against F's coefficient grid. In a repair every node, helper
+or newcomer, reads F at the points it sends or stores from the values it
+knows, resampling only the points it does not know (line_values). Data
+is added and scaled only in poly, through interpolate, evaluate and
+resample.
 
 A data symbol is a GF(p) element or a GF(256) column of any width (see
 gf), so one call covers every stripe of a file: the stripe count belongs
@@ -125,23 +126,19 @@ class Share:
     evals: tuple[int, ...]
 
 
-def value_at(node_id: int, lines, point: tuple[int, int]) -> int:
-    """F at point = (x-node, y-node) from node node_id's lines, (f at every
-    y-point, g at every x-point): f at the y-node when the x-node is
-    node_id, otherwise g at the x-node."""
-    xn, yn = point
-    return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
-
-
 def line_values(node_id: int, known, points, params: CodeParams) -> tuple[int, ...]:
     """F at each (x-node, y-node) point on node i's lines, from the values
     known there (a point -> value map): read where known, otherwise
     resampled from the known values on the point's line (line_samples),
     each line once and at only its missing points, in node order so that
     one set of points has one poly.lagrange_at entry. A missing point
-    whose y-node is i, (i, i) too, is resampled on g_i."""
-    i, xy, found = node_id, params.points, dict(known)
+    whose y-node is i, (i, i) too, is resampled on g_i; one off node i's
+    lines, or with a node id outside [1, n], raises CodecError."""
+    i, n, xy, found = node_id, params.n, params.points, dict(known)
     missing = sorted({pt for pt in points if pt not in known})
+    for pt in missing:
+        if i not in pt or not 0 < min(pt) <= max(pt) <= n:
+            raise CodecError(f"point {pt} is not on node {i}'s lines in [1, {n}]")
     f_pts, g_pts = line_samples(i, known.items(), params)
     lines = ((f_pts, [pt for pt in missing if pt[1] != i], 1),
              (g_pts, [pt for pt in missing if pt[1] == i], 0))
@@ -150,12 +147,6 @@ def line_values(node_id: int, known, points, params: CodeParams) -> tuple[int, .
             at = tuple(xy[pt[other] - 1] for pt in on_line)
             found.update(zip(on_line, resample(params.field, samples, at)))
     return tuple(found[pt] for pt in points)
-
-
-def share_from_lines(node_id: int, lines, params: CodeParams) -> Share:
-    """Gather the share's points from the node's lines."""
-    pts = share_point_nodes(node_id, params)
-    return Share(node_id, tuple(value_at(node_id, lines, pt) for pt in pts))
 
 
 def _coeff_grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
@@ -186,7 +177,7 @@ def encode(data: Sequence[int], params: CodeParams) -> list[Share]:
     params.field.check_elements(data)
     values = grid(data, params)
     return [
-        share_from_lines(i, ([col[i - 1] for col in values], values[i - 1]), params)
+        Share(i, tuple(values[yn - 1][xn - 1] for xn, yn in share_point_nodes(i, params)))
         for i in range(1, params.n + 1)
     ]
 

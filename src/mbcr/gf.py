@@ -134,9 +134,9 @@ def _prime_ops(p: int):
 
 
 def _gf256_ops():
-    """(add, sub, neg, mul, inv, pow, scale) of GF(256), from log/exp tables
-    and, for scale, one 256-byte product table per constant; and those
-    tables."""
+    """(add, sub, neg, mul, inv, pow, scale) of GF(256): inv and pow from
+    log/exp tables, mul and scale from one 256-byte product table per
+    constant, built from log/exp; and those tables."""
     exp = [0] * 510
     log = [0] * 256
     x = 1
@@ -148,11 +148,6 @@ def _gf256_ops():
             x ^= GF256_REDUCTION_POLY
     for i in range(255, 510):
         exp[i] = exp[i - 255]
-
-    def mul(a: int, b: int) -> int:
-        if a and b:
-            return exp[log[a] + log[b]]
-        return 0
 
     def inv(a: int) -> int:
         if a == 0:
@@ -176,6 +171,9 @@ def _gf256_ops():
         bytes.maketrans(units, exp_bytes[log[c] : log[c] + 255]) for c in range(1, 256)
     ))
     from_bytes = int.from_bytes
+
+    def mul(a: int, b: int) -> int:
+        return tables[a][b]
 
     def scale(v: int, c: int) -> int:
         if v < 256:

@@ -3,15 +3,17 @@
 Each transmitted symbol is a value of F at an (x-node, y-node) point,
 named once here (phase1_points, phase2_point; subspace.transfer_spaces
 reads them too, and find_forwarding_witness builds its witness from
-them). A helper reads the sends its share stores and resamples its f or
-g line at only the others (codec.line_values).
-Phase 1: newcomer i gets F(x_j, y_i) = g_i(x_j) and F(x_i, y_j) = f_i(y_j)
-from each of its d helpers j and resamples g_i to every x-point. Phase 2:
-newcomer j sends newcomer i F(x_i, y_j) = g_j(x_i), read with
-codec.value_at. With its own F(x_i, y_i) = g_i(x_i) (computed, never
-received or counted), i resamples f_i to every y-point and re-emits its
-share. Senders and newcomers read values from resampled lines
-(poly.resample), never from coefficients.
+them). Every node reads the values it sends or stores through
+codec.line_values: read where it knows them, resampled on its f or g
+line at only the others.
+Phase 1: each helper j sends newcomer i F(x_j, y_i) = g_i(x_j) and
+F(x_i, y_j) = f_i(y_j), read from its share. Newcomer i resamples g_i
+from those d values at only the points it stores or sends
+(phase1_assemble), F(x_i, y_i) among them. Phase 2: newcomer j sends
+newcomer i F(x_i, y_j) = g_j(x_i), one of its g_j values. With its own
+F(x_i, y_i) (computed, never received or counted) and the r - 1 peer
+values, i holds d + r values of f_i and reads its share (regenerate).
+Repair never builds coefficients (poly.resample, through line_values).
 
 The ledger counts the values sent per newcomer and phase, per stripe.
 Over GF(256) each value is a column of any width (see gf), so one run
@@ -24,12 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .codec import CodeParams, Share, line_samples, line_values, share_from_lines
-from .codec import share_point_nodes, stored_values, value_at
+from .codec import CodeParams, Share, line_values, share_point_nodes, stored_values
 from .errors import ProtocolError
-from .poly import resample
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class RepairPlan:
 def make_plan(
     params: CodeParams,
     failed: Iterable[int],
-    helpers: Optional[Mapping[int, Sequence[int]]] = None,
+    helpers: Optional[Mapping[int, Iterable[int]]] = None,
     seed: Optional[int] = None,
     survivors: Optional[Iterable[int]] = None,
 ) -> RepairPlan:
@@ -104,24 +104,21 @@ def phase2_point(sender: int, newcomer: int) -> tuple[int, int]:
     return newcomer, sender
 
 
-def phase1_assemble(newcomer: int, received: Mapping, params: CodeParams):
-    """g_i at every x-point, from the received values on newcomer i's y-line."""
-    g_pts = line_samples(newcomer, received.items(), params)[1]
-    return resample(params.field, g_pts, params.points)
+def phase1_assemble(newcomer: int, received: Mapping, points, params: CodeParams):
+    """g_i at points on newcomer i's y-line, from its received values."""
+    return dict(zip(points, line_values(newcomer, received, points, params)))
 
 
-def phase2_send(sender: int, g_line: Sequence[int], newcomer: int):
-    # The sender knows only its g so far; phase2_point reads no f.
-    return value_at(sender, (None, g_line), phase2_point(sender, newcomer))
+def phase2_send(sender: int, g_values: Mapping, newcomer: int):
+    return g_values[phase2_point(sender, newcomer)]
 
 
-def regenerate(newcomer: int, g_line: Sequence[int], received: Mapping, params: CodeParams):
-    """Newcomer i's share, with f_i at every y-point resampled from the
-    received values on its x-line and its own g_i(x_i); g_line is g_i at
-    every x-point."""
-    i, points = newcomer, params.points
-    f_pts = line_samples(i, received.items(), params)[0] + [(points[i - 1], g_line[i - 1])]
-    return share_from_lines(i, (resample(params.field, f_pts, points), g_line), params)
+def regenerate(newcomer: int, g_values: Mapping, received: Mapping, params: CodeParams):
+    """Newcomer i's share, from its received values and its own g_i
+    values (phase1_assemble), (i, i) among them: f_i's missing points are
+    resampled from the d + r values on its x-line."""
+    i = newcomer
+    return Share(i, line_values(i, {**received, **g_values}, share_point_nodes(i, params), params))
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,12 @@ def run_repair(
         pts = [pt for i in newcomers if j in plan.helpers[i] for pt in phase1_points(j, i)]
         sent.update(zip(pts, line_values(j, stored_values(by_id[j], params), pts, params)))
     received: dict[int, dict[tuple[int, int], int]] = {}
-    g: dict[int, Sequence[int]] = {}  # g_i at every x-point
+    g: dict[int, dict[tuple[int, int], int]] = {}  # g_i where i stores or sends it
     for i in newcomers:
         received[i] = {pt: sent[pt] for j in plan.helpers[i] for pt in phase1_points(j, i)}
-        g[i] = phase1_assemble(i, received[i], params)
+        pts = [pt for pt in share_point_nodes(i, params) if pt[1] == i]
+        pts += [phase2_point(i, j) for j in newcomers if j != i]
+        g[i] = phase1_assemble(i, received[i], pts, params)
     phase1 = {i: len(received[i]) for i in newcomers}
 
     # Barrier: every phase-1 assembly completes before any exchange.

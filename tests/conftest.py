@@ -1,4 +1,4 @@
-from mbcr.codec import line_samples, share_point_nodes
+from mbcr.codec import Share, line_samples, share_point_nodes
 from mbcr.gf import Field, smallest_prime_at_least
 from mbcr.poly import coeff_cells, resample
 
@@ -29,9 +29,22 @@ def monomial_row(p, x_node, y_node):
 def node_lines(share, p):
     """The per-node reference: a node's row and column of F's n x n grid,
     (f at every y-point, g at every x-point), each line resampled whole
-    from its share, unchecked. codec.value_at reads a point from them."""
+    from its share, unchecked. value_at reads a point from them."""
     pts = zip(share_point_nodes(share.node_id, p), share.evals)
     return tuple(resample(p.field, s, p.points) for s in line_samples(share.node_id, pts, p))
+
+
+def value_at(node_id, lines, point):
+    """F at point = (x-node, y-node) from node node_id's lines (node_lines):
+    f at the y-node when the x-node is node_id, otherwise g at the x-node."""
+    xn, yn = point
+    return lines[0][yn - 1] if xn == node_id else lines[1][xn - 1]
+
+
+def share_from_lines(node_id, lines, p):
+    """The reference share of a node: its points read from its lines."""
+    pts = share_point_nodes(node_id, p)
+    return Share(node_id, tuple(value_at(node_id, lines, pt) for pt in pts))
 
 
 def to_columns(stripes):

@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_columns, node_lines, parameter_grid, prime_for, to_columns
+from conftest import (
+    from_columns,
+    node_lines,
+    parameter_grid,
+    prime_for,
+    share_from_lines,
+    to_columns,
+)
 from mbcr import codec
 from mbcr.codec import (
     Share,
@@ -11,7 +18,6 @@ from mbcr.codec import (
     encode,
     line_values,
     reconstruct,
-    share_from_lines,
     share_point_nodes,
     share_polys,
     shift_node,
@@ -159,6 +165,20 @@ def test_node_lines_are_the_nodes_row_and_column_of_the_grid():
                     f_line[v - 1] for v in nodes)
                 assert line_values(i, stored, [(u, i) for u in nodes], p) == tuple(
                     g_line[u - 1] for u in nodes)
+
+
+def test_line_values_refuses_a_point_it_cannot_know():
+    # Node i can read or resample F only on its own lines, between nodes 1
+    # and n; any other point, unless known, is refused.
+    p = validate_params(5, 2, 3, 2, GF7)
+    data = (3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2)
+    shares = encode(data, p)
+    for i, point in ((1, (2, 3)), (3, (3, 0)), (3, (0, 3)), (3, (3, 6)), (3, (6, 3))):
+        stored = stored_values(shares[i - 1], p)
+        with pytest.raises(CodecError, match=rf"point \({point[0]}, {point[1]}\) .* node {i}'s"):
+            line_values(i, stored, [(i, i), point], p)
+    # A known point is read as it is.
+    assert line_values(1, {**stored_values(shares[0], p), (2, 3): 4}, [(2, 3)], p) == (4,)
 
 
 def test_encode_matches_the_direct_monomial_sum():

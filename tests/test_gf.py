@@ -81,6 +81,22 @@ def test_gf256_mul_against_clmul_oracle():
         assert f.mul(a, b) == poly_mod(clmul(a, b), GF256_REDUCTION_POLY)
 
 
+def test_gf256_mul_is_the_log_exp_product_on_every_pair():
+    # The reference: a * b = exp(log a + log b) for nonzero a and b, with
+    # the log/exp tables of the generator 2 built here.
+    exp, log, x = [], {}, 1
+    for i in range(255):
+        exp.append(x)
+        log[x] = i
+        x <<= 1
+        if x & 0x100:
+            x ^= GF256_REDUCTION_POLY
+    f = Field.gf256()
+    for a in range(256):
+        want = [exp[(log[a] + log[b]) % 255] if a and b else 0 for b in range(256)]
+        assert [f.mul(a, b) for b in range(256)] == want
+
+
 def test_gf256_scale_equals_mul_on_every_pair():
     f = Field.gf256()
     for c in range(256):

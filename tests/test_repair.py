@@ -3,9 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from conftest import from_columns, monomial_row, node_lines, parameter_grid, prime_for, to_columns
+from conftest import (
+    from_columns,
+    monomial_row,
+    node_lines,
+    parameter_grid,
+    prime_for,
+    to_columns,
+    value_at,
+)
 from mbcr import codec, poly, repair
-from mbcr.codec import Share, encode, share_point_nodes, validate_params, value_at
+from mbcr.codec import Share, encode, share_point_nodes, validate_params
 from mbcr.errors import FieldMismatchError, ProtocolError
 from mbcr.gf import Field
 from mbcr.poly import BiPoly, resample
@@ -107,8 +115,10 @@ def test_phase1_assemble_recovers_g():
     received = {}
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 1, p))
-    g_line = phase1_assemble(1, received, p)
-    assert g_line == tuple(F.eval(GF7, x, p.points[0]) for x in p.points)
+    # g_1 at every x-point, received or resampled, in any order.
+    points = [(u, 1) for u in (4, 1, 2, 5, 3)]
+    g_values = phase1_assemble(1, received, points, p)
+    assert g_values == {(u, 1): F.eval(GF7, p.points[u - 1], p.points[0]) for u in range(1, 6)}
 
 
 def test_phase2_payload_is_cross_evaluation():
@@ -117,17 +127,18 @@ def test_phase2_payload_is_cross_evaluation():
     received = {}
     for j in (3, 4, 5):
         received.update(phase1_values(shares[j - 1], 2, p))
-    g_line = phase1_assemble(2, received, p)
-    assert phase2_send(2, g_line, 1) == F.eval(GF7, p.points[0], p.points[1])
+    g_values = phase1_assemble(2, received, [phase2_point(2, 1)], p)
+    assert phase2_send(2, g_values, 1) == F.eval(GF7, p.points[0], p.points[1])
 
 
 def test_regenerate_toy():
     p = validate_params(3, 1, 1, 1, GF7)
     shares = encode((1, 1), p)
     received = phase1_values(shares[1], 1, p)
-    g_line = phase1_assemble(1, received, p)
+    # d = 1: g_1 is stored at (1, 1) only.
+    g_values = phase1_assemble(1, received, [(1, 1)], p)
     # r = 1: no phase-2 values at all.
-    assert regenerate(1, g_line, received, p) == shares[0]
+    assert regenerate(1, g_values, received, p) == shares[0]
 
 
 def test_one_set_of_points_drives_repair_and_verify(monkeypatch):
@@ -288,22 +299,37 @@ def test_run_repair_builds_no_coefficients(monkeypatch):
 
 
 def test_a_helper_resamples_only_the_sends_it_does_not_store(monkeypatch):
-    # A helper reads the sends it stores from its share and resamples only
-    # the others (codec.line_values). On 40-stripe random columns each
-    # value it resamples is also found among the values sent.
-    resampled = []
+    # Every node in a repair reads what it knows and resamples only the
+    # rest (codec.line_values). A helper resamples the sends its share does
+    # not store; on 40-stripe random columns each such value is also found
+    # among the values sent. Newcomer i resamples g_i at its stored g-points
+    # and its phase-2 points, less those it received (phase1_assemble), and
+    # f_i at its stored f-points, less those it received and (i, i)
+    # (regenerate); at n = d + r it stores only f-points it receives.
+    resampled = {}
+    node = ["helpers"]
 
     def spy(field, points, targets):
         values = resample(field, points, targets)
-        resampled.extend(values)
+        resampled.setdefault(node[0], []).extend(values)
         return values
 
-    def regenerate_spy(newcomer, g_line, values, params):
+    def as_node(name, real):
+        def run(newcomer, *args):
+            node[0] = (name, newcomer)
+            try:
+                return real(newcomer, *args)
+            finally:
+                node[0] = "helpers"
+        return run
+
+    def regenerate_spy(newcomer, g_values, values, params):
         received[newcomer] = dict(values)
-        return regenerate(newcomer, g_line, values, params)
+        return regenerate(newcomer, g_values, values, params)
 
     monkeypatch.setattr(codec, "resample", spy)
-    monkeypatch.setattr(repair, "regenerate", regenerate_spy)
+    monkeypatch.setattr(repair, "phase1_assemble", as_node("g", phase1_assemble))
+    monkeypatch.setattr(repair, "regenerate", as_node("f", regenerate_spy))
     rng, field = random.Random(30), Field.gf256()
     for n, k, d, r in parameter_grid(5):
         p = validate_params(n, k, d, r, field)
@@ -319,9 +345,22 @@ def test_a_helper_resamples_only_the_sends_it_does_not_store(monkeypatch):
             for j in set().union(*plan.helpers.values()):
                 sends = {pt for i in failed if j in plan.helpers[i] for pt in phase1_points(j, i)}
                 computed += len(sends - set(share_point_nodes(j, p)))
-            assert len(resampled) == computed, (n, k, d, r, stripes)
+            helpers = resampled.pop("helpers", [])
+            assert len(helpers) == computed, (n, k, d, r, stripes)
             if stripes > 1:
-                assert set(resampled) <= {v for i in failed for v in received[i].values()}
+                assert set(helpers) <= {v for i in failed for v in received[i].values()}
+            expected = {}
+            for i in failed:
+                stored = set(share_point_nodes(i, p))
+                g_points = {pt for pt in stored if pt[1] == i}
+                g_points |= {phase2_point(i, j) for j in failed if j != i}
+                f_points = {pt for pt in stored if pt[0] == i} - {(i, i)}
+                expected[("g", i)] = len(g_points - set(received[i]))
+                expected[("f", i)] = len(f_points - set(received[i]))
+                if n == d + r:
+                    assert ("f", i) not in resampled, (n, k, d, r, stripes)
+            got = {key: len(values) for key, values in resampled.items()}
+            assert got == {key: c for key, c in expected.items() if c}, (n, k, d, r, stripes)
 
 
 def test_multi_stage_stability():
