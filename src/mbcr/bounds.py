@@ -5,17 +5,18 @@ The max-flow necessary condition bounds the file size by
     B <= sum_h l_h * min{alpha, (d - sum_{t<h} l_t)*beta1 + (r - l_h)*beta2}
 
 minimized over all ordered compositions l_1 + ... + l_s = k with parts
-in [1, r]. max_file_size takes that minimum by a recurrence; cutset_rhs
-of each of enumerate_compositions is its reference. The bound and both
-operating points depend on k, d and r only, so no function here takes
-the node count n. All arithmetic is exact (Fraction); no floating point.
+in [1, r]. max_file_size takes that minimum by a recurrence; the tests
+hold the per-composition sum as its reference, and check that sum
+against max-flow on the cooperative information-flow graph. The bound
+and both operating points depend on k, d and r only, so no function
+here takes the node count n. All arithmetic is exact (Fraction); no
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -30,38 +31,8 @@ class TradeoffPoint:
         return d * self.phase1_per_helper + (r - 1) * self.phase2_per_peer
 
 
-def enumerate_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of k with parts in [1, r], largest first part first."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be positive")
-    for first in range(min(k, r), 0, -1):
-        if first == k:
-            yield (first,)
-        else:
-            for rest in enumerate_compositions(k - first, r):
-                yield (first,) + rest
-
-
-def cutset_rhs(
-    k: int, d: int, r: int, point: TradeoffPoint, composition: Sequence[int]
-) -> Fraction:
-    if sum(composition) != k or any(not 1 <= l <= r for l in composition):
-        raise ValueError(f"invalid composition {composition} for k={k}, r={r}")
-    total = Fraction(0)
-    consumed = 0
-    for l in composition:
-        term = min(
-            point.node_storage,
-            (d - consumed) * point.phase1_per_helper
-            + (r - l) * point.phase2_per_peer,
-        )
-        total += l * term
-        consumed += l
-    return total
-
-
 def composition_count(k: int, r: int) -> int:
-    """How many compositions enumerate_compositions(k, r) yields."""
+    """How many ordered compositions of k with parts in [1, r] there are."""
     count = [1]  # count[c]: compositions of c with parts in [1, r]
     for c in range(1, k + 1):
         count.append(sum(count[c - l] for l in range(1, min(c, r) + 1)))

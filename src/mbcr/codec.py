@@ -132,18 +132,23 @@ def line_values(node_id: int, known, points, params: CodeParams) -> tuple[int, .
     resampled from the known values on the point's line (line_samples),
     each line once and at only its missing points, in node order so that
     one set of points has one poly.lagrange_at entry. A missing point
-    whose y-node is i, (i, i) too, is resampled on g_i; one off node i's
-    lines, or with a node id outside [1, n], raises CodecError."""
+    whose y-node is i, (i, i) too, is resampled on g_i. CodecError: a
+    missing point off node i's lines, a point with a node id outside
+    [1, n], or a line to resample with fewer known samples than its
+    degree bound (d + r for f_i, d for g_i)."""
     i, n, xy, found = node_id, params.n, params.points, dict(known)
     missing = sorted({pt for pt in points if pt not in known})
-    for pt in missing:
-        if i not in pt or not 0 < min(pt) <= max(pt) <= n:
+    for pt in (*missing, *known):
+        xn, yn = pt
+        if not (0 < xn <= n and 0 < yn <= n and (i in pt or pt in known)):
             raise CodecError(f"point {pt} is not on node {i}'s lines in [1, {n}]")
     f_pts, g_pts = line_samples(i, known.items(), params)
-    lines = ((f_pts, [pt for pt in missing if pt[1] != i], 1),
-             (g_pts, [pt for pt in missing if pt[1] == i], 0))
-    for samples, on_line, other in lines:
+    lines = (("f", f_pts, [pt for pt in missing if pt[1] != i], 1, params.d + params.r),
+             ("g", g_pts, [pt for pt in missing if pt[1] == i], 0, params.d))
+    for name, samples, on_line, other, degree in lines:
         if on_line:
+            if len(samples) < degree:
+                raise CodecError(f"{name}_{i} has {len(samples)} known samples, needs {degree}")
             at = tuple(xy[pt[other] - 1] for pt in on_line)
             found.update(zip(on_line, resample(params.field, samples, at)))
     return tuple(found[pt] for pt in points)

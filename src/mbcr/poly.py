@@ -17,9 +17,9 @@ product computed once. Over GF(p) through Field.scale; over GF(256) by one
 bytes.translate through Field.tables, in one of two forms: per element,
 each input column split into bytes once and translated by each weight;
 or packed, once per stripe, each cached row (output i in byte i)
-translated by the input's byte in that stripe. _apply picks the form for
-each map from its output count and the stripes its inputs span, and
-nothing else picks.
+translated by the input's byte in that stripe. _apply picks the form
+that does fewer translates: packed while the inputs span fewer stripes
+than the map has outputs. Nothing else picks.
 """
 
 from __future__ import annotations
@@ -103,30 +103,23 @@ def lagrange_at(field: Field, xs: tuple[int, ...], targets: tuple[int, ...]):
     return _rows(field, zip(*map(column, targets)))
 
 
-# Packed while a map has more than this many outputs per input stripe:
-# the per-element form costs a multiply per input and output, the packed
-# form one per input and stripe and a transpose. Chosen with Field.scale
-# as the multiply, when 1 slowed repair and 3 slowed reconstruct; with
-# the translate kernel 1 measured faster at (14,10,10,4) (CHANGES.md).
-_OUTPUTS_PER_STRIPE = 2
-
-
 def _apply(field: Field, rows, values: Sequence[int], width: int) -> tuple[int, ...]:
     """The constant map with input s's weight on output o at rows[s][o],
     on width outputs.
 
-    The one place that picks the form, over GF(256) from the map's output
-    count and the stripes its inputs span. Each multiply there is one
-    translate through Field.tables. Packed: once per stripe, translate
-    each row by that stripe's byte of its input, skipping a zero byte, and
-    XOR the results (output o in byte o), then transpose them back into
-    output columns. Per element, as over GF(p) by Field.scale: split each
-    nonzero input into bytes once and translate them by each weight; a
-    weight of 0 is skipped and one of 1 copies. Each form is linear, and
-    max(values) is the only branch on data (a skipped zero adds nothing
-    either way), so a procedure built from these maps is exact on every
-    data block once each form is exact on unit blocks:
-    tests/test_exactness.py rests on this linearity.
+    The one place that picks the form, over GF(256), where each multiply
+    is one translate through Field.tables. Packed does at most one per
+    input and stripe, per element one per input and output, so it packs
+    when the inputs span fewer stripes than the map has outputs. Packed:
+    once per stripe, translate each row by that stripe's byte of its
+    input, skipping a zero byte, and XOR the results (output o in byte o),
+    then transpose them back into output columns. Per element, as over
+    GF(p) by Field.scale: split each nonzero input into bytes once and
+    translate them by each weight; a weight of 0 is skipped and one of 1
+    copies. Each form is linear, and max(values) is the only branch on
+    data (a skipped zero adds nothing either way), so a procedure built
+    from these maps is exact on every data block once each form is exact
+    on unit blocks: tests/test_exactness.py rests on this linearity.
     """
     out = [0] * width
     tables = field.tables
@@ -140,7 +133,7 @@ def _apply(field: Field, rows, values: Sequence[int], width: int) -> tuple[int, 
         return tuple(out)
     size = (max(values, default=0).bit_length() + 7) >> 3
     from_bytes = int.from_bytes
-    if size * _OUTPUTS_PER_STRIPE < width:
+    if size < width:
         blob = b"".join([v.to_bytes(size, "little") for v in values])
         accs = []
         for s in range(size):

@@ -1,3 +1,7 @@
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from mbcr.bounds import TradeoffPoint
 from mbcr.codec import Share, line_samples, share_point_nodes
 from mbcr.gf import Field, smallest_prime_at_least
 from mbcr.poly import coeff_cells, resample
@@ -10,6 +14,39 @@ def parameter_grid(n_max):
             for r in range(1, n - d + 1):
                 for k in range(1, d + 1):
                     yield (n, k, d, r)
+
+
+# The cut-set bound's per-composition reference: bounds.max_file_size is
+# the minimum of cutset_rhs over enumerate_compositions(k, r), and
+# tests/test_flow.py checks cutset_rhs against max-flow.
+def enumerate_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Ordered compositions of k with parts in [1, r], largest first part first."""
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be positive")
+    for first in range(min(k, r), 0, -1):
+        if first == k:
+            yield (first,)
+        else:
+            for rest in enumerate_compositions(k - first, r):
+                yield (first,) + rest
+
+
+def cutset_rhs(
+    k: int, d: int, r: int, point: TradeoffPoint, composition: Sequence[int]
+) -> Fraction:
+    if sum(composition) != k or any(not 1 <= l <= r for l in composition):
+        raise ValueError(f"invalid composition {composition} for k={k}, r={r}")
+    total = Fraction(0)
+    consumed = 0
+    for l in composition:
+        term = min(
+            point.node_storage,
+            (d - consumed) * point.phase1_per_helper
+            + (r - l) * point.phase2_per_peer,
+        )
+        total += l * term
+        consumed += l
+    return total
 
 
 def prime_for(n):

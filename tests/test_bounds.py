@@ -5,16 +5,8 @@ from itertools import product
 
 import pytest
 
-from conftest import parameter_grid
-from mbcr.bounds import (
-    TradeoffPoint,
-    composition_count,
-    cutset_rhs,
-    enumerate_compositions,
-    max_file_size,
-    mbcr_point,
-    mscr_point,
-)
+from conftest import cutset_rhs, enumerate_compositions, parameter_grid
+from mbcr.bounds import TradeoffPoint, composition_count, max_file_size, mbcr_point, mscr_point
 
 
 def brute_force_compositions(k, r):

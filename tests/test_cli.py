@@ -288,15 +288,15 @@ class TestCli:
 
     @pytest.mark.parametrize("code", [(5, 2, 3, 2), (10, 4, 6, 3), (14, 10, 10, 4)])
     def test_both_orientations_match_the_library_column_path(self, tmp_path, code):
-        # One codec call per file, whose maps run packed or per element by
-        # their output counts (at most n) and the stripe count: from 1
-        # stripe to past the crossover of every map, share files, read
-        # output and regenerated shares hold the per-stripe scalar encoding.
+        # One codec call per file, whose maps run packed while the stripe
+        # count is below their output counts (at most n) and per element
+        # from there: from 1 stripe to n + 2, past the crossover of every
+        # map, share files, read output and regenerated shares hold the
+        # per-stripe scalar encoding.
         n, k, d, r = code
         p = validate_params(n, k, d, r, Field.gf256())
-        crossover = -(-n // poly._OUTPUTS_PER_STRIPE)
         rng = random.Random(n)
-        for count in range(1, crossover + 3):
+        for count in range(1, n + 3):
             data = rng.randbytes(count * p.block_size - rng.randrange(p.block_size))
             work = tmp_path / str(count)
             work.mkdir()

@@ -181,6 +181,25 @@ def test_line_values_refuses_a_point_it_cannot_know():
     assert line_values(1, {**stored_values(shares[0], p), (2, 3): 4}, [(2, 3)], p) == (4,)
 
 
+def test_line_values_refuses_a_line_it_cannot_resample():
+    # f_1 has degree < d + r = 5 and g_1 degree < d = 3: with one stored
+    # sample fewer, F(x_1, y_5) = 0 read as 2 and F(x_3, y_1) = 5 as 1. A
+    # known point whose node id is 0 read as node 5's, and one whose node
+    # id is 6 raised IndexError.
+    p = validate_params(5, 2, 3, 2, GF7)
+    stored = stored_values(encode((3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2), p)[0], p)
+    for line, lost, samples, bound in (("f", (1, 5), 4, 5), ("g", (3, 1), 2, 3)):
+        known = {pt: v for pt, v in stored.items() if pt != lost}
+        with pytest.raises(CodecError, match=f"{line}_1 has {samples} known samples, needs {bound}"):
+            line_values(1, known, [lost], p)
+        # A known point is still read.
+        assert line_values(1, known, [(1, 1)], p) == (stored[(1, 1)],)
+    for stray in ((1, 0), (1, 6), (0, 1), (6, 1)):
+        with pytest.raises(CodecError, match=rf"point \({stray[0]}, {stray[1]}\) .* \[1, 5\]"):
+            line_values(1, {**stored, stray: 0}, [(1, 5)], p)
+    assert line_values(1, stored, [(1, 5), (3, 1)], p) == (0, stored[(3, 1)])
+
+
 def test_encode_matches_the_direct_monomial_sum():
     # Independent of the restrictions: each symbol is sum c * x^i * y^j
     # over the coefficient cells, at the share's layout point.

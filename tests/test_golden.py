@@ -33,9 +33,10 @@ REPAIRED_SHA256 = {
 RECONSTRUCTED_SHA256 = "10d2ec9f90b3c9aae88010806cf9dbd72a35350a82ae491dadfe3dcf4c26b454"
 
 
-# One codec call per file: on a 2-stripe file at (14,10,10,4) every map runs
-# packed, once per stripe (see poly._apply); on 373 stripes at (10,4,6,3)
-# the maps run per element, on columns, but for a few with narrow inputs.
+# One codec call per file: on a 2-stripe file at (14,10,10,4) every map with
+# more than 2 outputs runs packed, once per stripe, and one with 1 or 2 per
+# element (see poly._apply); on 373 stripes at (10,4,6,3) the maps run per
+# element, on columns, but for a few with narrow inputs.
 PER_STRIPE_CODE = ["-n", "14", "-k", "10", "-d", "10", "-r", "4"]
 PER_STRIPE_SHARE_SHA256 = {
     1: "10f90d2712cf2aa35f6d258f6929de2bf3e2b9684d03f65e79acbc5dcac3f08c",

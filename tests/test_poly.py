@@ -115,10 +115,10 @@ def test_packed_and_per_element_forms_agree(m):
 
 def test_each_map_picks_its_form_from_its_outputs_and_stripes():
     # interpolate (10 outputs), evaluate and resample (14 each) on columns
-    # of 0 stripes (all zero), 1, 2, each map's crossover +- 1 and 40 equal
-    # a per-stripe scalar run, which runs one more stripe, zero in every
-    # column. Below the crossover the packed form runs, from it on the
-    # per-element form.
+    # of 0 stripes (all zero), 1, 2, each map's output count +- 1 and 40
+    # equal a per-stripe scalar run, which runs one more stripe, zero in
+    # every column. Below its output count the packed form runs, from it on
+    # the per-element form.
     field, rng = Field.gf256(), random.Random(19)
     xs = tuple(rng.sample(range(1, 256), 10))
     at = (*xs[:4], *rng.sample([t for t in range(256) if t not in xs], 10))
@@ -128,8 +128,7 @@ def test_each_map_picks_its_form_from_its_outputs_and_stripes():
         (14, lambda v: resample(field, list(zip(xs, v)), at)),
     )
     for outputs, fn in maps:
-        crossover = -(-outputs // poly._OUTPUTS_PER_STRIPE)
-        for stripes in (0, 1, 2, crossover - 1, crossover, crossover + 1, 40):
+        for stripes in (0, 1, 2, outputs - 1, outputs, outputs + 1, 40):
             cols = [rng.randrange(256**stripes) for _ in range(10)]
             cols[rng.randrange(10)] |= 0xFF << 8 * stripes >> 8  # the top stripe is set
             assert fn(cols) == by_stripe(fn, cols, stripes + 1)
@@ -145,15 +144,12 @@ def test_maps_with_no_inputs_or_no_outputs(field):
     assert interpolate(field, []) == ()
 
 
-@pytest.mark.parametrize("rule", [0, None, 10**9], ids=["packed", "picked", "per-element"])
-def test_gf256_kernel_is_the_sum_of_scale_products(monkeypatch, rule):
+def test_gf256_kernel_is_the_sum_of_scale_products():
     # poly._apply on random maps, a third of whose weights are 0 and a third
-    # 1, of widths 1-24, on columns of 0-40 stripes (so across the crossover
-    # of every width), against the plain sum of Field.scale products. A rule
-    # of 0 outputs per stripe packs every map and 10^9 none.
+    # 1, of widths 1-24, on columns of 0-40 stripes (so on both sides of
+    # every width, where the form changes), against the plain sum of
+    # Field.scale products.
     field, rng = Field.gf256(), random.Random(29)
-    if rule is not None:
-        monkeypatch.setattr(poly, "_OUTPUTS_PER_STRIPE", rule)
     for width in range(1, 25):
         for stripes in range(41):
             m = rng.randrange(1, 9)
@@ -184,14 +180,25 @@ class CountingTables:
 def test_the_kernel_multiplies_only_nonzero_inputs_by_weights_above_1(monkeypatch):
     # Per element, one multiply per nonzero input and weight > 1: a weight
     # of 0 and a zero input add nothing, and a weight of 1 copies. Packed,
-    # over GF(256), one per nonzero byte of an input, while the map has
-    # more than 2 outputs per stripe its inputs span. GF(p) multiplies by
+    # over GF(256), one per nonzero byte of an input, while its inputs span
+    # fewer stripes than the map has outputs. GF(p) multiplies by
     # Field.scale, GF(256) by a lookup in Field.tables.
     gf256, rng = Field.gf256(), random.Random(31)
     tables = CountingTables(gf256.tables)
     monkeypatch.setattr(gf256, "tables", tables)
     scales = []
     monkeypatch.setattr(GF7, "scale", lambda v, c: scales.append(c) or GF7.mul(v, c))
+
+    def check(field, count, rows, values, width):
+        size = (max(values).bit_length() + 7) >> 3
+        splits = [v.to_bytes(size, "little") for v in values]
+        packed = sum(b != 0 for split in splits for b in split)
+        per_element = sum(v != 0 and c > 1 for v, row in zip(values, rows) for c in row)
+        before = count()
+        poly._apply(field, rows, values, width)
+        assert count() - before == (packed if field is gf256 and size < width else per_element)
+        return packed, per_element
+
     for field, count, top in ((GF7, lambda: len(scales), 7), (gf256, lambda: tables.lookups, 256)):
         for width in range(1, 13):
             for stripes in range(1 if field is GF7 else 8):
@@ -201,15 +208,21 @@ def test_the_kernel_multiplies_only_nonzero_inputs_by_weights_above_1(monkeypatc
                 if field is gf256:
                     rows = list(map(bytes, rows))
                 values = [rng.choice((0, rng.randrange(top ** (stripes + 1)))) for _ in range(m)]
-                size = (max(values).bit_length() + 7) >> 3
-                if field is gf256 and 2 * size < width:
-                    splits = (v.to_bytes(size, "little") for v in values)
-                    want = sum(b != 0 for split in splits for b in split)
-                else:
-                    want = sum(v != 0 and c > 1 for v, row in zip(values, rows) for c in row)
-                before = count()
-                poly._apply(field, rows, values, width)
-                assert count() - before == want
+                check(field, count, rows, values, width)
+
+    # Where the form changes, inputs of width - 1 and of width stripes
+    # with no zero byte, on rows of weights above 1 but for one 1 at
+    # size == width, so that the two forms' counts differ there.
+    for width in range(1, 15):
+        for size in (width - 1, width):
+            m = rng.randrange(1, 6)
+            ones = int(size == width)
+            rows = [bytes([1] * ones + [rng.randrange(2, 256) for _ in range(width - ones)])
+                    for _ in range(m)]
+            values = [int.from_bytes(bytes(rng.randrange(1, 256) for _ in range(size)), "little")
+                      for _ in range(m)]
+            packed, per_element = check(gf256, lambda: tables.lookups, rows, values, width)
+            assert size == 0 or packed != per_element
 
 
 def test_interpolate_errors():
