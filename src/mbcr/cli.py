@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bounds, subspace
-from .codec import encode, reconstruct, validate_params
+from .codec import CodeParams, encode, reconstruct, validate_params
 from .errors import CorruptShareError, MbcrError, ParameterError
 from .gf import Field, smallest_prime_at_least
 from .repair import make_plan, run_repair
@@ -55,17 +55,21 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gf256", action="store_true", help="use GF(256)")
 
 
-def _field_from_args(args, default: str) -> Field:
+def _code(args, default: str) -> CodeParams:
+    """The validated code of -n -k -d -r over -q, --gf256 or, without
+    either, the default: GF(256) or the smallest prime field that fits n."""
     if args.q is not None:
         try:
-            return Field.prime(args.q)
+            field = Field.prime(args.q)
         except ValueError as exc:
             raise ParameterError(str(exc)) from None
-    if args.gf256 or default == "gf256":
-        return Field.gf256()
-    if args.n > 65521:  # the largest prime Field accepts
+    elif args.gf256 or default == "gf256":
+        field = Field.gf256()
+    elif args.n > 65521:  # the largest prime Field accepts
         raise ParameterError(f"n = {args.n} needs a prime field larger than GF(65521)")
-    return Field.prime(smallest_prime_at_least(args.n))
+    else:
+        field = Field.prime(smallest_prime_at_least(args.n))
+    return validate_params(args.n, args.k, args.d, args.r, field)
 
 
 def _parse_failed(text: str) -> list[int]:
@@ -97,8 +101,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def cmd_params(args) -> int:
-    field = _field_from_args(args, default="gf256")
-    p = validate_params(args.n, args.k, args.d, args.r, field)
+    p = _code(args, default="gf256")
     overhead = Fraction(p.n * p.share_size, p.block_size)
     print(f"n={p.n} k={p.k} d={p.d} r={p.r} field={p.field}")
     print(f"share size (alpha)        : {p.share_size}")
@@ -160,8 +163,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field = _field_from_args(args, default="prime")
-    p = validate_params(args.n, args.k, args.d, args.r, field)
+    p = _code(args, default="prime")
     rng = random.Random(args.seed)
     failed = rng.sample(range(1, p.n + 1), p.r)
     plan = make_plan(p, failed, seed=rng.randrange(2**32))
@@ -171,10 +173,10 @@ def cmd_verify(args) -> int:
         # Negative control: corrupt one generator entry of node 1.
         w1 = node_spaces[1]
         rows = [list(row) for row in w1.rows]
-        rows[0][0] = field.add(rows[0][0], 1)
+        rows[0][0] = p.field.add(rows[0][0], 1)
         for row in rows[1:]:
             row[:] = rows[0]
-        node_spaces[1] = subspace.Subspace(field, w1.width, tuple(map(tuple, rows)))
+        node_spaces[1] = subspace.Subspace(p.field, w1.width, tuple(map(tuple, rows)))
 
     results = subspace.run_all_checks(p, plan, node_spaces)
     point = bounds.mbcr_point(p.k, p.d, p.r, p.block_size)
@@ -192,8 +194,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    field = _field_from_args(args, default="prime")
-    p = validate_params(args.n, args.k, args.d, args.r, field)
+    p = _code(args, default="prime")
     if args.file_size is not None and args.file_size <= 0:
         raise ParameterError(f"--file-size must be positive, got {args.file_size}")
     B = Fraction(p.block_size if args.file_size is None else args.file_size)
@@ -215,12 +216,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    field = _field_from_args(args, default="gf256")
-    p = validate_params(args.n, args.k, args.d, args.r, field)
+    p = _code(args, default="gf256")
     if args.stages < 0:
         raise ParameterError(f"--stages must not be negative, got {args.stages}")
     rng = random.Random(args.seed)
-    data = tuple(rng.randrange(field.order) for _ in range(p.block_size))
+    data = tuple(rng.randrange(p.field.order) for _ in range(p.block_size))
     baseline = {s.node_id: s for s in encode(data, p)}
     current = dict(baseline)
 

@@ -155,10 +155,10 @@ def line_values(node_id: int, known, points, params: CodeParams) -> tuple[int, .
 
 
 def _coeff_grid(data: Sequence[int], params: CodeParams) -> list[list[int]]:
-    """F's coefficients by X-exponent: row a holds the Y^b coefficients of
-    X^a, d+r of them for a < k and k for a >= k."""
+    """F's coefficients by X-exponent: row a holds the d+r Y^b coefficients
+    of X^a, zero at every b >= k for a >= k."""
     k, d, r = params.k, params.d, params.r
-    grid = [[0] * (d + r if a < k else k) for a in range(d)]
+    grid = [[0] * (d + r) for _ in range(d)]
     for (a, b), c in zip(coeff_cells(k, d, r), data):
         grid[a][b] = c
     return grid
@@ -262,21 +262,20 @@ def reconstruct(shares: Sequence[Share], params: CodeParams) -> tuple[int, ...]:
     f_coeff, g_coeff = ([list(zip(pts, c)) for c in zip(*lines)] for lines in zip(*fg[:k]))
 
     # Stage 1: only cells with j < k carry X^i for i >= k, so the X^i
-    # coefficient of g_l is a degree-<k polynomial in Y sampled at y_l.
-    high = [interpolate(field, g_coeff[i]) for i in range(k, d)]
+    # coefficient of g_l is a degree-<k polynomial in Y sampled at y_l:
+    # row i of the coefficient grid, zero from Y^k on.
+    high = [interpolate(field, g_coeff[i]) + (0,) * (d + r - k) for i in range(k, d)]
 
     # Stage 2: the Y^j coefficient of f_l is column j of the grid, a
-    # polynomial in X, at x_l: of degree < k, or for j < k of degree < d
-    # with its X^i coefficients for i >= k from stage 1.
-    cols = [interpolate(field, f_coeff[j], [row[j] for row in high] if j < k else ())
-            for j in range(d + r)]
+    # polynomial in X of degree < d at x_l, with its X^i coefficients for
+    # i >= k from stage 1.
+    cols = [interpolate(field, f_coeff[j], [row[j] for row in high]) for j in range(d + r)]
     data = tuple(cols[j][i] for i, j in coeff_cells(k, d, r))
 
-    # Check each share's g_l (its X^a coefficient is row a of the grid at
-    # y_l) and, past the first k, its f_l (Y^b: column b at x_l). The
-    # stages fit each decoded f_l exactly, so only its g_l can disagree.
-    grid = _coeff_grid(data, params)
-    want = list(zip(*(evaluate(field, row, pts) for row in grid)))
+    # Check each share's g_l (its X^a coefficient is row a of the decoded
+    # grid at y_l) and, past the first k, its f_l (Y^b: column b at x_l).
+    # The stages fit each decoded f_l exactly, so only its g_l can disagree.
+    want = list(zip(*(evaluate(field, row, pts) for row in zip(*cols))))
     if len(shares) > k:
         at_x = zip(*(evaluate(field, c, pts[k:]) for c in cols))
         want[k:] = [g + f for g, f in zip(want[k:], at_x)]

@@ -54,8 +54,9 @@ def make_plan(
 
     Helpers are survivors: the node ids in survivors (by default every
     node) that did not fail. Without an explicit helper map, helpers are
-    drawn per newcomer from the survivors with a seeded RNG, so plans are
-    reproducible. Helper sets may differ between newcomers.
+    drawn per newcomer, in failed-id order, from the survivors with a
+    seeded RNG, so plans are reproducible. A drawn map is checked as a
+    given one is. Helper sets may differ between newcomers.
     """
     failed = sorted(failed)
     for i, j in zip(failed, failed[1:]):
@@ -67,31 +68,20 @@ def make_plan(
         raise ProtocolError(f"failed ids out of range: {failed}")
     everyone = range(1, params.n + 1)
     survivors = sorted(set(everyone if survivors is None else survivors) - set(failed))
-
-    chosen: dict[int, tuple[int, ...]] = {}
-    if helpers is not None:
-        if set(helpers) != set(failed):
-            raise ProtocolError("helper map keys must equal the failed set")
-        for i in failed:
-            hs = tuple(helpers[i])
-            if len(hs) != params.d or len(set(hs)) != params.d:
-                raise ProtocolError(
-                    f"newcomer {i} needs d = {params.d} distinct helpers, got {hs}"
-                )
-            if not set(hs) <= set(survivors):
-                raise ProtocolError(
-                    f"helpers of newcomer {i} must be survivors, got {hs}"
-                )
-            chosen[i] = hs
-    else:
-        if len(survivors) < params.d:
-            raise ProtocolError(
-                f"need d = {params.d} survivors to draw helpers from, got {survivors}"
-            )
+    if len(survivors) < params.d:
+        raise ProtocolError(f"need d = {params.d} survivors, got {survivors}")
+    if helpers is None:
         rng = random.Random(seed)
-        for i in failed:
-            chosen[i] = tuple(rng.sample(survivors, params.d))
-    return RepairPlan(chosen)
+        helpers = {i: rng.sample(survivors, params.d) for i in failed}
+    if set(helpers) != set(failed):
+        raise ProtocolError("helper map keys must equal the failed set")
+    plan = RepairPlan({i: tuple(helpers[i]) for i in failed})
+    for i, hs in plan.helpers.items():
+        if len(hs) != params.d or len(set(hs)) != params.d:
+            raise ProtocolError(f"newcomer {i} needs d = {params.d} distinct helpers, got {hs}")
+        if not set(hs) <= set(survivors):
+            raise ProtocolError(f"helpers of newcomer {i} must be survivors, got {hs}")
+    return plan
 
 
 def phase1_points(helper: int, newcomer: int) -> tuple[tuple[int, int], ...]:

@@ -142,18 +142,22 @@ def parse_share_file(data: bytes) -> ShareFile:
 def atomic_write(path: str, data: bytes) -> None:
     """Write a temp file in the target directory, then rename it onto path.
     The temp file is created as open(path, "wb") creates a new file, with
-    mode 0o666 less the umask."""
+    mode 0o666 less the umask. An OSError names path, not the temp file,
+    with its errno and strerror; the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".mbcr-tmp-{os.urandom(8).hex()}")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def write_share_file(path: str, sf: ShareFile) -> None:

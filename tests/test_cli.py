@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 import shlex
@@ -16,6 +17,7 @@ from mbcr.gf import Field
 from mbcr.sharefile import (
     HEADER_SIZE,
     ShareFile,
+    atomic_write,
     file_to_stripes,
     pack_share_file,
     parse_share_file,
@@ -128,6 +130,21 @@ class TestShareFile:
         write_share_file(path, sf)
         assert read_share_file(path) == sf
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".mbcr-tmp")]
+
+    def test_atomic_write_errors_name_the_target(self, tmp_path):
+        # Each OSError keeps its errno and strerror but names the path
+        # given, not the temp file, and no temp file is left.
+        missing = str(tmp_path / "missing" / "s.mbcr")
+        with pytest.raises(FileNotFoundError) as exc:
+            atomic_write(missing, b"x")
+        assert (exc.value.errno, exc.value.filename) == (errno.ENOENT, missing)
+        target = tmp_path / "dir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            atomic_write(str(target), b"x")
+        assert (exc.value.errno, exc.value.filename) == (errno.EISDIR, str(target))
+        assert exc.value.filename2 is None
+        assert not list(tmp_path.rglob(".mbcr-tmp-*"))
 
     def test_striping_pads_with_zeros(self):
         stripes = file_to_stripes(b"abc", 2)
@@ -451,6 +468,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "Is a directory" in err and err.count("\n") == 1
+        assert str(target) in err and ".mbcr-tmp" not in err
         assert list(target.iterdir()) == []
         assert not list(tmp_path.rglob(".mbcr-tmp-*"))
 

@@ -6,7 +6,7 @@ So each procedure is exact on all q^B blocks once it is exact on the B
 unit blocks. Over GF(256) one call covers the whole basis: data symbol b
 is the one-hot column 1 << 8*b, which holds unit block b in stripe b.
 Such wide columns run mostly per element, so the unit blocks also run one
-stripe per call, where _apply packs every map with more than 2 outputs.
+stripe per call, where _apply packs every map with more than 1 output.
 GF(p) has no column form: its unit blocks run one per call. The oracle
 for encode is the monomial sum itself (conftest.monomial_row): with unit
 block b at data cell (i, j), F(x, y) = x^i y^j. Repair runs on seed-0

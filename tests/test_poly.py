@@ -91,6 +91,27 @@ def by_stripe(fn, values, stripes):
     return tuple(sum(b << 8 * s for s, b in enumerate(col)) for col in zip(*outs))
 
 
+class CountingTables:
+    """Field.tables that counts its lookups: one per multiply."""
+
+    def __init__(self, tables):
+        self.tables, self.lookups = tables, 0
+
+    def __getitem__(self, c):
+        self.lookups += 1
+        return self.tables[c]
+
+
+def translates(rows, values):
+    """The multiplies of each form of poly._apply: packed (GF(256) only),
+    one per nonzero byte of an input; per element, one per nonzero input
+    and weight above 1."""
+    size = (max(values, default=0).bit_length() + 7) >> 3
+    packed = sum(b != 0 for v in values for b in v.to_bytes(size, "little"))
+    per_element = sum(v != 0 and c > 1 for v, row in zip(values, rows) for c in row)
+    return packed, per_element
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 10, 14, 23])
 def test_packed_and_per_element_forms_agree(m):
     # Columns of mixed widths: some are below 256, and in one case all of
@@ -113,12 +134,14 @@ def test_packed_and_per_element_forms_agree(m):
         assert tuple(evaluate(field, cols, at)) == want
 
 
-def test_each_map_picks_its_form_from_its_outputs_and_stripes():
+def test_each_map_picks_its_form_from_its_outputs_and_stripes(monkeypatch):
     # interpolate (10 outputs), evaluate and resample (14 each) on columns
     # of 0 stripes (all zero), 1, 2, each map's output count +- 1 and 40
     # equal a per-stripe scalar run, which runs one more stripe, zero in
     # every column. Below its output count the packed form runs, from it on
-    # the per-element form.
+    # the per-element form: the map's table lookups are that form's count.
+    # About half the bytes are zero, so the two counts differ where the
+    # form changes, and a map that picks the other form there fails.
     field, rng = Field.gf256(), random.Random(19)
     xs = tuple(rng.sample(range(1, 256), 10))
     at = (*xs[:4], *rng.sample([t for t in range(256) if t not in xs], 10))
@@ -127,11 +150,24 @@ def test_each_map_picks_its_form_from_its_outputs_and_stripes():
         (14, lambda v: evaluate(field, v, at)),
         (14, lambda v: resample(field, list(zip(xs, v)), at)),
     )
+    tables, calls, apply = CountingTables(field.tables), [], poly._apply
+    monkeypatch.setattr(field, "tables", tables)
+    monkeypatch.setattr(poly, "_apply", lambda *args: calls.append(args) or apply(*args))
     for outputs, fn in maps:
         for stripes in (0, 1, 2, outputs - 1, outputs, outputs + 1, 40):
-            cols = [rng.randrange(256**stripes) for _ in range(10)]
+            cols = [int.from_bytes(bytes(rng.choice((0, rng.randrange(256)))
+                                         for _ in range(stripes)), "little")
+                    for _ in range(10)]
             cols[rng.randrange(10)] |= 0xFF << 8 * stripes >> 8  # the top stripe is set
-            assert fn(cols) == by_stripe(fn, cols, stripes + 1)
+            calls.clear()
+            before = tables.lookups
+            got = fn(cols)
+            [(_, rows, values, width)] = calls
+            packed, per_element = translates(rows, values)
+            assert width == outputs
+            assert tables.lookups - before == (packed if stripes < outputs else per_element)
+            assert stripes not in (outputs - 1, outputs) or packed != per_element
+            assert got == by_stripe(fn, cols, stripes + 1)
 
 
 @pytest.mark.parametrize("field", [GF7, Field.gf256()], ids=str)
@@ -166,17 +202,6 @@ def test_gf256_kernel_is_the_sum_of_scale_products():
             assert poly._apply(field, rows, values, width) == tuple(want)
 
 
-class CountingTables:
-    """Field.tables that counts its lookups: one per multiply."""
-
-    def __init__(self, tables):
-        self.tables, self.lookups = tables, 0
-
-    def __getitem__(self, c):
-        self.lookups += 1
-        return self.tables[c]
-
-
 def test_the_kernel_multiplies_only_nonzero_inputs_by_weights_above_1(monkeypatch):
     # Per element, one multiply per nonzero input and weight > 1: a weight
     # of 0 and a zero input add nothing, and a weight of 1 copies. Packed,
@@ -191,9 +216,7 @@ def test_the_kernel_multiplies_only_nonzero_inputs_by_weights_above_1(monkeypatc
 
     def check(field, count, rows, values, width):
         size = (max(values).bit_length() + 7) >> 3
-        splits = [v.to_bytes(size, "little") for v in values]
-        packed = sum(b != 0 for split in splits for b in split)
-        per_element = sum(v != 0 and c > 1 for v, row in zip(values, rows) for c in row)
+        packed, per_element = translates(rows, values)
         before = count()
         poly._apply(field, rows, values, width)
         assert count() - before == (packed if field is gf256 and size < width else per_element)

@@ -63,6 +63,42 @@ def test_make_plan_is_seed_deterministic():
     )
 
 
+# make_plan(p, failed, seed=s) draws one rng.sample of d survivors per
+# newcomer, in failed-id order, from every node that did not fail or from
+# the survivors given (the CLI's supplied shares). The benchmark's share
+# digests and the golden verify reports rest on these draws.
+DRAWN_PLANS = [
+    ((5, 2, 3, 2), (2, 5), 0, None, [(2, (3, 4, 1)), (5, (3, 4, 1))]),
+    ((5, 2, 3, 2), (2, 5), 1, None, [(2, (1, 4, 3)), (5, (1, 3, 4))]),
+    ((5, 2, 3, 2), (2, 5), 7919, None, [(2, (4, 3, 1)), (5, (3, 4, 1))]),
+    ((10, 4, 6, 3), (7, 1, 4), 0, None,
+     [(1, (10, 6, 9, 2, 3, 5)), (4, (6, 5, 10, 9, 8, 2)), (7, (8, 3, 5, 9, 2, 6))]),
+    ((10, 4, 6, 3), (7, 1, 4), 1, None,
+     [(1, (3, 8, 2, 5, 9, 10)), (4, (10, 6, 9, 8, 2, 5)), (7, (6, 2, 10, 8, 5, 9))]),
+    ((10, 4, 6, 3), (7, 1, 4), 7919, None,
+     [(1, (9, 6, 3, 5, 8, 10)), (4, (2, 10, 5, 6, 8, 9)), (7, (10, 8, 2, 6, 3, 9))]),
+    ((14, 10, 10, 4), (3, 14, 9, 8), 0, None,
+     [(3, (10, 13, 1, 4, 6, 5, 7, 2, 12, 11)), (8, (13, 5, 4, 11, 2, 1, 10, 12, 6, 7)),
+      (9, (2, 13, 7, 5, 6, 1, 4, 12, 10, 11)), (14, (12, 11, 13, 10, 6, 4, 1, 7, 5, 2))]),
+    ((14, 10, 10, 4), (3, 14, 9, 8), 1, None,
+     [(3, (4, 2, 6, 1, 5, 7, 11, 13, 12, 10)), (8, (2, 11, 1, 10, 5, 7, 12, 4, 13, 6)),
+      (9, (5, 2, 7, 1, 10, 11, 6, 12, 13, 4)), (14, (1, 12, 5, 10, 11, 7, 2, 6, 13, 4))]),
+    ((14, 10, 10, 4), (3, 14, 9, 8), 7919, None,
+     [(3, (11, 4, 7, 5, 10, 1, 6, 2, 12, 13)), (8, (12, 2, 10, 11, 4, 6, 1, 13, 5, 7)),
+      (9, (12, 1, 7, 10, 13, 4, 2, 11, 5, 6)), (14, (11, 4, 2, 7, 5, 10, 13, 12, 1, 6))]),
+    ((10, 4, 6, 3), (1, 2, 3), 2, range(4, 10),
+     [(1, (4, 9, 8, 5, 7, 6)), (2, (6, 8, 5, 9, 4, 7)), (3, (7, 9, 6, 8, 5, 4))]),
+]
+
+
+@pytest.mark.parametrize("code, failed, seed, survivors, helpers", DRAWN_PLANS)
+def test_make_plan_draws_are_pinned(code, failed, seed, survivors, helpers):
+    p = validate_params(*code, Field.gf256())
+    plan = make_plan(p, failed, seed=seed, survivors=survivors)
+    assert list(plan.helpers.items()) == helpers
+
+
+
 def test_make_plan_errors():
     p = validate_params(5, 2, 3, 2, GF7)
     with pytest.raises(ProtocolError, match="exactly r"):
@@ -75,6 +111,9 @@ def test_make_plan_errors():
         make_plan(p, {1, 2}, helpers={1: (3, 3, 4), 2: (3, 4, 5)})
     with pytest.raises(ProtocolError, match="need d = 3 survivors"):
         make_plan(p, {1, 2}, seed=0, survivors=(1, 3, 4))
+    # A given map meets the same survivor count as a drawn one.
+    with pytest.raises(ProtocolError, match="need d = 3 survivors"):
+        make_plan(p, {1, 2}, helpers={1: (3, 4, 5), 2: (3, 4, 5)}, survivors=(3, 4))
 
 
 def phase1_values(share, newcomer, p):
