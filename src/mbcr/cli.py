@@ -10,6 +10,12 @@ is a file fact, used for the transpose and the messages only. Verification
 commands default to the smallest prime field that fits n. All randomness
 flows from --seed.
 
+verify and bound load subspace and bounds on first use: both are lazy
+modules (importlib.util.LazyLoader), in sys.modules and bound here, whose
+code compiles and runs only when an attribute is first read. So a file
+command never loads them, nor fractions, which params and bound import
+where they use it.
+
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage or
 parameter errors.
 """
@@ -17,12 +23,11 @@ parameter errors.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
-from . import bounds, subspace
 from .codec import CodeParams, encode, reconstruct, validate_params
 from .errors import CorruptShareError, MbcrError, ParameterError
 from .gf import Field, smallest_prime_at_least
@@ -40,6 +45,23 @@ from .sharefile import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+
+def _lazy(name: str):
+    """The module mbcr.<name> as loaded or, if it is not, registered in
+    sys.modules and on the package to run its code on first attribute use."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+bounds = _lazy("bounds")
+subspace = _lazy("subspace")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -101,6 +123,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def cmd_params(args) -> int:
+    from fractions import Fraction
     p = _code(args, default="gf256")
     overhead = Fraction(p.n * p.share_size, p.block_size)
     print(f"n={p.n} k={p.k} d={p.d} r={p.r} field={p.field}")
@@ -194,6 +217,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from fractions import Fraction
     p = _code(args, default="prime")
     if args.file_size is not None and args.file_size <= 0:
         raise ParameterError(f"--file-size must be positive, got {args.file_size}")

@@ -173,7 +173,10 @@ def read_shares(paths: Sequence[str]) -> tuple[CodeParams, int, int, list[Share]
     """A set of share files as (params, stripe count, recorded length, one
     column Share per file, in the order of paths). Refused unless every
     header carries the same code parameters and recorded length, naming
-    the field that differs; the length fixes the stripe count."""
+    the field that differs; the length fixes the stripe count. An empty
+    set is refused too."""
+    if not paths:
+        raise ShareFormatError("no share files given")
     files = [read_share_file(path) for path in paths]
     ref = files[0]
     for attr, what in (("params", "code parameters"),

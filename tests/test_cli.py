@@ -22,6 +22,7 @@ from mbcr.sharefile import (
     pack_share_file,
     parse_share_file,
     read_share_file,
+    read_shares,
     stripes_to_file,
     write_share_file,
 )
@@ -145,6 +146,12 @@ class TestShareFile:
         assert (exc.value.errno, exc.value.filename) == (errno.EISDIR, str(target))
         assert exc.value.filename2 is None
         assert not list(tmp_path.rglob(".mbcr-tmp-*"))
+
+    def test_read_shares_refuses_an_empty_set(self):
+        # As reconstruct([]), encode(()) and run_repair([]) do: a typed
+        # error, not an IndexError.
+        with pytest.raises(ShareFormatError, match="no share files"):
+            read_shares([])
 
     def test_striping_pads_with_zeros(self):
         stripes = file_to_stripes(b"abc", 2)
