@@ -6,8 +6,9 @@ file into stripes of block_size bytes; each makes one library call per
 file, on the columns of all its stripes (poly picks, per constant map,
 whether the arithmetic runs per stripe or per column); sharefile reads
 and writes the share sets (read_shares, write_shares). The stripe count
-is a file fact, used for the transpose and the messages only. Verification
-commands default to the smallest prime field that fits n. All randomness
+is a file fact, used for the transpose and the messages only. The parser
+sets each command's default field: GF(256) for params and simulate, the
+smallest prime field that fits n for verify and bound. All randomness
 flows from --seed.
 
 verify and bound load subspace and bounds on first use: both are lazy
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import random
 import sys
 from functools import lru_cache
@@ -77,15 +79,15 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gf256", action="store_true", help="use GF(256)")
 
 
-def _code(args, default: str) -> CodeParams:
-    """The validated code of -n -k -d -r over -q, --gf256 or, without
-    either, the default: GF(256) or the smallest prime field that fits n."""
+def _code(args) -> CodeParams:
+    """The validated code of -n -k -d -r over -q, --gf256 (set by default
+    for params and simulate) or else the smallest prime field that fits n."""
     if args.q is not None:
         try:
             field = Field.prime(args.q)
         except ValueError as exc:
             raise ParameterError(str(exc)) from None
-    elif args.gf256 or default == "gf256":
+    elif args.gf256:
         field = Field.gf256()
     elif args.n > 65521:  # the largest prime Field accepts
         raise ParameterError(f"n = {args.n} needs a prime field larger than GF(65521)")
@@ -124,7 +126,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def cmd_params(args) -> int:
     from fractions import Fraction
-    p = _code(args, default="gf256")
+    p = _code(args)
     overhead = Fraction(p.n * p.share_size, p.block_size)
     print(f"n={p.n} k={p.k} d={p.d} r={p.r} field={p.field}")
     print(f"share size (alpha)        : {p.share_size}")
@@ -152,6 +154,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if os.path.exists(args.out) and any(os.path.samefile(args.out, s) for s in args.shares):
+        raise MbcrError(f"--out {args.out} is one of the input share files")
     p, stripes, length, shares = read_shares(args.shares)
     data = from_columns(reconstruct(shares, p), stripes)[:length]
     _atomic_write(args.out, data)
@@ -169,10 +173,9 @@ def cmd_repair(args) -> int:
     plan = make_plan(p, failed, helpers=helpers, seed=args.seed, survivors=supplied)
 
     regenerated, ledger = run_repair(shares, plan, p)
-    newcomers = sorted(plan.failed)
-    write_shares(args.out, [regenerated[i] for i in newcomers], p, length)
+    write_shares(args.out, [regenerated[i] for i in plan.failed], p, length)
 
-    for i in newcomers:
+    for i in plan.failed:
         print(
             f"newcomer {i}: phase1 {ledger.phase1[i]} + phase2 {ledger.phase2[i]} "
             f"= {ledger.total_for(i)} symbols/stripe "
@@ -186,7 +189,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = _code(args, default="prime")
+    p = _code(args)
     rng = random.Random(args.seed)
     failed = rng.sample(range(1, p.n + 1), p.r)
     plan = make_plan(p, failed, seed=rng.randrange(2**32))
@@ -218,7 +221,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     from fractions import Fraction
-    p = _code(args, default="prime")
+    p = _code(args)
     if args.file_size is not None and args.file_size <= 0:
         raise ParameterError(f"--file-size must be positive, got {args.file_size}")
     B = Fraction(p.block_size if args.file_size is None else args.file_size)
@@ -226,21 +229,18 @@ def cmd_bound(args) -> int:
     mscr = bounds.mscr_point(p.k, p.d, p.r, B)
     best = bounds.max_file_size(p.k, p.d, p.r, mbcr)
     print(f"file size B = {B}, {bounds.composition_count(p.k, p.r)} compositions")
-    print(
-        f"MBCR point: alpha={mbcr.node_storage} beta1={mbcr.phase1_per_helper} "
-        f"beta2={mbcr.phase2_per_peer} gamma={mbcr.repair_bandwidth(p.d, p.r)}"
-    )
-    print(
-        f"MSCR point: alpha={mscr.node_storage} beta1={mscr.phase1_per_helper} "
-        f"beta2={mscr.phase2_per_peer} gamma={mscr.repair_bandwidth(p.d, p.r)}"
-    )
+    for name, point in (("MBCR", mbcr), ("MSCR", mscr)):
+        print(
+            f"{name} point: alpha={point.node_storage} beta1={point.phase1_per_helper} "
+            f"beta2={point.phase2_per_peer} gamma={point.repair_bandwidth(p.d, p.r)}"
+        )
     print(f"cut-set max file size at MBCR point: {best}")
     print(f"bound met with equality: {best == B}")
     return EXIT_OK if best == B else EXIT_FAILURE
 
 
 def cmd_simulate(args) -> int:
-    p = _code(args, default="gf256")
+    p = _code(args)
     if args.stages < 0:
         raise ParameterError(f"--stages must not be negative, got {args.stages}")
     rng = random.Random(args.seed)
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="print derived code parameters")
     _add_param_flags(p)
     _add_field_flags(p)
-    p.set_defaults(func=cmd_params)
+    p.set_defaults(func=cmd_params, gf256=True)
 
     p = sub.add_parser("encode", help="encode a file into n share files")
     _add_param_flags(p)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p)
     p.add_argument("--stages", type=int, default=20, help="number of repair stages")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, gf256=True)
 
     return ap
 

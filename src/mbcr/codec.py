@@ -196,7 +196,7 @@ def _check_consistent(node_id: int, got, want, field: Field, decoded_from) -> No
     XOR's lowest non-zero byte, over GF(p) stripe 0 whatever bits differ.
     """
     diff = 0
-    for u, v in zip(got, want, strict=True):
+    for u, v in zip(got, want):
         diff |= u ^ v
     if diff:
         stripe = ((diff & -diff).bit_length() - 1) >> 3 if field.kind == "binary" else 0

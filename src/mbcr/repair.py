@@ -39,8 +39,9 @@ class RepairPlan:
     helpers: dict[int, tuple[int, ...]]
 
     @property
-    def failed(self) -> frozenset[int]:
-        return frozenset(self.helpers)
+    def failed(self) -> tuple[int, ...]:
+        """The newcomers, in ascending id order."""
+        return tuple(sorted(self.helpers))
 
 
 def make_plan(
@@ -142,7 +143,7 @@ def run_repair(
     if missing:
         raise ProtocolError(f"survivor shares missing for helpers {sorted(missing)}")
 
-    newcomers = sorted(plan.failed)
+    newcomers = plan.failed
     # A phase-1 point names its helper and newcomer, so one map holds every send.
     sent: dict[tuple[int, int], int] = {}
     for j in sorted(needed):

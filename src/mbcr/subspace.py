@@ -356,10 +356,9 @@ def check_property1(params: CodeParams, dim: _Dim) -> list[CheckResult]:
 def check_property2(plan: RepairPlan, dim: _Dim) -> list[CheckResult]:
     """Each newcomer's space is the direct sum of what it receives."""
     out = []
-    failed = sorted(plan.failed)
-    for i in failed:
+    for i in plan.failed:
         parts = tuple(("s", j, i) for j in plan.helpers[i])
-        parts += tuple(("t", j, i) for j in failed if j != i)
+        parts += tuple(("t", j, i) for j in plan.failed if j != i)
         # A direct sum, and W_i and the sum each contain the other.
         sizes = sum(dim((x,)) for x in parts)
         ok = sizes == dim(parts) == dim((i,)) == dim((i, *parts))
@@ -406,7 +405,7 @@ def check_property3(
         for kind, j, i in _transfer_labels(plan)
         if kind == "s"
     ]
-    for i, i2 in combinations(sorted(plan.failed), 2):
+    for i, i2 in combinations(plan.failed, 2):
         pair = (("t", i, i2), ("t", i2, i))
         ok = dim(pair) == dim(pair[:1]) + dim(pair[1:]) and in_intersection(pair, i, i2)
         out.append(CheckResult("property3_exchange_sum", f"i={i},i'={i2}", ok))
@@ -482,9 +481,8 @@ def lemma1_results(
     """
     beta1, beta2 = params.helper_symbols, params.exchange_symbols
     out = []
-    failed = sorted(plan.failed)
-    for a in range(len(failed) + 1):
-        for I in combinations(failed, a):
+    for a in range(len(plan.failed) + 1):
+        for I in combinations(plan.failed, a):
             common = set.intersection(*(set(plan.helpers[i]) for i in I)) if I else ()
             for b in range(len(common) + 1):
                 for J in combinations(sorted(common), b):

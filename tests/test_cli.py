@@ -164,6 +164,28 @@ class TestShareFile:
         assert stripes_to_file(stripes, 0) == b""
 
 
+# The header of share 1 of "hello world" at (5,2,3,2), and part of the error
+# that refuses it with bit 0 of byte 0, 1, ... flipped: in the magic,
+# version, field kind, modulus, n, k, d (d = 2 makes B = 8, so 11 bytes
+# fill 2 stripes), r, node id, stripe count and recorded length.
+HELLO_HEADER = pack_share_file(
+    ShareFile(validate_params(5, 2, 3, 2, Field.gf256()), 1, 11, bytes(7)))[:HEADER_SIZE]
+HEADER_BIT_FLIPS = [
+    "bad magic b'LBCR'", "bad magic b'MCCR'", "bad magic b'MBBR'", "bad magic b'MBCS'",
+    "unsupported version 0",
+    "field kind 0, modulus 0x11d is not GF(256)", "field kind 1, modulus 0x11c is not GF(256)",
+    "field kind 1, modulus 0x1d is not GF(256)",
+    "d + r = 5 exceeds n = 4", "field order 256 is smaller than n = 261",
+    "mismatched code parameters", "k = 258 > d = 3",
+    "stripe count is 1, but a recorded length of 11 fills 2", "d + r = 261 exceeds n = 5",
+    "d + r = 6 exceeds n = 5", "d + r = 261 exceeds n = 5",
+    "node id 0 is outside [1, 5]", "node id 257 is outside [1, 5]",
+    *(f"stripe count is {1 ^ 256**i}, but a recorded length of 11 fills 1" for i in range(4)),
+    "mismatched recorded lengths",
+    *(f"stripe count is 1, but a recorded length of {11 ^ 256**i} fills" for i in range(1, 8)),
+]
+
+
 class TestCli:
     def encode(self, tmp_path, data, n=5, k=2, d=3, r=2):
         src = tmp_path / "input.bin"
@@ -291,23 +313,35 @@ class TestCli:
         rc = main(["reconstruct", *paths, "--out", str(dest)])
         assert rc != 0 or dest.read_bytes() == data
 
-    @pytest.mark.parametrize("node", [1, 11])
-    def test_a_per_stripe_mismatch_names_the_file_stripe(self, tmp_path, capsys, node):
-        # 3 stripes at (14,10,10,4) run through the codec once per stripe.
-        # Flip the last symbol (a g sample) of stripe 2 in share 1, within
-        # the k decoded from, or in share 11, past them.
-        data = random.Random(2).randbytes(3 * 140 - 7)
+    # At (14,10,10,4), all 14 shares are read back, then again with the last
+    # symbol (a g sample) of the last stripe flipped in share 1, within the
+    # k decoded from, or in share 11 or 14, past them. One codec call per
+    # file runs its maps with 10 and 14 outputs packed, once per stripe,
+    # below 10 and 14 stripes, and per element on columns from there.
+    @pytest.mark.parametrize(
+        "node, stripes",
+        [pytest.param(1, 3, id="1"), pytest.param(11, 3, id="11"),
+         *(pytest.param(14, s, id=f"14-{s}-stripes") for s in (2, 9, 10, 13, 14, 40))],
+    )
+    def test_a_per_stripe_mismatch_names_the_file_stripe(
+        self, tmp_path, capsys, node, stripes
+    ):
+        data = random.Random(stripes).randbytes(stripes * 140 - 7)
         out = self.encode(tmp_path, data, 14, 10, 10, 4)
+        paths = [str(out / f"share_{i:03d}.mbcr") for i in range(1, 15)]
+        dest = tmp_path / "rec.bin"
+        assert main(["reconstruct", *paths, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == data
+        dest.unlink()
         path = out / f"share_{node:03d}.mbcr"
         blob = bytearray(path.read_bytes())
-        blob[HEADER_SIZE + 3 * 23 - 1] ^= 0x40
+        blob[-1] ^= 0x40
         path.write_bytes(bytes(blob))
-        paths = [str(out / f"share_{i:03d}.mbcr") for i in range(1, 12)]
-        dest = tmp_path / "rec.bin"
         capsys.readouterr()
         assert main(["reconstruct", *paths, "--out", str(dest)]) == 1
         err = capsys.readouterr().err
-        assert f"share {node} is inconsistent" in err and "first bad stripe: 2" in err
+        assert f"share {node} is inconsistent" in err
+        assert f"first bad stripe: {stripes - 1}" in err
         assert not dest.exists()
 
     @pytest.mark.parametrize("code", [(5, 2, 3, 2), (10, 4, 6, 3), (14, 10, 10, 4)])
@@ -446,6 +480,9 @@ class TestCli:
             (22, "<Q", (13,), "stripe count is 1, but a recorded length of 13 fills 2"),
             (5, "<BH", (1, 0x11B), "field kind 1, modulus 0x11b is not GF(256)"),
             (4, "<B", (2,), "unsupported version 2"),
+            # Bit 0 of each header byte, flipped.
+            *((offset, "<B", (HELLO_HEADER[offset] ^ 1,), message)
+              for offset, message in enumerate(HEADER_BIT_FLIPS)),
         ],
     )
     def test_reconstruct_rejects_a_bad_header(
@@ -454,6 +491,7 @@ class TestCli:
         out = self.encode(tmp_path, b"hello world")
         path = out / "share_001.mbcr"
         blob = bytearray(path.read_bytes())
+        assert blob[:HEADER_SIZE] == HELLO_HEADER
         struct.pack_into(fmt, blob, offset, *values)
         path.write_bytes(bytes(blob))
         rc = main(["reconstruct", str(path), str(out / "share_002.mbcr"),
@@ -466,17 +504,38 @@ class TestCli:
 
     def test_reconstruct_into_an_existing_directory_is_refused(self, tmp_path, capsys):
         # The temp file is written, then cannot be renamed onto the
-        # directory: it is removed and the error re-raised.
+        # directory: it is removed and the error re-raised. An --out in a
+        # missing directory is refused as well, and both errors name --out.
         out = self.encode(tmp_path, b"hello world")
         target = tmp_path / "x"
         target.mkdir()
-        rc = main(["reconstruct", str(out / "share_001.mbcr"), str(out / "share_002.mbcr"),
+        for dest, reason in ((target, "Is a directory"),
+                             (tmp_path / "missing" / "out.bin", "No such file or directory")):
+            rc = main(["reconstruct", str(out / "share_001.mbcr"), str(out / "share_002.mbcr"),
+                       "--out", str(dest)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert reason in err and err.count("\n") == 1
+            assert str(dest) in err and ".mbcr-tmp" not in err
+        assert list(target.iterdir()) == []
+        assert not list(tmp_path.rglob(".mbcr-tmp-*"))
+
+    @pytest.mark.parametrize("alias", ["same-path", "other-path", "hard-link"])
+    def test_reconstruct_refuses_to_overwrite_an_input_share(self, tmp_path, capsys, alias):
+        out = self.encode(tmp_path, b"hello world")
+        share = out / "share_001.mbcr"
+        before = share.read_bytes()
+        target = {"same-path": share, "other-path": out / ".." / out.name / share.name,
+                  "hard-link": tmp_path / "link.mbcr"}[alias]
+        if alias == "hard-link":
+            os.link(share, target)
+        rc = main(["reconstruct", str(share), str(out / "share_002.mbcr"),
                    "--out", str(target)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "Is a directory" in err and err.count("\n") == 1
-        assert str(target) in err and ".mbcr-tmp" not in err
-        assert list(target.iterdir()) == []
+        assert f"--out {target} is one of the input share files" in err
+        assert err.count("\n") == 1
+        assert share.read_bytes() == before
         assert not list(tmp_path.rglob(".mbcr-tmp-*"))
 
     def test_encode_refuses_more_nodes_than_gf256_has_points(self, tmp_path, capsys):
@@ -574,6 +633,34 @@ class TestCli:
         assert (rep / "share_001.mbcr").read_bytes() == (
             out / "share_001.mbcr"
         ).read_bytes()
+
+    # At r = 1 the newcomer has no peers: it assembles no phase-2 points and
+    # reads f_1 from its d helpers' values and its own F(x_1, y_1). At
+    # (10,4,6,3) each newcomer resamples g from a helper set of its own.
+    # On 1 or 2 stripes a map with more outputs than stripes runs packed,
+    # and on 40 every map runs per element.
+    @pytest.mark.parametrize(
+        "code, stripes, failed, how",
+        [*(((7, 3, 4, 1), stripes, (1,), how) for stripes in (1, 40)
+           for how in (["--seed", "5"], ["--helpers", "1:3+4+6+7"])),
+         *(((10, 4, 6, 3), stripes, (1, 2, 3),
+            ["--helpers", "1:4+5+6+7+8+9;2:5+6+7+8+9+10;3:4+6+7+8+9+10"]) for stripes in (2, 40))],
+        ids=["r1-seed-1", "r1-helpers-1", "r1-seed-40", "r1-helpers-40",
+             "per-newcomer-helpers-2", "per-newcomer-helpers-40"],
+    )
+    def test_repair_round_trip_with_a_given_helper_choice(
+        self, tmp_path, code, stripes, failed, how
+    ):
+        n = code[0]
+        block = validate_params(*code, Field.gf256()).block_size
+        data = random.Random(stripes).randbytes(stripes * block - 5)
+        out = self.encode(tmp_path, data, *code)
+        survivors = [str(out / f"share_{i:03d}.mbcr") for i in range(1, n + 1) if i not in failed]
+        argv = ["repair", *survivors, "--failed", ",".join(map(str, failed)), *how]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 0
+        for i in failed:
+            name = f"share_{i:03d}.mbcr"
+            assert (tmp_path / "r" / name).read_bytes() == (out / name).read_bytes()
 
     # Empty items of --failed and --helpers are skipped.
     @pytest.mark.parametrize(
@@ -707,6 +794,20 @@ class TestCli:
                    "--inject-fault"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    # verify over a wide GF(256) code reduces residuals of sums below full
+    # rank, and of the degenerate node 1 under --inject-fault, over GF(256);
+    # simulate runs over a prime field when given one.
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [(["verify", "-n", "12", "-k", "6", "-d", "8", "-r", "3", "--gf256"], 0),
+         (["verify", "-n", "12", "-k", "6", "-d", "8", "-r", "3", "--gf256", "--inject-fault"], 1),
+         (["simulate", "-n", "5", "-k", "2", "-d", "3", "-r", "2", "--stages", "5", "--seed", "1",
+           "-q", "7"], 0)],
+        ids=["verify-gf256-wide", "verify-gf256-wide-fault", "simulate-gf7"],
+    )
+    def test_report_command_exit_code(self, argv, rc):
+        assert main(argv) == rc
 
     def test_consecutive_calls_share_no_parsed_state(self, capsys):
         # The parser is built once per process; a flag given to one call
